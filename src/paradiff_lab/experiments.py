@@ -167,6 +167,12 @@ def _f(x) -> float:
     return float(x)
 
 
+def _worse(worst, value):
+    """max(worst, value) that keeps a NaN: the builtin max(0.0, nan) is 0.0,
+    which would let a NaN ratio pass its check."""
+    return value if np.isnan(value) or value > worst else worst
+
+
 def _grid_gain(a: DiscreteSymbol, items, spec_src: NormSpec,
                spec_dst: NormSpec, part) -> dict:
     """Squared quasi-norm amplification sup_u ||a#u||^2 / ||u||^2 over the
@@ -474,8 +480,8 @@ def run_inequality_suite(cfg: ExperimentConfig) -> ResultRecord:
     worst = 0.0
     for _, a in symbols:
         for u in fields:
-            worst = max(worst,
-                        check_factorization(a, u, p_fact)["max_ratio"])
+            worst = _worse(worst,
+                           check_factorization(a, u, p_fact)["max_ratio"])
     add("factorization", "factorization_inequality", worst,
         FROZEN_THRESHOLDS["factorization_ratio"])
 
@@ -487,7 +493,7 @@ def run_inequality_suite(cfg: ExperimentConfig) -> ResultRecord:
         rhs = mihlin_bound(a, p_m, psi)
         mask = rhs > 0
         if mask.any():
-            worst = max(worst, float(np.max(Fa[mask] / rhs[mask])))
+            worst = _worse(worst, float(np.max(Fa[mask] / rhs[mask])))
     add("mihlin_symbol_factor", "mihlin_type_symbol_factor_bound", worst,
         FROZEN_THRESHOLDS["mihlin_margin"])
 
@@ -504,12 +510,13 @@ def run_inequality_suite(cfg: ExperimentConfig) -> ResultRecord:
             ref = modulated_apply(a, u, psi, m)
             err = float(np.max(np.abs(split.total().values - ref.values)))
             scale = max(ref.norm_inf(), 1.0)
-            worst_rec = max(worst_rec, err / scale)
+            worst_rec = _worse(worst_rec, err / scale)
             rep = support_inclusions(split)
-            worst_viol = max(worst_viol, len(rep.violations))
+            worst_viol = _worse(worst_viol, len(rep.violations))
             prep = paraterm_pointwise_check(split, a, u, MaxParams(2.0, part.R))
-            worst_ratio = max(worst_ratio, prep.max_factorization_ratio)
-            worst_slope = max(worst_slope, max(prep.growth_slopes.values()))
+            worst_ratio = _worse(worst_ratio, prep.max_factorization_ratio)
+            for slope in prep.growth_slopes.values():
+                worst_slope = _worse(worst_slope, slope)
     add("reconstruction", "paradifferential_reconstruction", worst_rec,
         FROZEN_THRESHOLDS["reconstruction_abs"])
     add("corona_ball_inclusions", "corona_ball_inclusions", worst_viol, 0)
@@ -540,7 +547,8 @@ def run_inequality_suite(cfg: ExperimentConfig) -> ResultRecord:
                 b = rng.random(24)
                 res = yamazaki_check(b, s, q)
                 if res["rhs"] > 0:
-                    worst = max(worst, res["lhs"] / (res["rhs_const"] * res["rhs"]))
+                    ratio = res["lhs"] / (res["rhs_const"] * res["rhs"])
+                    worst = _worse(worst, ratio)
     add("cumulative_sum_inequality", "cumulative_sum_inequality", worst,
         1.0 + 1e-12)
 
@@ -557,7 +565,7 @@ def run_inequality_suite(cfg: ExperimentConfig) -> ResultRecord:
             mt = hl_max(uk, t_exp)
             mask = mt > 0
             if mask.any():
-                worst = max(worst, float(np.max(star[mask] / mt[mask])))
+                worst = _worse(worst, float(np.max(star[mask] / mt[mask])))
     add("peetre_hl_domination", "peetre_hardy_littlewood_domination", worst,
         FROZEN_THRESHOLDS["peetre_hl_constant"])
 
@@ -566,7 +574,7 @@ def run_inequality_suite(cfg: ExperimentConfig) -> ResultRecord:
     fs = fefferman_stein_check(blocks, NormSpec("F", 1.0, 2.0, 2.0),
                                t=t_exp, N_decay=2.0, R=part.R)
     add("fefferman_stein_chain", "fefferman_stein_chain",
-        max(fs["ratio_star_hl"], fs["ratio_hl_blocks"]),
+        _worse(fs["ratio_star_hl"], fs["ratio_hl_blocks"]),
         FROZEN_THRESHOLDS["fs_chain_ratio"], {k: _f(v) for k, v in fs.items()})
 
     # Marschall inequality (rows must carry no zero-frequency mass, which the
@@ -582,7 +590,7 @@ def run_inequality_suite(cfg: ExperimentConfig) -> ResultRecord:
     worst = 0.0
     for name, a in marschall_symbols:
         res = marschall_check(a, fields[0], k_m, t=1.0)
-        worst = max(worst, res["max_ratio"])
+        worst = _worse(worst, res["max_ratio"])
     add("marschall", "marschall_inequality", worst,
         FROZEN_THRESHOLDS["marschall_constant"])
 
@@ -597,13 +605,15 @@ def run_inequality_suite(cfg: ExperimentConfig) -> ResultRecord:
             lhs = apply(c, u)
             rhs = apply(a, apply(b, u))
             denom = max(u.norm_inf(), 1e-300)
-            worst = max(worst, float(np.max(np.abs(lhs.values - rhs.values)))
-                        / denom)
+            worst = _worse(worst,
+                           float(np.max(np.abs(lhs.values - rhs.values)))
+                           / denom)
             for mm in (1, part.J_max):
                 lm = modulated_apply(c, u, psi, mm)
                 rm = modulated_apply(a, apply(b, u), psi, mm)
-                worst = max(worst, float(np.max(np.abs(lm.values - rm.values)))
-                            / denom)
+                worst = _worse(worst,
+                               float(np.max(np.abs(lm.values - rm.values)))
+                               / denom)
     add("composition_domain", "multiplier_composition_domain", worst,
         FROZEN_THRESHOLDS["composition_rel"])
 

@@ -17,7 +17,8 @@ import numpy as np
 from .errors import GridMismatch, LevelOutOfRange, NotAMultiplier, TooLarge
 from .lp import (LPPartition, ModulationFunction, cumulative_block,
                  dyadic_block)
-from .symbols import DiscreteSymbol, estimate_seminorm, symbol_band
+from .symbols import DiscreteSymbol, estimate_seminorm, symbol_ladder
+from .symbols import symbol_band  # noqa: F401  (re-exported)
 from .torus import FreqSet, SpectralField, TorusGrid, phase_matrix, sumset
 
 
@@ -158,6 +159,40 @@ def compose_multiplier(a: DiscreteSymbol, b) -> DiscreteSymbol:
     return DiscreteSymbol(grid, a.d + d2, vals, class_tag=a.class_tag)
 
 
+@dataclass(frozen=True)
+class Ladder:
+    """The Littlewood-Paley ladder of one (symbol, input) pair, levels 0..m:
+    symbol bands a_k, cumulative symbols a^k, input blocks u_k and
+    cumulative input blocks u^k, together with the pair they came from."""
+
+    a: DiscreteSymbol
+    u: SpectralField
+    bands: list
+    cumulative: list
+    blocks: list
+    cumulative_blocks: list
+
+    def near_diagonal_symbol(self, k: int, h: int) -> DiscreteSymbol:
+        """a^k - a^{k-h} (a^k itself for k < h)."""
+        if k < h:
+            return self.cumulative[k]
+        return self.cumulative[k] - self.cumulative[k - h]
+
+    def cumulative_block(self, k: int) -> SpectralField:
+        """u^k; the zero field below level 0."""
+        if k < 0:
+            return SpectralField.zero(self.u.grid)
+        return self.cumulative_blocks[k]
+
+    def built_from(self, a: DiscreteSymbol, u: SpectralField) -> bool:
+        """Whether (a, u) equals the pair the ladder was built from."""
+        same_a = a is self.a or (a.grid == self.a.grid and a.d == self.a.d
+                                 and np.array_equal(a.values, self.a.values))
+        same_u = u is self.u or (u.grid == self.u.grid
+                                 and np.array_equal(u.coeffs, self.u.coeffs))
+        return same_a and same_u
+
+
 @dataclass
 class ParaSplit:
     """The three paradifferential series at a fixed modulation level m.
@@ -165,6 +200,7 @@ class ParaSplit:
     Per-term fields are retained: ``low_high[k]`` holds a^{k-h}(x,D)u_k,
     ``high_low[j]`` holds a_j(x,D)u^{j-h}, and ``diagonal[k]`` the pair of
     near-diagonal pieces ((a^k - a^{k-h})(x,D)u_k, a_k(x,D)(u^{k-1}-u^{k-h})).
+    ``ladder`` keeps the bands and blocks the terms were built from.
     """
 
     a1u: SpectralField
@@ -175,6 +211,7 @@ class ParaSplit:
     diagonal: list
     partition: LPPartition
     m: int
+    ladder: Ladder
 
     def total(self) -> SpectralField:
         return self.a1u + self.a2u + self.a3u
@@ -187,47 +224,27 @@ def para_split(a: DiscreteSymbol, u: SpectralField, part: LPPartition,
     if m > part.J_max:
         raise LevelOutOfRange(f"m={m} exceeds J_max={part.J_max}")
     grid = u.grid
-    blocks = [dyadic_block(u, k, part) for k in range(m + 1)]
-    cumuls = {}
-
-    def u_cum(k):
-        if k < 0:
-            return SpectralField.zero(grid)
-        if k not in cumuls:
-            cumuls[k] = cumulative_block(u, k, part)
-        return cumuls[k]
-
-    sym_band = {j: symbol_band(a, j, part) for j in range(m + 1)}
-    sym_cum = {}
-
-    def a_cum(k):
-        if k < 0:
-            return DiscreteSymbol.zero(grid, a.d)
-        if k not in sym_cum:
-            sym_cum[k] = symbol_band(a, k, part, cumulative=True)
-        return sym_cum[k]
-
+    bands, cumulative = symbol_ladder(a, m, part)
+    lad = Ladder(a, u, bands, cumulative,
+                 [dyadic_block(u, k, part) for k in range(m + 1)],
+                 [cumulative_block(u, k, part) for k in range(m + 1)])
     h = part.h
+    zero = SpectralField.zero(grid)
     low_high, high_low, diagonal = [], [], []
     for k in range(m + 1):
-        if k - h >= 0:
-            low_high.append(apply(a_cum(k - h), blocks[k]))
-        else:
-            low_high.append(SpectralField.zero(grid))
-        term2a = apply(a_cum(k) - a_cum(k - h), blocks[k])
-        vk = u_cum(k - 1) - u_cum(k - h)
-        term2b = apply(sym_band[k], vk)
-        diagonal.append((term2a, term2b))
-    for j in range(m + 1):
-        if j - h >= 0:
-            high_low.append(apply(sym_band[j], u_cum(j - h)))
-        else:
-            high_low.append(SpectralField.zero(grid))
+        uk = lad.blocks[k]
+        low_high.append(apply(cumulative[k - h], uk) if k >= h else zero)
+        vk = lad.cumulative_block(k - 1) - lad.cumulative_block(k - h)
+        diagonal.append((apply(lad.near_diagonal_symbol(k, h), uk),
+                         apply(bands[k], vk)))
+        high_low.append(apply(bands[k], lad.cumulative_block(k - h))
+                        if k >= h else zero)
 
     a1u = _sum_fields(low_high, grid)
     a2u = _sum_fields([t2a + t2b for t2a, t2b in diagonal], grid)
     a3u = _sum_fields(high_low, grid)
-    return ParaSplit(a1u, a2u, a3u, low_high, high_low, diagonal, part, m)
+    return ParaSplit(a1u, a2u, a3u, low_high, high_low, diagonal, part, m,
+                     lad)
 
 
 def _sum_fields(fields, grid):

@@ -14,10 +14,9 @@ import numpy as np
 
 from .errors import (BadExponent, DepthUnsupported, LevelOutOfRange,
                      SupportViolation)
-from .lp import (ModulationFunction, cumulative_block, dyadic_block,
-                 make_modulation)
+from .lp import ModulationFunction, make_modulation
 from .operators import ParaSplit, apply
-from .symbols import DiscreteSymbol, _eta_derivative, symbol_band
+from .symbols import DiscreteSymbol, _eta_derivative
 from .torus import SpectralField, TorusGrid
 
 #: Fast-path screen: translates whose decay weight falls below this cannot
@@ -303,7 +302,14 @@ def paraterm_pointwise_check(split: ParaSplit, a: DiscreteSymbol,
     level-band symbol) x (maximal function of its own input) -- exact on
     the lattice -- while the dyadic scaling content of the estimates is
     isolated in the per-level constants  max_x F(x) / scaling_law(level).
+
+    The bands and blocks come from ``split.ladder``; ``a`` and ``u`` must
+    equal the pair the split was built from (ValueError otherwise).
     """
+    lad = split.ladder
+    if not lad.built_from(a, u):
+        raise ValueError("a and u differ from the pair the split was "
+                         "built from")
     part, m = split.partition, split.m
     R, h, d = part.R, part.h, a.d
     grid = u.grid
@@ -352,53 +358,33 @@ def paraterm_pointwise_check(split: ParaSplit, a: DiscreteSymbol,
         scaled[name] = raw
         trends[name] = levels
 
-    cum_syms = {}
-
-    def a_cum(k):
-        if k < 0:
-            return None
-        if k not in cum_syms:
-            cum_syms[k] = symbol_band(a, k, part, cumulative=True)
-        return cum_syms[k]
-
-    band_syms = {k: symbol_band(a, k, part) for k in range(m + 1)}
-    blocks = [dyadic_block(u, k, part) for k in range(m + 1)]
-    cum_blocks = {}
-
-    def u_cum(k):
-        if k < 0:
-            return SpectralField.from_coeffs(grid, np.zeros(grid.shape,
-                                                            dtype=complex))
-        if k not in cum_blocks:
-            cum_blocks[k] = cumulative_block(u, k, part)
-        return cum_blocks[k]
-
     def block_window(k):
         return psi if k == 0 else block_ring
 
     run_series(
         "low_high",
-        [(a_cum(k - h), blocks[k], R * 2.0**k, block_window(k),
-          split.low_high[k]) for k in range(m + 1)],
-        lambda k: (R * 2.0**k) ** d)
-    run_series(
-        "diagonal_a",
-        [((a_cum(k) - a_cum(k - h)) if k - h >= 0 else a_cum(k),
-          blocks[k], R * 2.0**k, block_window(k), split.diagonal[k][0])
+        [(lad.cumulative[k - h] if k >= h else None, lad.blocks[k],
+          R * 2.0**k, block_window(k), split.low_high[k])
          for k in range(m + 1)],
         lambda k: (R * 2.0**k) ** d)
     run_series(
+        "diagonal_a",
+        [(lad.near_diagonal_symbol(k, h), lad.blocks[k], R * 2.0**k,
+          block_window(k), split.diagonal[k][0]) for k in range(m + 1)],
+        lambda k: (R * 2.0**k) ** d)
+    run_series(
         "diagonal_b",
-        [(band_syms[k], u_cum(k - 1) - u_cum(k - h), R * 2.0**k,
-          psi if k == 0 else lag_ring, split.diagonal[k][1])
+        [(lad.bands[k],
+          lad.cumulative_block(k - 1) - lad.cumulative_block(k - h),
+          R * 2.0**k, psi if k == 0 else lag_ring, split.diagonal[k][1])
          for k in range(m + 1)],
         lambda k: (R * 2.0**k) ** d)
     # the lagged-cumulative input is a ball, so the high-low constants keep
     # the ball window; they are reported, not trend-asserted
     run_series(
         "high_low",
-        [(band_syms[j], u_cum(j - h), R * 2.0 ** max(j - h, 0), psi,
-          split.high_low[j]) for j in range(m + 1)],
+        [(lad.bands[j], lad.cumulative_block(j - h), R * 2.0 ** max(j - h, 0),
+          psi, split.high_low[j]) for j in range(m + 1)],
         lambda j: 2.0 ** (-j * M) * (R * 2.0**j) ** (d + M))
 
     finite = [rr for rs in fact.values() for rr in rs if np.isfinite(rr)]

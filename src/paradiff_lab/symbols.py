@@ -474,3 +474,27 @@ def symbol_band(a: DiscreteSymbol, k: int, part: LPPartition,
     w = w.reshape(grid.shape + (1,) * grid.n)
     return DiscreteSymbol.from_partial_ft(grid, a.d, a.partial_ft() * w,
                                           class_tag=a.class_tag)
+
+
+def symbol_ladder(a: DiscreteSymbol, m: int, part: LPPartition):
+    """Bands a_k and cumulative symbols a^k for k = 0..m, as two lists.
+
+    Each band costs one inverse x-transform; a^k is the running sum
+    a_0 + ... + a_k, which is exact because psi(2^-k .) = psi +
+    sum_{1<=j<=k} phi(2^-j .) telescopes.  The bands equal
+    :func:`symbol_band` and the cumulative symbols equal its cumulative
+    form up to rounding; none of them caches a partial transform."""
+    if m > part.J_max:
+        raise LevelOutOfRange(f"level {m} > J_max {part.J_max}")
+    grid = a.grid
+    pft = a.partial_ft()
+    x_axes = tuple(range(grid.n))
+    bands, cumulative = [], []
+    total = None
+    for k in range(m + 1):
+        w = part.level_weights(k).reshape(grid.shape + (1,) * grid.n)
+        vals = np.fft.ifftn(pft * w, axes=x_axes) * grid.N**grid.n
+        total = vals if total is None else total + vals
+        bands.append(DiscreteSymbol(grid, a.d, vals, a.class_tag))
+        cumulative.append(DiscreteSymbol(grid, a.d, total, a.class_tag))
+    return bands, cumulative

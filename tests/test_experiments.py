@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from paradiff_lab import experiments
 from paradiff_lab.cli import main as cli_main
 from paradiff_lab.corpus import (boundedness_corpus, random_band_limited_field,
                                  random_sparse_symbol, rng_for)
@@ -111,6 +112,18 @@ def test_metrics_payload_deterministic(scenario):
 def test_inequality_suite_passes_small():
     rec = run_scenario(small_cfg("inequality_suite", seed=3))
     assert rec.metrics["summary"]["all_pass"]
+
+
+def test_inequality_suite_nan_ratio_fails(monkeypatch):
+    # builtin max(0.0, nan) is 0.0: a NaN ratio must still fail its check
+    monkeypatch.setattr(experiments, "marschall_check",
+                        lambda *args, **kw: {"max_ratio": float("nan")})
+    rec = run_scenario(small_cfg("inequality_suite", seed=3))
+    assert np.isnan(rec.metrics["marschall"]["max_ratio"])
+    assert rec.metrics["marschall"]["pass"] is False
+    assert rec.metrics["summary"]["all_pass"] is False
+    assert all(c["pass"] for name, c in rec.metrics.items()
+               if name not in ("marschall", "summary"))
 
 
 def test_modulation_study_flags_divergence():

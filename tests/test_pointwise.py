@@ -335,6 +335,28 @@ def test_paraterm_ching_bounded(grid):
     assert np.isfinite(rep.max_factorization_ratio)
 
 
+def test_paraterm_rejects_a_pair_the_split_was_not_built_from(grid):
+    part = make_partition(make_modulation(1.0, 2.0), grid)
+    a = standard_ching(grid, 0.0, 3)
+    u = random_band_limited_field(grid, rng_for(45, 3), 14.0)
+    sp = para_split(a, u, part, part.J_max)
+    p = MaxParams(2.0, 2.0)
+    other_grid = TorusGrid(1, 128)
+    mismatched = [
+        (standard_ching(other_grid, 0.0, 3), u),                 # grid
+        (DiscreteSymbol(grid, 1.0, a.values, a.class_tag), u),   # order
+        (a * 2.0, u),                                            # values
+        (DiscreteSymbol.identity(grid), u),
+        (a, 2.0 * u),                                            # input
+        (a, random_band_limited_field(other_grid, rng_for(45, 3), 14.0)),
+    ]
+    for b, v in mismatched:
+        with pytest.raises(ValueError):
+            paraterm_pointwise_check(sp, b, v, p)
+    copy = DiscreteSymbol(grid, a.d, a.values.copy(), a.class_tag)
+    assert paraterm_pointwise_check(sp, copy, u.copy(), p).pointwise_ok()
+
+
 # -- cumulative-sum inequality ---------------------------------------------------
 
 
