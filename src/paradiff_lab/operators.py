@@ -19,26 +19,26 @@ from .lp import (LPPartition, ModulationFunction, cumulative_block,
                  dyadic_block)
 from .symbols import DiscreteSymbol, estimate_seminorm, symbol_ladder
 from .symbols import symbol_band  # noqa: F401  (re-exported)
-from .torus import FreqSet, SpectralField, TorusGrid, phase_matrix, sumset
+from .torus import FreqSet, SpectralField, TorusGrid, sumset
 
 
 def apply(a: DiscreteSymbol, u: SpectralField) -> SpectralField:
     """v(x) = sum_eta a(x, eta) c_eta e^{i x.eta} on the shared grid."""
     if a.grid != u.grid:
         raise GridMismatch("symbol and field live on different grids")
-    grid = u.grid
-    if grid.n == 1:
-        E = phase_matrix(grid)
-        vals = (a.values * E) @ u.coeffs
-        return SpectralField.from_values(grid, vals)
-    # n = 2: accumulate the exact sum over the nonzero coefficients.
-    vals = np.zeros(grid.shape, dtype=np.complex128)
-    k = grid.axis_freqs().astype(float)
-    x = grid.axis_points()
-    nz = np.argwhere(u.coeffs != 0)
-    for i0, i1 in nz:
-        phase = np.exp(1j * (x[:, None] * k[i0] + x[None, :] * k[i1]))
-        vals += u.coeffs[i0, i1] * a.values[:, :, i0, i1] * phase
+    idx = np.nonzero(u.coeffs)
+    return _mode_sum(u.grid, a.values[(Ellipsis,) + idx], idx, u.coeffs[idx])
+
+
+def _mode_sum(grid: TorusGrid, cols, idx, c) -> SpectralField:
+    """sum_j cols[..., j] c_j e^{i x.eta_j} over the modes eta_j at ``idx``
+    in one matmul; the phase overwrites ``cols`` one x axis at a time."""
+    x, k = grid.axis_points(), grid.axis_freqs().astype(float)
+    for ax, i in enumerate(idx):
+        shape = [1] * grid.n + [len(i)]
+        shape[ax] = grid.N
+        cols *= np.exp(1j * np.outer(x, k[i])).reshape(shape)
+    vals = cols.reshape(grid.N**grid.n, len(c)) @ c
     return SpectralField.from_values(grid, vals)
 
 
@@ -66,15 +66,25 @@ def modulated_apply(a: DiscreteSymbol, u: SpectralField,
                     psi: ModulationFunction, m: int) -> SpectralField:
     """Apply the level-m frequency-modulated operator.
 
+    Equals ``apply(modulated_symbol(a, psi, m), u)`` without building that
+    symbol: psi(2^-m eta) cuts off the input, and only the symbol columns
+    at the surviving modes are x-transformed and cut off by psi(2^-m xi).
     Both cutoffs are identically 1 on the lattice once m reaches the
     saturation level, so larger m are clamped there and the unmodulated
     operator is applied directly (bit-stable tail for limit detection).
     """
     if m < 0:
         raise LevelOutOfRange("modulation level must be >= 0")
-    if m >= saturation_level(psi, a.grid):
-        return apply(a, u)
-    return apply(modulated_symbol(a, psi, m), u)
+    grid = u.grid
+    if m >= saturation_level(psi, grid) or a.grid != grid:
+        return apply(a, u)          # (raises GridMismatch on a grid clash)
+    w = psi(grid.freq_norms() / 2**m)
+    c = w * u.coeffs
+    idx = np.nonzero(c)
+    x_axes = tuple(range(grid.n))
+    cols = np.fft.fftn(a.values[(Ellipsis,) + idx], axes=x_axes)
+    cols = np.fft.ifftn(cols * w[..., None], axes=x_axes)
+    return _mode_sum(grid, cols, idx, c[idx])
 
 
 @dataclass
@@ -149,10 +159,9 @@ def compose_multiplier(a: DiscreteSymbol, b) -> DiscreteSymbol:
         d2 = b.d
     elif callable(b):
         k = grid.axis_freqs().astype(float)
-        if grid.n == 1:
-            col = np.asarray(b(k), dtype=np.complex128)
-        else:
-            col = np.asarray(b(k[:, None], k[None, :]), dtype=np.complex128)
+        ks = [k.reshape([grid.N if i == ax else 1 for i in range(grid.n)])
+              for ax in range(grid.n)]
+        col = np.asarray(b(*ks), dtype=np.complex128)
     else:
         col = np.asarray(b, dtype=np.complex128).reshape(grid.shape)
     vals = a.values * col.reshape((1,) * grid.n + grid.shape)
@@ -332,8 +341,7 @@ def spectral_support_bound(a: DiscreteSymbol, u: SpectralField) -> FreqSet:
     pts = set()
     for eta in u_sup:
         idx_eta = grid.index_of(eta)
-        col = pft[(Ellipsis,) + idx_eta] if grid.n == 1 else pft[:, :, idx_eta[0], idx_eta[1]]
-        mask = np.abs(col) > tau
+        mask = np.abs(pft[(Ellipsis,) + idx_eta]) > tau
         for row in np.argwhere(mask):
             xi = tuple(int(k[i]) for i in row)
             pts.add(tuple(x + e for x, e in zip(xi, eta)))

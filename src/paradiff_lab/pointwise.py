@@ -237,7 +237,8 @@ class ParatermReport:
 
     * ``factorization_ratios``: term / (own symbol factor x maximal
       function of its input) -- an exact triangle inequality, so every
-      finite entry must be <= 1.
+      finite entry must be <= 1.  ``max_factorization_ratio`` is the
+      largest finite entry, or NaN if any entry is NaN.
     * ``scale_constants``: symbol factor / (dyadic scaling law x the
       same-window identity reference).  Dividing by the reference cancels
       the lattice-resolution transient of the window family, so for a
@@ -263,19 +264,18 @@ class ParatermReport:
         return all(s <= slope_tol for s in self.growth_slopes.values())
 
 
-def _ratio_series(terms, majorants):
-    out = []
-    for term, major in zip(terms, majorants):
-        num = np.abs(term.values) if hasattr(term, "values") else np.abs(term)
-        mask = major > 0
-        if not mask.any():
-            out.append(0.0 if float(np.max(num)) == 0.0 else np.inf)
-            continue
-        r = float(np.max(num[mask] / major[mask]))
-        if np.any(num[~mask] > 1e-13 * max(float(np.max(num)), 1.0)):
-            r = np.inf
-        out.append(r)
-    return out
+def _ratio(term, major) -> float:
+    """max |term| / major where major > 0; inf if the term has mass where
+    the majorant vanishes; NaN if either array holds a NaN."""
+    num = np.abs(term.values)
+    if np.isnan(num).any() or np.isnan(major).any():
+        return np.nan
+    mask = major > 0
+    if not mask.any():
+        return 0.0 if float(np.max(num)) == 0.0 else np.inf
+    if np.any(num[~mask] > 1e-13 * max(float(np.max(num)), 1.0)):
+        return np.inf
+    return float(np.max(num[mask] / major[mask]))
 
 
 def _log_slope(values, resolved_from: int = 0) -> float:
@@ -347,10 +347,10 @@ def paraterm_pointwise_check(split: ParaSplit, a: DiscreteSymbol,
             F = symbol_factor(sym, pp, window, allow_clipped=True)
             wstar = peetre_max(w, pp, exact=True)
             major = F * wstar
-            ratios.append(_ratio_series([term], [major])[0])
+            ratios.append(_ratio(term, major))
             ref = window_reference(pp, window)
             consts.append(float(np.max(F)) / (law(k) * ref))
-            raw.append(_ratio_series([term], [law(k) * wstar])[0])
+            raw.append(_ratio(term, law(k) * wstar))
             if radius * getattr(window, "R") <= grid.nyquist:
                 levels.append(k)
         fact[name] = ratios
@@ -387,15 +387,17 @@ def paraterm_pointwise_check(split: ParaSplit, a: DiscreteSymbol,
           psi, split.high_low[j]) for j in range(m + 1)],
         lambda j: 2.0 ** (-j * M) * (R * 2.0**j) ** (d + M))
 
-    finite = [rr for rs in fact.values() for rr in rs if np.isfinite(rr)]
+    ratios = [rr for rs in fact.values() for rr in rs]
+    worst = max((rr for rr in ratios if np.isfinite(rr)), default=0.0)
+    if any(np.isnan(rr) for rr in ratios):
+        worst = np.nan
     resolved_from = max(3, (m + 1) // 2)
     slopes = {}
     for name in ("low_high", "diagonal_a", "diagonal_b"):
         usable = [v if k in trends[name] else 0.0
                   for k, v in enumerate(scale[name])]
         slopes[name] = _log_slope(usable, resolved_from)
-    return ParatermReport(fact, scale, scaled,
-                          max(finite) if finite else 0.0, slopes, trends)
+    return ParatermReport(fact, scale, scaled, worst, slopes, trends)
 
 
 def yamazaki_constant(s: float, q: float) -> float:

@@ -48,6 +48,8 @@ class DiscreteSymbol:
         self.grid = grid
         self.d = float(d)
         self.values = np.ascontiguousarray(values, dtype=np.complex128)
+        if not np.isfinite(self.values).all():
+            raise ValueError("symbol values must be finite")
         self.class_tag = class_tag
         self._pft = None
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -91,19 +90,6 @@ class TorusGrid:
         return float(np.sqrt(self.n) * self.nyquist)
 
 
-@lru_cache(maxsize=8)
-def _phase_matrix(n: int, N: int) -> np.ndarray:
-    """exp(i x.eta) for the 1-axis grid; rows x, columns eta (FFT order)."""
-    grid = TorusGrid(n, N)
-    x = grid.axis_points()
-    k = grid.axis_freqs().astype(float)
-    return np.exp(1j * np.outer(x, k))
-
-
-def phase_matrix(grid: TorusGrid) -> np.ndarray:
-    return _phase_matrix(grid.n, grid.N)
-
-
 class SpectralField:
     """Complex grid function kept consistent with its Fourier coefficients.
 
@@ -120,6 +106,8 @@ class SpectralField:
     __slots__ = ("grid", "values", "coeffs", "support_threshold")
 
     def __init__(self, grid, values, coeffs, support_threshold=None):
+        if not (np.isfinite(values).all() and np.isfinite(coeffs).all()):
+            raise ValueError("field values and coefficients must be finite")
         self.grid = grid
         self.values = values
         self.coeffs = coeffs

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +110,30 @@ def test_metrics_payload_deterministic(scenario):
     if scenario != "modulation_study":  # its metrics are seed-independent
         assert rec3.metrics_payload() != rec1.metrics_payload() or \
             scenario == "ching_study"
+
+
+BLAS_PAYLOADS = """
+from paradiff_lab.experiments import ExperimentConfig, run_scenario
+for kw in (dict(scenario="inequality_suite", grid_n=1, grid_sizes=(128,)),
+           dict(scenario="modulation_study", grid_n=2, grid_sizes=(16,))):
+    cfg = ExperimentConfig(corpus_size=2, seed=7, **kw).normalized()
+    print(run_scenario(cfg).metrics_payload().decode())
+"""
+
+
+def test_metrics_payload_independent_of_blas_threads():
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    payloads = []
+    for threads in ("1", "2"):
+        path = filter(None, (src, os.environ.get("PYTHONPATH")))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(path))
+        proc = subprocess.run([sys.executable, "-c", BLAS_PAYLOADS],
+                              env=env, capture_output=True, text=True,
+                              timeout=600, check=True)
+        payloads.append(proc.stdout.splitlines())
+    assert len(payloads[0]) == 2
+    assert payloads[0] == payloads[1]
 
 
 def test_inequality_suite_passes_small():

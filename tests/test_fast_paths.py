@@ -1,19 +1,23 @@
-"""Fast paths against the per-level and per-row code they replace.
+"""Fast paths against the per-level, per-row and dense code they replace.
 
 The shared Littlewood-Paley ladder must reproduce ``symbol_band`` /
-``dyadic_block`` / ``cumulative_block`` level by level, and the batched
-Marschall row norms must reproduce a per-row ``homog_besov_norm`` loop."""
+``dyadic_block`` / ``cumulative_block`` level by level, the batched
+Marschall row norms must reproduce a per-row ``homog_besov_norm`` loop,
+``apply`` must reproduce the dense sum over the whole lattice, and
+``modulated_apply`` must reproduce ``apply`` of ``modulated_symbol``."""
 
 import numpy as np
 import pytest
 
-from paradiff_lab import (DiscreteSymbol, LevelOutOfRange, SpectralField,
-                          TorusGrid, apply, cumulative_block, dyadic_block,
-                          hl_max, homog_besov_norm, make_modulation,
-                          make_partition, marschall_check, para_split,
+from paradiff_lab import (DiscreteSymbol, GridMismatch, LevelOutOfRange,
+                          SpectralField, TorusGrid, apply, cumulative_block,
+                          dyadic_block, hl_max, homog_besov_norm,
+                          make_modulation, make_partition, marschall_check,
+                          modulated_apply, para_split, saturation_level,
                           symbol_band, symbol_ladder)
 from paradiff_lab.corpus import (random_band_limited_field,
                                  random_sparse_symbol, rng_for)
+from paradiff_lab.operators import modulated_symbol
 from paradiff_lab.spaces import lp_norm
 
 GRIDS = [(1, 64), (2, 16)]
@@ -26,6 +30,76 @@ def setup(n, N):
                              x_band=grid.nyquist, eta_band=grid.nyquist / 2)
     u = random_band_limited_field(grid, rng_for(72, n), grid.nyquist / 2)
     return grid, part, a, u
+
+
+# -- one application path over the input's modes ------------------------------
+
+
+def dense_symbol(grid):
+    """A symbol with every entry nonzero, so no column can be skipped."""
+    rng = rng_for(76, grid.n)
+    shape = grid.shape + grid.shape
+    return DiscreteSymbol(grid, 0.0, rng.standard_normal(shape)
+                          + 1j * rng.standard_normal(shape))
+
+
+def apply_inputs(grid):
+    rng = rng_for(77, grid.n)
+    dense = rng.standard_normal(grid.shape) \
+        + 1j * rng.standard_normal(grid.shape)
+    one = np.zeros(grid.shape, dtype=complex)
+    one[grid.index_of((3,) * grid.n)] = 2.0 - 1.0j
+    fields = {"sparse": random_band_limited_field(grid, rng, grid.nyquist / 2),
+              "dense": SpectralField.from_coeffs(grid, dense),
+              "one_mode": SpectralField.from_coeffs(grid, one),
+              "zero": SpectralField.zero(grid)}
+    size = grid.N**grid.n
+    assert 1 < np.count_nonzero(fields["sparse"].coeffs) < size
+    assert np.count_nonzero(fields["dense"].coeffs) == size
+    return fields
+
+
+def dense_apply(a, u):
+    """sum_eta a(x, eta) c_eta e^{i x.eta} over the whole lattice."""
+    grid = a.grid
+    n, N = grid.n, grid.N
+    x, k = grid.axis_points(), grid.axis_freqs().astype(float)
+    phase = 0.0
+    for ax in range(n):
+        x_shape, k_shape = [1] * (2 * n), [1] * (2 * n)
+        x_shape[ax] = k_shape[n + ax] = N
+        phase = phase + x.reshape(x_shape) * k.reshape(k_shape)
+    return np.sum(a.values * u.coeffs * np.exp(1j * phase),
+                  axis=tuple(range(n, 2 * n)))
+
+
+def assert_close(got, want):
+    """Within 1e-12 of the reference's peak; exactly zero for a zero one."""
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n,N", GRIDS)
+def test_apply_matches_dense_sum(n, N):
+    grid = TorusGrid(n, N)
+    a = dense_symbol(grid)
+    for u in apply_inputs(grid).values():
+        got = apply(a, u)
+        assert got.grid == grid
+        assert_close(got.values, dense_apply(a, u))
+
+
+@pytest.mark.parametrize("n,N", GRIDS)
+def test_modulated_apply_matches_modulated_symbol(n, N):
+    grid = TorusGrid(n, N)
+    a = dense_symbol(grid)
+    psi = make_modulation(1.0, 2.0)
+    for u in apply_inputs(grid).values():
+        for m in range(saturation_level(psi, grid) + 1):
+            assert_close(modulated_apply(a, u, psi, m).values,
+                         apply(modulated_symbol(a, psi, m), u).values)
+    other = SpectralField.zero(TorusGrid(n, 2 * N))
+    with pytest.raises(GridMismatch):
+        modulated_apply(a, other, psi, 0)
 
 
 # -- one ladder per split ---------------------------------------------------

@@ -10,6 +10,7 @@ from paradiff_lab import (BadExponent, DepthUnsupported, DiscreteSymbol,
                           yamazaki_constant)
 from paradiff_lab.corpus import (random_band_limited_field,
                                  random_sparse_symbol, rng_for, standard_ching)
+from paradiff_lab import pointwise
 from paradiff_lab.pointwise import torus_offsets
 
 
@@ -355,6 +356,20 @@ def test_paraterm_rejects_a_pair_the_split_was_not_built_from(grid):
             paraterm_pointwise_check(sp, b, v, p)
     copy = DiscreteSymbol(grid, a.d, a.values.copy(), a.class_tag)
     assert paraterm_pointwise_check(sp, copy, u.copy(), p).pointwise_ok()
+
+
+def test_paraterm_nan_majorant_fails(grid, monkeypatch):
+    # a NaN majorant fails major > 0 like a vanishing one, which reads as
+    # inf and is left out of the maximum; the NaN itself must not vanish
+    part = make_partition(make_modulation(1.0, 2.0), grid)
+    a = standard_ching(grid, 0.0, 3)
+    u = random_band_limited_field(grid, rng_for(45, 4), 14.0)
+    sp = para_split(a, u, part, part.J_max)
+    monkeypatch.setattr(pointwise, "symbol_factor",
+                        lambda *args, **kw: np.full(grid.shape, np.nan))
+    rep = paraterm_pointwise_check(sp, a, u, MaxParams(2.0, 2.0))
+    assert np.isnan(rep.max_factorization_ratio)
+    assert rep.pointwise_ok() is False
 
 
 # -- cumulative-sum inequality ---------------------------------------------------

@@ -19,6 +19,13 @@ def part(grid):
     return make_partition(make_modulation(1.0, 2.0), grid)
 
 
+def test_non_finite_symbol_rejected(grid):
+    vals = np.ones(grid.shape + grid.shape, dtype=complex)
+    vals[3, 7] = np.nan
+    with pytest.raises(ValueError):
+        DiscreteSymbol(grid, 0.0, vals)
+
+
 # -- seminorms ---------------------------------------------------------------
 
 

@@ -31,6 +31,19 @@ def test_grid_geometry(grid):
     assert k.min() == -32 and k.max() == 31 and len(set(k)) == 64
 
 
+# the inverse transform of an inf coefficient warns before the check raises
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_field_rejected(grid):
+    vals = np.ones(64, dtype=complex)
+    vals[5] = np.nan
+    with pytest.raises(ValueError):
+        SpectralField.from_values(grid, vals)
+    coeffs = np.zeros(64, dtype=complex)
+    coeffs[3] = np.inf
+    with pytest.raises(ValueError):
+        SpectralField.from_coeffs(grid, coeffs)
+
+
 def test_constant_field_coeffs(grid):
     u = SpectralField.from_values(grid, np.ones(64))
     assert u.coeffs[0] == pytest.approx(1.0)
