@@ -17,6 +17,7 @@ closed complement of the support, which several exactness tests rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -101,16 +102,31 @@ class LPPartition:
         s = np.asarray(radii, dtype=float)
         return self.psi(s) - self.psi(2.0 * s)
 
-    def level_weights(self, k: int) -> np.ndarray:
-        """Multiplier of level k on the lattice: phi(2^-k eta), psi for k=0."""
+    @cached_property
+    def _weights(self) -> tuple:
+        """(level, cumulative) weights of levels 0..J_max, read-only."""
         norms = self.grid.freq_norms()
-        if k == 0:
-            return self.psi(norms)
-        return self.phi(norms / 2**k)
+        levels = [self.psi(norms)] + [self.phi(norms / 2**k)
+                                      for k in range(1, self.J_max + 1)]
+        cumulative = [self.psi(norms / 2**k) for k in range(self.J_max + 1)]
+        for w in levels + cumulative:
+            w.flags.writeable = False
+        return levels, cumulative
+
+    def _level(self, table: int, k: int) -> np.ndarray:
+        if not 0 <= k <= self.J_max:
+            raise LevelOutOfRange(f"level {k} outside 0..{self.J_max}")
+        return self._weights[table][k]
+
+    def level_weights(self, k: int) -> np.ndarray:
+        """Multiplier of level k on the lattice: phi(2^-k eta), psi for k=0
+        (computed once per partition; read-only)."""
+        return self._level(0, k)
 
     def cumulative_weights(self, k: int) -> np.ndarray:
-        """psi(2^-k eta) on the lattice."""
-        return self.psi(self.grid.freq_norms() / 2**k)
+        """psi(2^-k eta) on the lattice (computed once per partition;
+        read-only)."""
+        return self._level(1, k)
 
     def params(self) -> dict:
         """Reproducibility header used by experiment records."""

@@ -17,29 +17,40 @@ import numpy as np
 from .errors import GridMismatch, LevelOutOfRange, NotAMultiplier, TooLarge
 from .lp import (LPPartition, ModulationFunction, cumulative_block,
                  dyadic_block)
-from .symbols import DiscreteSymbol, estimate_seminorm, symbol_ladder
+from .symbols import (BLOCK_ENTRIES, DiscreteSymbol, estimate_seminorm,
+                      symbol_ladder)
 from .symbols import symbol_band  # noqa: F401  (re-exported)
-from .torus import FreqSet, SpectralField, TorusGrid, sumset
+from .torus import (SUPPORT_REL_THRESHOLD, FreqSet, SpectralField,
+                    TorusGrid, sumset)
 
 
 def apply(a: DiscreteSymbol, u: SpectralField) -> SpectralField:
-    """v(x) = sum_eta a(x, eta) c_eta e^{i x.eta} on the shared grid."""
+    """v(x) = sum_eta a(x, eta) c_eta e^{i x.eta} on the shared grid.
+
+    Since a(x, eta) = sum_k ahat(xi_k, eta) e^{i x.xi_k} on the grid, the
+    output coefficient at zeta is the sum of ahat(xi_k, eta_j) c_j over the
+    pairs with xi_k + eta_j = zeta (mod N), eta_j the input's modes: one
+    scatter in coefficient space."""
     if a.grid != u.grid:
         raise GridMismatch("symbol and field live on different grids")
     idx = np.nonzero(u.coeffs)
-    return _mode_sum(u.grid, a.values[(Ellipsis,) + idx], idx, u.coeffs[idx])
+    return _scatter(u.grid, a.xi, a.rows[(slice(None),) + idx], idx,
+                    u.coeffs[idx])
 
 
-def _mode_sum(grid: TorusGrid, cols, idx, c) -> SpectralField:
-    """sum_j cols[..., j] c_j e^{i x.eta_j} over the modes eta_j at ``idx``
-    in one matmul; the phase overwrites ``cols`` one x axis at a time."""
-    x, k = grid.axis_points(), grid.axis_freqs().astype(float)
-    for ax, i in enumerate(idx):
-        shape = [1] * grid.n + [len(i)]
-        shape[ax] = grid.N
-        cols *= np.exp(1j * np.outer(x, k[i])).reshape(shape)
-    vals = cols.reshape(grid.N**grid.n, len(c)) @ c
-    return SpectralField.from_values(grid, vals)
+def _scatter(grid: TorusGrid, xi, cols, idx, c) -> SpectralField:
+    """The field whose coefficient at zeta sums cols[k, j] c_j over the
+    pairs with xi_k + eta_j = zeta (mod N), eta_j the mode at ``idx``:
+    a scatter-add on flat indices, a block of rows at a time, then one
+    inverse FFT."""
+    coeffs = np.zeros(grid.N**grid.n, dtype=np.complex128)
+    step = max(1, BLOCK_ENTRIES // max(1, len(c)))
+    for lo in range(0, len(xi), step):
+        target = [(xi[lo:lo + step, ax, None] + i) % grid.N
+                  for ax, i in enumerate(idx)]
+        np.add.at(coeffs, np.ravel_multi_index(target, grid.shape).ravel(),
+                  (cols[lo:lo + step] * c).ravel())
+    return SpectralField.from_coeffs(grid, coeffs)
 
 
 def saturation_level(psi: ModulationFunction, grid: TorusGrid) -> int:
@@ -67,11 +78,11 @@ def modulated_apply(a: DiscreteSymbol, u: SpectralField,
     """Apply the level-m frequency-modulated operator.
 
     Equals ``apply(modulated_symbol(a, psi, m), u)`` without building that
-    symbol: psi(2^-m eta) cuts off the input, and only the symbol columns
-    at the surviving modes are x-transformed and cut off by psi(2^-m xi).
-    Both cutoffs are identically 1 on the lattice once m reaches the
-    saturation level, so larger m are clamped there and the unmodulated
-    operator is applied directly (bit-stable tail for limit detection).
+    symbol: psi(2^-m eta) cuts off the input and psi(2^-m xi_k) the rows,
+    in the same scatter as :func:`apply`.  Both cutoffs are identically 1
+    on the lattice once m reaches the saturation level, so larger m are
+    clamped there and the unmodulated operator is applied directly
+    (bit-stable tail for limit detection).
     """
     if m < 0:
         raise LevelOutOfRange("modulation level must be >= 0")
@@ -81,10 +92,8 @@ def modulated_apply(a: DiscreteSymbol, u: SpectralField,
     w = psi(grid.freq_norms() / 2**m)
     c = w * u.coeffs
     idx = np.nonzero(c)
-    x_axes = tuple(range(grid.n))
-    cols = np.fft.fftn(a.values[(Ellipsis,) + idx], axes=x_axes)
-    cols = np.fft.ifftn(cols * w[..., None], axes=x_axes)
-    return _mode_sum(grid, cols, idx, c[idx])
+    cols = a.rows[(slice(None),) + idx] * w[a.xi_index()][:, None]
+    return _scatter(grid, a.xi, cols, idx, c[idx])
 
 
 @dataclass
@@ -155,17 +164,11 @@ def compose_multiplier(a: DiscreteSymbol, b) -> DiscreteSymbol:
             raise GridMismatch("multiplier grid mismatch")
         if not b.is_x_independent():
             raise NotAMultiplier("b(x, eta) depends on x")
-        col = b.values[(0,) * grid.n]
+        col = b.rows.sum(axis=0)            # b(0, eta)
         d2 = b.d
-    elif callable(b):
-        k = grid.axis_freqs().astype(float)
-        ks = [k.reshape([grid.N if i == ax else 1 for i in range(grid.n)])
-              for ax in range(grid.n)]
-        col = np.asarray(b(*ks), dtype=np.complex128)
     else:
-        col = np.asarray(b, dtype=np.complex128).reshape(grid.shape)
-    vals = a.values * col.reshape((1,) * grid.n + grid.shape)
-    return DiscreteSymbol(grid, a.d + d2, vals, class_tag=a.class_tag)
+        col = DiscreteSymbol.multiplier(grid, b).rows[0]
+    return a.with_rows(a.rows * col, d=a.d + d2)
 
 
 @dataclass(frozen=True)
@@ -196,10 +199,18 @@ class Ladder:
     def built_from(self, a: DiscreteSymbol, u: SpectralField) -> bool:
         """Whether (a, u) equals the pair the ladder was built from."""
         same_a = a is self.a or (a.grid == self.a.grid and a.d == self.a.d
-                                 and np.array_equal(a.values, self.a.values))
+                                 and _same_rows(a, self.a))
         same_u = u is self.u or (u.grid == self.u.grid
                                  and np.array_equal(u.coeffs, self.u.coeffs))
         return same_a and same_u
+
+
+def _same_rows(a: DiscreteSymbol, b: DiscreteSymbol) -> bool:
+    """Whether a - b vanishes to the support threshold of b's peak, so a
+    copy built another way (from a dense array or from rows) is the same."""
+    peak = float(np.max(np.abs(b.rows), initial=0.0))
+    diff = float(np.max(np.abs((a - b).rows), initial=0.0))
+    return diff <= SUPPORT_REL_THRESHOLD * peak
 
 
 @dataclass
@@ -330,22 +341,15 @@ def spectral_support_bound(a: DiscreteSymbol, u: SpectralField) -> FreqSet:
     precondition of :func:`sumset` holds for the two supports.
     """
     grid = u.grid
-    pft = a.partial_ft()
-    tau = (np.max(np.abs(pft)) or 1.0)
-    tau = tau * 1e-10
+    mag = np.abs(a.rows)
+    tau = (float(np.max(mag, initial=0.0)) or 1.0) * 1e-10
     u_sup = u.support()
     # enforce the no-wraparound precondition via the sumset guard
-    xi_all = a.xi_support()
-    sumset(xi_all, u_sup)
-    k = grid.axis_freqs()
-    pts = set()
-    for eta in u_sup:
-        idx_eta = grid.index_of(eta)
-        mask = np.abs(pft[(Ellipsis,) + idx_eta]) > tau
-        for row in np.argwhere(mask):
-            xi = tuple(int(k[i]) for i in row)
-            pts.add(tuple(x + e for x, e in zip(xi, eta)))
-    return FreqSet(frozenset(pts), grid)
+    sumset(a.xi_support(), u_sup)
+    eta = np.array(u_sup.sorted_points(), dtype=np.int64).reshape(-1, grid.n)
+    cols = mag[(slice(None),) + tuple((eta % grid.N).T)]
+    k, j = np.nonzero(cols > tau)
+    return FreqSet.from_points(grid, a.xi[k] + eta[j])
 
 
 def operator_matrix(a: DiscreteSymbol, max_dim: int = 256) -> np.ndarray:

@@ -18,7 +18,7 @@ from .lp import LPPartition, ModulationFunction, dyadic_block, make_modulation
 from .operators import apply
 from .pointwise import MaxParams, hl_max, peetre_max
 from .symbols import DiscreteSymbol
-from .torus import SpectralField, TorusGrid
+from .torus import SUPPORT_REL_THRESHOLD, SpectralField, TorusGrid
 
 
 @dataclass(frozen=True)
@@ -171,9 +171,16 @@ def marschall_check(b: DiscreteSymbol, u: SpectralField, k: int, t: float,
     scale = 2.0 ** (k * (s_h - n))
     eta_axes = tuple(range(n, 2 * n))
     rows = np.fft.fftn(b.values, axes=eta_axes) / grid.N**n
-    den = scale * _homog_besov_rows(rows, grid, s_h, 1.0, t) * Mt
-    ratios = np.where(lhs == 0, 0.0, np.inf)
-    np.divide(lhs, den, out=ratios, where=den > 0)
+    norms = _homog_besov_rows(rows, grid, s_h, 1.0, t)
+    den = scale * norms * Mt
+    # a row norm below the support threshold of the largest, and a |b#u(x)|
+    # below it of the bound sup|b| sum|c|, count as zero (0/0 -> 0, x/0 ->
+    # inf), so the verdict does not hang on roundoff of how b is stored
+    live = norms > SUPPORT_REL_THRESHOLD * np.max(norms, initial=0.0)
+    out_bound = (float(np.max(np.abs(b.values)))
+                 * float(np.sum(np.abs(u.coeffs))))
+    ratios = np.where(lhs <= SUPPORT_REL_THRESHOLD * out_bound, 0.0, np.inf)
+    np.divide(lhs, den, out=ratios, where=live & (den > 0))
     out = {"max_ratio": float(np.max(ratios))}
     if calibrated_c is not None:
         out["holds"] = bool(out["max_ratio"] <= calibrated_c)

@@ -1,13 +1,14 @@
 """Symbol families, seminorm estimation, and twisted-diagonal machinery.
 
-A discrete symbol is a(x, eta) sampled on (x-grid) x (frequency lattice),
-stored densely with x axes first and eta axes last (eta in FFT order).  The
-partial Fourier transform in x,
+A discrete symbol is a(x, eta) on (x-grid) x (frequency lattice).  It is
+stored as its partial Fourier transform in x,
 
     ahat(xi, eta) = F_{x -> xi} a(x, eta),
 
-uses the same mean-value normalization as field coefficients, so an
-x-independent multiplier has its whole mass in the xi = 0 slice.
+on an explicit xi-support: K lattice points xi_k, each with a row over eta
+(FFT order).  The transform uses the same mean-value normalization as field
+coefficients, so an x-independent multiplier is one row at xi = 0.  The
+dense array (x axes first, eta axes last) is a derived view.
 """
 
 from __future__ import annotations
@@ -17,41 +18,98 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DepthUnsupported, EmptyShell, GridTooCoarse,
-                     LevelOutOfRange, TooLarge)
+from .errors import (DepthUnsupported, EmptyShell, GridMismatch,
+                     GridTooCoarse, LevelOutOfRange, TooLarge)
 from .lp import LPPartition, ModulationFunction
 from .torus import SUPPORT_REL_THRESHOLD, FreqSet, TorusGrid
 
 #: Largest number of dense symbol entries we are willing to materialize.
 DENSE_ENTRY_CAP = 2**24
 
+#: Entries per block of the work arrays behind a dense view and behind
+#: ``operators.apply``, so the only full-size array either allocates is its
+#: result.
+BLOCK_ENTRIES = 2**16
+
+
+def _eta_meshes(grid: TorusGrid) -> tuple:
+    """Per-axis integer frequencies as floats, shaped to broadcast over the
+    lattice (FFT order)."""
+    k = grid.axis_freqs().astype(float)
+    return tuple(k.reshape([grid.N if i == ax else 1 for i in range(grid.n)])
+                 for ax in range(grid.n))
+
+
+def _support_rows(grid: TorusGrid, pft: np.ndarray) -> tuple:
+    """(xi, rows) of a partial transform over the whole lattice: the
+    xi-rows that hold a nonzero entry."""
+    keep = np.any(pft != 0, axis=tuple(range(grid.n, 2 * grid.n)))
+    k = grid.axis_freqs()
+    xi = np.stack([k[i] for i in np.nonzero(keep)], axis=1)
+    return xi, pft.reshape((-1,) + grid.shape) if keep.all() else pft[keep]
+
+
+def _check_dense(grid: TorusGrid):
+    if grid.N ** (2 * grid.n) > DENSE_ENTRY_CAP:
+        raise TooLarge(f"{grid.N ** (2 * grid.n)} dense entries exceed cap "
+                       f"{DENSE_ENTRY_CAP}")
+
 
 class DiscreteSymbol:
-    """A symbol a(x, eta) with declared order d and class metadata.
+    """A symbol a(x, eta) with declared order d and class metadata, stored
+    as its partial transform on an explicit xi-support:
+
+        ahat(xi_k, eta) = rows[k, eta],
+        a(x, eta) = sum_k rows[k, eta] e^{i x.xi_k}.
 
     Attributes
     ----------
     grid : TorusGrid
     d : float
         Declared order.
-    values : ndarray of shape grid.shape + grid.shape (x first, eta last).
+    xi : int ndarray of shape (K, n), distinct lattice points in
+        [-N/2, N/2)^n.
+    rows : complex ndarray of shape (K,) + grid.shape (eta in FFT order).
+    values : ndarray of shape grid.shape + grid.shape (x first, eta last);
+        a dense view, computed on first use and cached.
     class_tag : str
         One of {"S11", "S10", "smoothed_multiplier", "ching", "custom"}.
+
+    Given ``values`` instead of ``xi`` and ``rows``, the rows are the whole
+    partial transform (those with a nonzero entry) and ``values`` is kept
+    as the cached view.  The dense views are capped at ``DENSE_ENTRY_CAP``
+    entries; the stored rows are not.
     """
 
-    __slots__ = ("grid", "d", "values", "class_tag", "_pft")
+    __slots__ = ("grid", "d", "class_tag", "xi", "rows", "_values", "_pft")
 
-    def __init__(self, grid, d, values, class_tag="custom"):
-        if values.size > DENSE_ENTRY_CAP:
-            raise TooLarge(f"{values.size} dense entries exceed cap "
-                           f"{DENSE_ENTRY_CAP}")
+    def __init__(self, grid, d, values=None, class_tag="custom", *,
+                 xi=None, rows=None):
+        if (values is None) == (rows is None):
+            raise ValueError("give either values or xi and rows")
         self.grid = grid
         self.d = float(d)
-        self.values = np.ascontiguousarray(values, dtype=np.complex128)
-        if not np.isfinite(self.values).all():
-            raise ValueError("symbol values must be finite")
         self.class_tag = class_tag
-        self._pft = None
+        self._values = self._pft = None
+        if values is not None:
+            if np.size(values) > DENSE_ENTRY_CAP:
+                raise TooLarge(f"{np.size(values)} dense entries exceed cap "
+                               f"{DENSE_ENTRY_CAP}")
+            values = np.array(values, dtype=np.complex128)
+            if not np.isfinite(values).all():
+                raise ValueError("symbol values must be finite")
+            values.flags.writeable = False
+            self._values = values
+            xi, rows = _support_rows(grid, np.fft.fftn(
+                values, axes=tuple(range(grid.n))) / grid.N**grid.n)
+        # wrapped into the lattice box [-N/2, N/2)^n
+        self.xi = (np.asarray(xi, dtype=np.int64).reshape(-1, grid.n)
+                   + grid.nyquist) % grid.N - grid.nyquist
+        self.rows = np.ascontiguousarray(rows, dtype=np.complex128)
+        if self.rows.shape != (len(self.xi),) + grid.shape:
+            raise ValueError("rows must have shape (K,) + grid.shape")
+        if not np.isfinite(self.rows).all():
+            raise ValueError("symbol values must be finite")
 
     @classmethod
     def from_function(cls, grid: TorusGrid, fn, d: float, class_tag="custom"):
@@ -61,9 +119,8 @@ class DiscreteSymbol:
         coordinates shaped to the leading axes and per-axis integer
         frequencies shaped to the trailing axes.
         """
+        _check_dense(grid)
         n, N = grid.n, grid.N
-        if N ** (2 * n) > DENSE_ENTRY_CAP:
-            raise TooLarge("grid too large for dense symbol storage")
         x = grid.axis_points()
         k = grid.axis_freqs().astype(float)
         xs, ks = [], []
@@ -77,27 +134,26 @@ class DiscreteSymbol:
         vals = np.broadcast_to(np.asarray(fn(tuple(xs), tuple(ks)),
                                           dtype=np.complex128),
                                grid.shape + grid.shape)
-        return cls(grid, d, np.array(vals), class_tag)
+        return cls(grid, d, vals, class_tag)
 
     @classmethod
     def multiplier(cls, grid: TorusGrid, b, d: float = 0.0,
                    class_tag="smoothed_multiplier"):
-        """x-independent symbol b(eta); ``b`` maps |eta|-compatible arrays."""
-        def fn(xs, ks):
-            col = b(*ks) if callable(b) else np.asarray(b, dtype=np.complex128)
-            ones = np.ones([s.shape[i] for i, s in enumerate(xs)] + [1] * grid.n)
-            return ones * col
-        return cls.from_function(grid, fn, d, class_tag)
+        """x-independent symbol b(eta): one xi-row at xi = 0.  ``b`` is an
+        array over the lattice or a callable on the per-axis frequencies."""
+        row = b(*_eta_meshes(grid)) if callable(b) else b
+        row = np.broadcast_to(np.asarray(row, dtype=np.complex128), grid.shape)
+        return cls(grid, d, class_tag=class_tag,
+                   xi=np.zeros((1, grid.n)), rows=row[None])
 
     @classmethod
     def identity(cls, grid: TorusGrid):
-        vals = np.ones(grid.shape + grid.shape, dtype=np.complex128)
-        return cls(grid, 0.0, vals, class_tag="S10")
+        return cls.multiplier(grid, np.ones(grid.shape), 0.0, class_tag="S10")
 
     @classmethod
     def zero(cls, grid: TorusGrid, d: float = 0.0):
-        return cls(grid, d, np.zeros(grid.shape + grid.shape,
-                                     dtype=np.complex128))
+        return cls(grid, d, xi=np.zeros((0, grid.n)),
+                   rows=np.zeros((0,) + grid.shape))
 
     @classmethod
     def from_json(cls, grid: TorusGrid, text: str):
@@ -116,35 +172,68 @@ class DiscreteSymbol:
         inter[1::2] = flat.imag
         return json.dumps({"d": self.d, "values": inter.tolist()})
 
-    # -- algebra -----------------------------------------------------------
+    # -- dense views -----------------------------------------------------------
 
-    def _x_axes(self):
-        return tuple(range(self.grid.n))
+    def xi_index(self) -> tuple:
+        """Lattice index of each xi_k, one index array per axis."""
+        return tuple((self.xi % self.grid.N).T)
+
+    @property
+    def values(self) -> np.ndarray:
+        """a(x, eta) on the product lattice, cached and read-only: the rows
+        scattered over xi and transformed back in x, one block of eta
+        columns at a time, skipping the columns where every row is zero."""
+        if self._values is None:
+            grid = self.grid
+            _check_dense(grid)
+            size = grid.N**grid.n
+            rows = self.rows.reshape(len(self.xi), size)
+            live = np.flatnonzero(np.any(rows != 0, axis=0))
+            vals = np.zeros(grid.shape + (size,), dtype=np.complex128)
+            step = max(1, BLOCK_ENTRIES // size)
+            for lo in range(0, len(live), step):
+                cols = live[lo:lo + step]
+                block = np.zeros(grid.shape + cols.shape, dtype=np.complex128)
+                block[self.xi_index()] = rows[:, cols]
+                vals[..., cols] = np.fft.ifftn(
+                    block, axes=tuple(range(grid.n))) * size
+            vals.flags.writeable = False
+            self._values = vals.reshape(grid.shape + grid.shape)
+        return self._values
 
     def partial_ft(self) -> np.ndarray:
-        """F_{x -> xi} a(x, eta), cached; xi axes first, FFT order."""
+        """F_{x -> xi} a(x, eta) on the whole lattice, cached and read-only;
+        xi axes first, FFT order."""
         if self._pft is None:
-            self._pft = (np.fft.fftn(self.values, axes=self._x_axes())
-                         / self.grid.N**self.grid.n)
+            _check_dense(self.grid)
+            pft = np.zeros(self.grid.shape + self.grid.shape,
+                           dtype=np.complex128)
+            pft[self.xi_index()] = self.rows
+            pft.flags.writeable = False
+            self._pft = pft
         return self._pft
 
     @classmethod
     def from_partial_ft(cls, grid, d, pft, class_tag="custom"):
-        vals = np.fft.ifftn(pft, axes=tuple(range(grid.n))) * grid.N**grid.n
-        sym = cls(grid, d, vals, class_tag)
-        sym._pft = np.asarray(pft, dtype=np.complex128)
-        return sym
+        """The symbol with partial transform ``pft``, keeping the xi-rows
+        that hold a nonzero entry."""
+        xi, rows = _support_rows(grid, np.asarray(pft, dtype=np.complex128))
+        return cls(grid, d, class_tag=class_tag, xi=xi, rows=rows)
+
+    def with_rows(self, rows, keep=None, d=None) -> "DiscreteSymbol":
+        """This symbol's xi-support (restricted to ``keep``) with new rows."""
+        xi = self.xi if keep is None else self.xi[keep]
+        return DiscreteSymbol(self.grid, self.d if d is None else d,
+                              class_tag=self.class_tag, xi=xi, rows=rows)
 
     def xi_support(self, threshold=None) -> FreqSet:
         """Frequencies xi carrying partial-transform mass (global threshold)."""
-        pft = self.partial_ft()
+        mag = np.max(np.abs(self.rows), axis=tuple(range(1, self.grid.n + 1)),
+                     initial=0.0)
         if threshold is None:
-            threshold = SUPPORT_REL_THRESHOLD * float(np.max(np.abs(pft)))
-        n = self.grid.n
-        mag = np.max(np.abs(pft), axis=tuple(range(n, 2 * n)))
-        k = self.grid.axis_freqs()
-        idx = np.argwhere(mag > threshold)
-        pts = frozenset(tuple(int(k[i]) for i in row) for row in idx)
+            threshold = SUPPORT_REL_THRESHOLD * float(np.max(mag, initial=0.0))
+        pts = frozenset(tuple(int(c) for c in p)
+                        for p in self.xi[mag > threshold])
         return FreqSet(pts, self.grid)
 
     def x_band(self) -> float:
@@ -154,24 +243,40 @@ class DiscreteSymbol:
             return 0.0
         return max(float(np.sqrt(sum(c * c for c in p))) for p in sup.points)
 
+    # -- algebra -------------------------------------------------------------
+
+    def _combine(self, other, sign):
+        """self + sign * other over the union of the two supports."""
+        if other.grid != self.grid:
+            raise GridMismatch("symbols live on different grids")
+        grid = self.grid
+        xi = np.concatenate([self.xi, other.xi])
+        flat = np.ravel_multi_index(tuple((xi % grid.N).T), grid.shape)
+        _, first, where = np.unique(flat, return_index=True,
+                                    return_inverse=True)
+        rows = np.zeros((len(first),) + grid.shape, dtype=np.complex128)
+        np.add.at(rows, where, np.concatenate([self.rows, sign * other.rows]))
+        return DiscreteSymbol(grid, max(self.d, other.d),
+                              class_tag=self.class_tag, xi=xi[first],
+                              rows=rows)
+
     def __add__(self, other):
-        return DiscreteSymbol(self.grid, max(self.d, other.d),
-                              self.values + other.values, self.class_tag)
+        return self._combine(other, 1.0)
 
     def __sub__(self, other):
-        return DiscreteSymbol(self.grid, max(self.d, other.d),
-                              self.values - other.values, self.class_tag)
+        return self._combine(other, -1.0)
 
     def __mul__(self, scalar):
-        return DiscreteSymbol(self.grid, self.d, self.values * scalar,
-                              self.class_tag)
+        return self.with_rows(self.rows * scalar)
 
     __rmul__ = __mul__
 
     def is_x_independent(self, tol=1e-14) -> bool:
-        ref = self.values[(0,) * self.grid.n]
-        peak = float(np.max(np.abs(self.values))) or 1.0
-        return bool(np.max(np.abs(self.values - ref)) <= tol * peak)
+        """Whether the rows off xi = 0 vanish to ``tol`` of the peak."""
+        mag = np.abs(self.rows)
+        peak = float(np.max(mag, initial=0.0)) or 1.0
+        off = np.any(self.xi != 0, axis=1)
+        return bool(np.max(mag[off], initial=0.0) <= tol * peak)
 
 
 @dataclass(frozen=True)
@@ -289,7 +394,8 @@ def ching_symbol(grid: TorusGrid, d: float, theta, A, J: int) -> DiscreteSymbol:
 
     ``theta`` is an integer lattice direction; ``A`` an annular profile
     supported in {3/4 <= |eta| <= 5/4}, so the terms occupy disjoint
-    frequency annuli.  Requires (5/4) 2^J < nyquist.
+    frequency annuli.  Requires (5/4) 2^J < nyquist.  Stored as J + 1
+    xi-rows: xi_j = -2^j theta with row 2^{jd} A(2^-j .).
     """
     theta = tuple(int(t) for t in (theta if hasattr(theta, "__len__") else (theta,)))
     if len(theta) != grid.n:
@@ -298,15 +404,12 @@ def ching_symbol(grid: TorusGrid, d: float, theta, A, J: int) -> DiscreteSymbol:
         raise GridTooCoarse(
             f"5*2^(J-2) = {5 * 2**(J-2)} >= nyquist {grid.nyquist}")
 
-    def fn(xs, ks):
-        total = 0.0
-        for j in range(J + 1):
-            phase = sum(x * (2**j * t) for x, t in zip(xs, theta))
-            total = total + 2.0 ** (j * d) * np.exp(-1j * phase) \
-                * A(*[k / 2**j for k in ks])
-        return total
-
-    return DiscreteSymbol.from_function(grid, fn, d, class_tag="ching")
+    ks = _eta_meshes(grid)
+    rows = [2.0 ** (j * d) * np.broadcast_to(A(*[k / 2**j for k in ks]),
+                                             grid.shape)
+            for j in range(J + 1)]
+    xi = [[-(2**j) * t for t in theta] for j in range(J + 1)]
+    return DiscreteSymbol(grid, d, class_tag="ching", xi=xi, rows=rows)
 
 
 def partial_ft(a: DiscreteSymbol) -> np.ndarray:
@@ -346,20 +449,15 @@ class LocalizationCutoff:
         return worst
 
 
-def _pair_norms(grid: TorusGrid):
-    """(|xi+eta|, |eta|) arrays over the (xi, eta) product lattice."""
-    n, N = grid.n, grid.N
-    k = grid.axis_freqs().astype(float)
-    axes = []
-    for ax in range(2 * n):
-        shape = [1] * (2 * n)
-        shape[ax] = N
-        axes.append(k.reshape(shape))
+def _pair_norms(a: DiscreteSymbol):
+    """(|xi_k+eta|, |eta|) over the stored rows, shape (K,) + grid.shape."""
+    grid = a.grid
+    lead = (len(a.xi),) + (1,) * grid.n
     sum_sq = 0.0
     eta_sq = 0.0
-    for ax in range(n):
-        sum_sq = sum_sq + (axes[ax] + axes[n + ax]) ** 2
-        eta_sq = eta_sq + axes[n + ax] ** 2
+    for ax, k in enumerate(_eta_meshes(grid)):
+        sum_sq = sum_sq + (a.xi[:, ax].astype(float).reshape(lead) + k) ** 2
+        eta_sq = eta_sq + k**2
     return np.sqrt(sum_sq), np.sqrt(eta_sq)
 
 
@@ -369,13 +467,13 @@ def twisted_diagonal_check(a: DiscreteSymbol, B: float, tol: float = 1e-10):
     Returns {"holds": bool, "worst_violation": max relative |ahat| over the
     region that the condition requires to vanish}.
     """
-    pft = a.partial_ft()
-    peak = float(np.max(np.abs(pft)))
+    mag = np.abs(a.rows)
+    peak = float(np.max(mag, initial=0.0))
     if peak == 0.0:
         return {"holds": True, "worst_violation": 0.0}
-    zeta, eta = _pair_norms(a.grid)
+    zeta, eta = _pair_norms(a)
     region = B * (1.0 + zeta) < eta
-    worst = float(np.max(np.abs(pft) * region) / peak)
+    worst = float(np.max(mag * region) / peak)
     return {"holds": worst <= tol, "worst_violation": worst}
 
 
@@ -387,10 +485,8 @@ def localize(a: DiscreteSymbol, chi: LocalizationCutoff,
     """
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
-    zeta, eta = _pair_norms(a.grid)
-    weights = chi(zeta, eps * eta)
-    return DiscreteSymbol.from_partial_ft(
-        a.grid, a.d, a.partial_ft() * weights, class_tag=a.class_tag)
+    zeta, eta = _pair_norms(a)
+    return a.with_rows(a.rows * chi(zeta, eps * eta))
 
 
 @dataclass(frozen=True)
@@ -467,36 +563,26 @@ def symbol_band(a: DiscreteSymbol, k: int, part: LPPartition,
         raise LevelOutOfRange(f"level {k} > J_max {part.J_max}")
     if k < 0:
         return DiscreteSymbol.zero(a.grid, a.d)
-    grid = a.grid
-    norms = grid.freq_norms()
-    if cumulative:
-        w = part.cumulative_weights(k) if k > 0 else part.psi(norms)
-    else:
-        w = part.level_weights(k)
-    w = w.reshape(grid.shape + (1,) * grid.n)
-    return DiscreteSymbol.from_partial_ft(grid, a.d, a.partial_ft() * w,
-                                          class_tag=a.class_tag)
+    return _xi_weighted(a, part.cumulative_weights(k) if cumulative
+                        else part.level_weights(k))
+
+
+def _xi_weighted(a: DiscreteSymbol, w: np.ndarray) -> DiscreteSymbol:
+    """w(D_x) a: each row times the lattice weight at its xi_k; rows whose
+    weight is exactly 0 are dropped."""
+    wk = w[a.xi_index()]
+    keep = wk != 0
+    lead = (-1,) + (1,) * a.grid.n
+    return a.with_rows(a.rows[keep] * wk[keep].reshape(lead), keep)
 
 
 def symbol_ladder(a: DiscreteSymbol, m: int, part: LPPartition):
     """Bands a_k and cumulative symbols a^k for k = 0..m, as two lists.
 
-    Each band costs one inverse x-transform; a^k is the running sum
-    a_0 + ... + a_k, which is exact because psi(2^-k .) = psi +
-    sum_{1<=j<=k} phi(2^-j .) telescopes.  The bands equal
-    :func:`symbol_band` and the cumulative symbols equal its cumulative
-    form up to rounding; none of them caches a partial transform."""
+    Both weight the stored rows by the partition's level weights at xi_k,
+    so they equal :func:`symbol_band` and its cumulative form exactly."""
     if m > part.J_max:
         raise LevelOutOfRange(f"level {m} > J_max {part.J_max}")
-    grid = a.grid
-    pft = a.partial_ft()
-    x_axes = tuple(range(grid.n))
-    bands, cumulative = [], []
-    total = None
-    for k in range(m + 1):
-        w = part.level_weights(k).reshape(grid.shape + (1,) * grid.n)
-        vals = np.fft.ifftn(pft * w, axes=x_axes) * grid.N**grid.n
-        total = vals if total is None else total + vals
-        bands.append(DiscreteSymbol(grid, a.d, vals, a.class_tag))
-        cumulative.append(DiscreteSymbol(grid, a.d, total, a.class_tag))
-    return bands, cumulative
+    return ([_xi_weighted(a, part.level_weights(k)) for k in range(m + 1)],
+            [_xi_weighted(a, part.cumulative_weights(k))
+             for k in range(m + 1)])

@@ -3,20 +3,24 @@
 The shared Littlewood-Paley ladder must reproduce ``symbol_band`` /
 ``dyadic_block`` / ``cumulative_block`` level by level, the batched
 Marschall row norms must reproduce a per-row ``homog_besov_norm`` loop,
-``apply`` must reproduce the dense sum over the whole lattice, and
-``modulated_apply`` must reproduce ``apply`` of ``modulated_symbol``."""
+``apply`` must reproduce the dense sum over the whole lattice,
+``modulated_apply`` must reproduce ``apply`` of ``modulated_symbol``, and
+every operation on a xi-sparse symbol must reproduce the same operation on
+its twin built from the dense array."""
 
 import numpy as np
 import pytest
 
 from paradiff_lab import (DiscreteSymbol, GridMismatch, LevelOutOfRange,
-                          SpectralField, TorusGrid, apply, cumulative_block,
-                          dyadic_block, hl_max, homog_besov_norm,
-                          make_modulation, make_partition, marschall_check,
-                          modulated_apply, para_split, saturation_level,
+                          LocalizationCutoff, SpectralField, TorusGrid, apply,
+                          compose_multiplier, cumulative_block, dyadic_block,
+                          hl_max, homog_besov_norm, localize, make_modulation,
+                          make_partition, marschall_check, modulated_apply,
+                          para_split, saturation_level, spectral_support_bound,
                           symbol_band, symbol_ladder)
 from paradiff_lab.corpus import (random_band_limited_field,
-                                 random_sparse_symbol, rng_for)
+                                 random_sparse_symbol, rng_for,
+                                 standard_ching)
 from paradiff_lab.operators import modulated_symbol
 from paradiff_lab.spaces import lp_norm
 
@@ -41,6 +45,21 @@ def dense_symbol(grid):
     shape = grid.shape + grid.shape
     return DiscreteSymbol(grid, 0.0, rng.standard_normal(shape)
                           + 1j * rng.standard_normal(shape))
+
+
+def sparse_symbols(grid):
+    """The xi-sparse builders: ching, multiplier, identity, zero, random."""
+    J = max(j for j in range(8) if 5 * 2 ** (j - 2) < grid.nyquist)
+    return {"ching": standard_ching(grid, 0.0, J),
+            "multiplier": DiscreteSymbol.multiplier(
+                grid, lambda *k: (1.0 + sum(x**2 for x in k)) ** 0.5, d=1.0),
+            "identity": DiscreteSymbol.identity(grid),
+            "zero": DiscreteSymbol.zero(grid),
+            "random": random_sparse_symbol(grid, rng_for(78, grid.n))}
+
+
+def all_symbols(grid):
+    return {"dense": dense_symbol(grid), **sparse_symbols(grid)}
 
 
 def apply_inputs(grid):
@@ -73,33 +92,105 @@ def dense_apply(a, u):
                   axis=tuple(range(n, 2 * n)))
 
 
-def assert_close(got, want):
-    """Within 1e-12 of the reference's peak; exactly zero for a zero one."""
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+def assert_close(got, want, scale=0.0):
+    """Within 1e-12 of the reference's peak (or of ``scale``, if larger);
+    exactly zero for a zero one."""
+    peak = max(float(np.max(np.abs(want), initial=0.0)), scale)
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * peak
 
 
 @pytest.mark.parametrize("n,N", GRIDS)
 def test_apply_matches_dense_sum(n, N):
     grid = TorusGrid(n, N)
-    a = dense_symbol(grid)
-    for u in apply_inputs(grid).values():
-        got = apply(a, u)
-        assert got.grid == grid
-        assert_close(got.values, dense_apply(a, u))
+    for a in all_symbols(grid).values():
+        for u in apply_inputs(grid).values():
+            got = apply(a, u)
+            assert got.grid == grid
+            assert_close(got.values, dense_apply(a, u))
 
 
 @pytest.mark.parametrize("n,N", GRIDS)
 def test_modulated_apply_matches_modulated_symbol(n, N):
     grid = TorusGrid(n, N)
-    a = dense_symbol(grid)
     psi = make_modulation(1.0, 2.0)
-    for u in apply_inputs(grid).values():
-        for m in range(saturation_level(psi, grid) + 1):
-            assert_close(modulated_apply(a, u, psi, m).values,
-                         apply(modulated_symbol(a, psi, m), u).values)
+    for a in all_symbols(grid).values():
+        for u in apply_inputs(grid).values():
+            for m in range(saturation_level(psi, grid) + 1):
+                assert_close(modulated_apply(a, u, psi, m).values,
+                             apply(modulated_symbol(a, psi, m), u).values)
     other = SpectralField.zero(TorusGrid(n, 2 * N))
     with pytest.raises(GridMismatch):
-        modulated_apply(a, other, psi, 0)
+        modulated_apply(dense_symbol(grid), other, psi, 0)
+
+
+def dense_twin(a):
+    return DiscreteSymbol(a.grid, a.d, a.values, a.class_tag)
+
+
+def x_inverse(grid, pft):
+    """a(x, eta) from a partial transform over the whole lattice."""
+    return np.fft.ifftn(pft, axes=tuple(range(grid.n))) * grid.N**grid.n
+
+
+def dense_pair_norms(grid):
+    """(|xi+eta|, |eta|) over the (xi, eta) product lattice."""
+    n = grid.n
+    k = grid.axis_freqs().astype(float)
+    ax = [k.reshape([grid.N if i == j else 1 for i in range(2 * n)])
+          for j in range(2 * n)]
+    return (np.sqrt(sum((ax[i] + ax[n + i]) ** 2 for i in range(n))),
+            np.sqrt(sum(ax[n + i] ** 2 for i in range(n))))
+
+
+@pytest.mark.parametrize("n,N", GRIDS)
+def test_sparse_symbol_matches_dense_twin(n, N):
+    """Each operation on a xi-sparse symbol and on its twin built from its
+    dense array, against the dense formula on the twin's arrays."""
+    grid = TorusGrid(n, N)
+    part = make_partition(make_modulation(1.0, 2.0), grid)
+    psi = part.psi
+    chi = LocalizationCutoff()
+    zeta, eta = dense_pair_norms(grid)
+    xi_shape = grid.shape + (1,) * n
+    u = random_band_limited_field(grid, rng_for(79, n), grid.nyquist / 4)
+    symbols = sparse_symbols(grid)
+    other = symbols["random"]
+    mult = symbols["multiplier"]
+    for s in symbols.values():
+        twin = dense_twin(s)
+        pft = twin.partial_ft()
+        # what vanishes is exactly zero on the sparse side and roundoff on
+        # the twin's: compare against the source's peak (and its bound
+        # sup|a| sum|c| on outputs)
+        peak = float(np.max(np.abs(s.values)))
+        out_peak = peak * float(np.sum(np.abs(u.coeffs)))
+        assert_close(s.partial_ft(), pft)
+        assert s.xi_support() == twin.xi_support()
+        assert spectral_support_bound(s, u) == spectral_support_bound(twin, u)
+        assert_close(apply(s, u).values, apply(twin, u).values, out_peak)
+        for m in range(saturation_level(psi, grid) + 1):
+            assert_close(modulated_apply(s, u, psi, m).values,
+                         modulated_apply(twin, u, psi, m).values, out_peak)
+        want = [x_inverse(grid, pft * part.level_weights(k).reshape(xi_shape))
+                for k in range(part.J_max + 1)]
+        want += [x_inverse(grid, pft
+                           * part.cumulative_weights(k).reshape(xi_shape))
+                 for k in range(part.J_max + 1)]
+        for a in (s, twin):
+            bands, cumulative = symbol_ladder(a, part.J_max, part)
+            for got, ref in zip(bands + cumulative, want):
+                assert_close(got.values, ref, peak)
+            assert_close(localize(a, chi, 0.25).values,
+                         x_inverse(grid, pft * chi(zeta, 0.25 * eta)), peak)
+            assert_close((a + other).values, twin.values + other.values,
+                         peak)
+            assert_close((a - other).values, twin.values - other.values,
+                         peak)
+            for b in (mult, dense_twin(mult)):
+                got = compose_multiplier(a, b)
+                assert got.d == s.d + b.d
+                assert_close(got.values,
+                             twin.values * mult.values[(0,) * n], peak)
 
 
 # -- one ladder per split ---------------------------------------------------
@@ -160,21 +251,27 @@ def homog_besov_reference(b, s, p, q):
 
 
 def marschall_loop(b, u, k, t):
-    """max_x of the Marschall ratio, one homog_besov_norm call per row."""
+    """max_x of the Marschall ratio, one homog_besov_norm call per row; a
+    row norm below 1e-10 of the largest and an output below 1e-10 of
+    sup|b| sum|c| count as zero."""
     grid = b.grid
     n = grid.n
     s_h = n / t
     lhs = np.abs(apply(b, u).values)
     Mt = hl_max(u, t)
     scale = 2.0 ** (k * (s_h - n))
+    norms = {ix: homog_besov_norm(SpectralField.from_values(grid, b.values[ix]),
+                                  s_h, 1.0, t)
+             for ix in np.ndindex(*grid.shape)}
+    top = max(norms.values())
+    out_bound = np.max(np.abs(b.values)) * np.sum(np.abs(u.coeffs))
     ratios = np.zeros(grid.shape)
-    for ix in np.ndindex(*grid.shape):
-        row = SpectralField.from_values(grid, b.values[ix])
-        den = scale * homog_besov_norm(row, s_h, 1.0, t) * Mt[ix]
-        if den > 0:
+    for ix, norm in norms.items():
+        den = scale * norm * Mt[ix]
+        if norm > 1e-10 * top and den > 0:
             ratios[ix] = lhs[ix] / den
         else:
-            ratios[ix] = 0.0 if lhs[ix] == 0 else np.inf
+            ratios[ix] = 0.0 if lhs[ix] <= 1e-10 * out_bound else np.inf
     return float(np.max(ratios))
 
 
@@ -202,9 +299,17 @@ def test_batched_marschall_matches_row_loop(n, N, t):
     assert np.isfinite(ref) and ref > 0
     assert got == pytest.approx(ref, rel=1e-12)
     # a constant row has zero homogeneous norm but acts: the x/0 -> inf branch
-    b = marschall_symbol(grid, (0,) * n, (1,) * n)
-    assert marschall_loop(b, u, k, t) == np.inf
-    assert marschall_check(b, u, k, t)["max_ratio"] == np.inf
+    b_inf = marschall_symbol(grid, (0,) * n, (1,) * n)
+    assert marschall_loop(b_inf, u, k, t) == np.inf
+    assert marschall_check(b_inf, u, k, t)["max_ratio"] == np.inf
+    # the same symbols stored xi-sparse, whose zero and constant rows are
+    # zero and constant only up to roundoff, give the same verdicts
+    for a, want in ((b, got), (b_inf, np.inf)):
+        for copy in (1.0 * a,
+                     DiscreteSymbol.from_partial_ft(grid, 0.0, a.partial_ft())):
+            assert np.any(copy.values[(0,) * n] != 0)
+            assert marschall_check(copy, u, k, t)["max_ratio"] == \
+                pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("n,N", GRIDS)

@@ -168,3 +168,25 @@ def test_two_partitions_agree_on_band_limited(grid):
             total = total + dyadic_block(u, k, part)
         sums.append(total)
     assert np.max(np.abs(sums[0].values - sums[1].values)) <= 1e-10
+
+
+@pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
+def test_level_weights_stored_once_and_read_only(n, N):
+    grid = TorusGrid(n, N)
+    psi = make_modulation(1.0, 2.0)
+    part = make_partition(psi, grid)
+    norms = grid.freq_norms()
+    for k in range(part.J_max + 1):
+        level = psi(norms) if k == 0 else \
+            psi(norms / 2**k) - psi(2.0 * (norms / 2**k))
+        assert np.array_equal(part.level_weights(k), level)
+        assert np.array_equal(part.cumulative_weights(k), psi(norms / 2**k))
+        assert part.level_weights(k) is part.level_weights(k)
+        for w in (part.level_weights(k), part.cumulative_weights(k)):
+            with pytest.raises(ValueError):
+                w[(0,) * n] = 2.0
+    for k in (-1, part.J_max + 1):
+        with pytest.raises(LevelOutOfRange):
+            part.level_weights(k)
+        with pytest.raises(LevelOutOfRange):
+            part.cumulative_weights(k)

@@ -76,6 +76,21 @@ def test_apply_linearity(grid):
     assert np.max(np.abs(lhs.values - rhs.values)) <= 1e-12 * scale
 
 
+def test_apply_ching_beyond_the_dense_cap():
+    # a ching symbol at 1-D N = 8192 holds J + 1 rows; its dense view would
+    # hold N^2 = 2^26 entries.  On the uniform lacunary stack only the j-th
+    # term meets the j-th mode, with A(1) = 1, so the output is J + 1.
+    grid = TorusGrid(1, 8192)
+    J = 10
+    a = standard_ching(grid, 0.0, J)
+    v = apply(a, lacunary_stack(grid, (1,), J, np.ones(J + 1)))
+    assert np.max(np.abs(v.values - (J + 1))) <= 1e-12 * (J + 1)
+    with pytest.raises(TooLarge):
+        a.values
+    with pytest.raises(TooLarge):
+        a.partial_ft()
+
+
 def test_apply_grid_mismatch(grid):
     other = TorusGrid(1, 128)
     with pytest.raises(GridMismatch):

@@ -354,8 +354,12 @@ def test_paraterm_rejects_a_pair_the_split_was_not_built_from(grid):
     for b, v in mismatched:
         with pytest.raises(ValueError):
             paraterm_pointwise_check(sp, b, v, p)
-    copy = DiscreteSymbol(grid, a.d, a.values.copy(), a.class_tag)
-    assert paraterm_pointwise_check(sp, copy, u.copy(), p).pointwise_ok()
+    # equal copies are accepted, also one whose rows and dense view differ
+    # from the source's by transform roundoff
+    twin = DiscreteSymbol(grid, a.d, a.values.copy(), a.class_tag)
+    for copy in (twin, DiscreteSymbol.from_partial_ft(
+            grid, a.d, twin.partial_ft(), a.class_tag)):
+        assert paraterm_pointwise_check(sp, copy, u.copy(), p).pointwise_ok()
 
 
 def test_paraterm_nan_majorant_fails(grid, monkeypatch):
