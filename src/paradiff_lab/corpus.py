@@ -49,21 +49,31 @@ def random_sparse_symbol(grid: TorusGrid, rng, d: float = 0.0,
         x_band = ny / 4
     if eta_band is None:
         eta_band = ny / 2
+    n = grid.n
     norms = grid.freq_norms()
     xi_ok = np.argwhere(norms <= x_band)
     eta_ok = np.argwhere((norms <= eta_band) & (norms >= eta_min))
-    pft = np.zeros(grid.shape + grid.shape, dtype=np.complex128)
     k = grid.axis_freqs().astype(float)
+    drawn = {}
     for _ in range(entries):
         xi = tuple(xi_ok[rng.integers(len(xi_ok))])
         eta = tuple(eta_ok[rng.integers(len(eta_ok))])
         eta_norm = float(np.sqrt(sum(k[i] ** 2 for i in eta)))
         amp = rng.standard_normal() + 1j * rng.standard_normal()
-        pft[xi + eta] = amp * (1.0 + eta_norm) ** d
-    peak = np.max(np.abs(pft))
+        drawn[xi + eta] = amp * (1.0 + eta_norm) ** d   # later draws win
+    vals = np.array(list(drawn.values()), dtype=np.complex128)
+    peak = np.max(np.abs(vals), initial=0.0)
     if peak > 0:
-        pft /= peak
-    return DiscreteSymbol.from_partial_ft(grid, d, pft, class_tag="custom")
+        vals /= peak
+    # one row per drawn xi, in lattice order, as from_partial_ft keeps them
+    at = sorted({pair[:n] for pair in drawn})
+    rows = np.zeros((len(at),) + grid.shape, dtype=np.complex128)
+    for pair, v in zip(drawn, vals):
+        rows[(at.index(pair[:n]),) + pair[n:]] = v
+    keep = np.any(rows != 0, axis=tuple(range(1, n + 1)))
+    xi = grid.axis_freqs()[np.array(at, dtype=np.int64).reshape(-1, n)]
+    return DiscreteSymbol(grid, d, class_tag="custom", xi=xi[keep],
+                          rows=rows[keep])
 
 
 def lacunary_stack(grid: TorusGrid, theta, J: int, weights) -> SpectralField:

@@ -110,11 +110,16 @@ class ExperimentConfig:
         return cfg.normalized()
 
     def normalized(self) -> "ExperimentConfig":
-        self.grid_sizes = tuple(int(N) for N in self.grid_sizes)
-        self.modulations = tuple((float(r), float(R)) for r, R in self.modulations)
-        self.norm_specs = tuple(
-            (str(t[0]), float(t[1]), float(t[2]), float(t[3]))
-            for t in self.norm_specs)
+        try:
+            self.grid_sizes = tuple(int(N) for N in self.grid_sizes)
+            self.modulations = tuple((float(r), float(R))
+                                     for r, R in self.modulations)
+            self.norm_specs = tuple((str(c), float(s), float(p), float(q))
+                                    for c, s, p, q in self.norm_specs)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("grid_sizes, modulations and norm_specs must be "
+                              "lists of sizes, (r, R) pairs and (scale, s, p, "
+                              f"q) tuples: {exc}") from None
         self.validate()
         return self
 
@@ -124,6 +129,8 @@ class ExperimentConfig:
                               f"choose one of {SCENARIOS}")
         if self.grid_n not in (1, 2):
             raise ConfigError("grid_n must be 1 or 2")
+        if not self.grid_sizes:
+            raise ConfigError("grid_sizes must list at least one size")
         for N in self.grid_sizes:
             if N < 16 or (N & (N - 1)) != 0:
                 raise ConfigError(f"grid size {N} must be a power of two >= 16")

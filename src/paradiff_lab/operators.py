@@ -260,18 +260,11 @@ def para_split(a: DiscreteSymbol, u: SpectralField, part: LPPartition,
         high_low.append(apply(bands[k], lad.cumulative_block(k - h))
                         if k >= h else zero)
 
-    a1u = _sum_fields(low_high, grid)
-    a2u = _sum_fields([t2a + t2b for t2a, t2b in diagonal], grid)
-    a3u = _sum_fields(high_low, grid)
+    a1u = sum(low_high, zero)
+    a2u = sum([t2a + t2b for t2a, t2b in diagonal], zero)
+    a3u = sum(high_low, zero)
     return ParaSplit(a1u, a2u, a3u, low_high, high_low, diagonal, part, m,
                      lad)
-
-
-def _sum_fields(fields, grid):
-    total = SpectralField.zero(grid)
-    for f in fields:
-        total = total + f
-    return total
 
 
 @dataclass

@@ -16,7 +16,7 @@ from .errors import (BadExponent, DepthUnsupported, LevelOutOfRange,
                      SupportViolation)
 from .lp import ModulationFunction, make_modulation
 from .operators import ParaSplit, apply
-from .symbols import DiscreteSymbol, _eta_derivative
+from .symbols import DiscreteSymbol, _eta_square_sums
 from .torus import SpectralField, TorusGrid
 
 #: Fast-path screen: translates whose decay weight falls below this cannot
@@ -144,14 +144,15 @@ def symbol_factor(a: DiscreteSymbol, p: MaxParams, psi,
         raise LevelOutOfRange(
             f"R * supp(psi) = {p.R * outer} exceeds nyquist {grid.nyquist}")
     chi = psi(grid.freq_norms() / p.R)
-    rows = a.values * chi.reshape((1,) * grid.n + grid.shape)
-    eta_axes = tuple(range(grid.n, 2 * grid.n))
-    # F^-1_{eta->y} with d eta the counting measure and the 2*pi^-n factor
-    G = np.fft.ifftn(rows, axes=eta_axes) * grid.N**grid.n / (2.0 * np.pi)**grid.n
-    w = (1.0 + p.R * torus_offsets(grid)) ** p.N
-    cell = grid.spacing**grid.n
-    return np.sum(np.abs(G) * w.reshape((1,) * grid.n + grid.shape),
-                  axis=eta_axes) * cell
+    # F^-1_{eta->y} of each row, with d eta the counting measure and the
+    # 2*pi^-n factor; it commutes with the expansion over x
+    G = (np.fft.ifftn(a.rows * chi, axes=tuple(range(1, grid.n + 1)))
+         * grid.N**grid.n / (2.0 * np.pi)**grid.n)
+    w = ((1.0 + p.R * torus_offsets(grid)) ** p.N).ravel()
+    total = np.zeros(grid.shape)
+    for cols, block in a.columns(G):
+        total += np.sum(np.abs(block) * w[cols], axis=-1)
+    return total * grid.spacing**grid.n
 
 
 def check_factorization(a: DiscreteSymbol, u: SpectralField, p: MaxParams,
@@ -197,17 +198,11 @@ def _mihlin_rhs(a: DiscreteSymbol, p: MaxParams, psi) -> np.ndarray:
     K = int(np.floor(p.N + grid.n / 2.0)) + 1
     if K > 4:
         raise DepthUnsupported(f"derivative depth {K} exceeds 4")
-    region = (psi(grid.freq_norms() / p.R) > 0).reshape((1,) * grid.n
-                                                        + grid.shape)
-    eta_axes = tuple(range(grid.n, 2 * grid.n))
+    region = psi(grid.freq_norms() / p.R) > 0
     total = np.zeros(grid.shape)
     for alpha in _multi_indices(grid.n, K):
-        if sum(alpha) > K:
-            continue
-        deriv = _eta_derivative(a.values, grid, alpha)
-        sq = np.abs(deriv) ** 2 * region
-        total += np.sqrt(np.sum(sq, axis=eta_axes)
-                         * p.R ** (2 * sum(alpha) - grid.n))
+        sq, = _eta_square_sums(a, alpha, [region])
+        total += np.sqrt(sq * p.R ** (2 * sum(alpha) - grid.n))
     return total
 
 

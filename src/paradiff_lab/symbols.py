@@ -26,9 +26,9 @@ from .torus import SUPPORT_REL_THRESHOLD, FreqSet, TorusGrid
 #: Largest number of dense symbol entries we are willing to materialize.
 DENSE_ENTRY_CAP = 2**24
 
-#: Entries per block of the work arrays behind a dense view and behind
-#: ``operators.apply``, so the only full-size array either allocates is its
-#: result.
+#: Entries per block of the work arrays behind ``DiscreteSymbol.columns``
+#: (dense views, eta-side checks) and ``operators.apply``, so no full-size
+#: array is allocated but a result.
 BLOCK_ENTRIES = 2**16
 
 
@@ -178,25 +178,33 @@ class DiscreteSymbol:
         """Lattice index of each xi_k, one index array per axis."""
         return tuple((self.xi % self.grid.N).T)
 
+    def columns(self, rows=None):
+        """Yield ``(cols, block)``, ``block[..., j] = sum_k rows[k, cols[j]]
+        e^{i x.xi_k}`` over the x-grid (``cols`` flat lattice indices; the
+        columns where every row is zero are skipped): the rows scattered
+        over xi and transformed back in x, ``BLOCK_ENTRIES`` entries per
+        block.  ``rows`` defaults to the stored rows; a check linear in
+        a(x, .) until it takes a modulus runs on the K rows instead."""
+        grid = self.grid
+        size = grid.N**grid.n
+        rows = (self.rows if rows is None else rows).reshape(len(self.xi), size)
+        live = np.flatnonzero(np.any(rows != 0, axis=0))
+        step = max(1, BLOCK_ENTRIES // size)
+        for lo in range(0, len(live), step):
+            cols = live[lo:lo + step]
+            block = np.zeros(grid.shape + cols.shape, dtype=np.complex128)
+            block[self.xi_index()] = rows[:, cols]
+            yield cols, np.fft.ifftn(block, axes=tuple(range(grid.n))) * size
+
     @property
     def values(self) -> np.ndarray:
-        """a(x, eta) on the product lattice, cached and read-only: the rows
-        scattered over xi and transformed back in x, one block of eta
-        columns at a time, skipping the columns where every row is zero."""
+        """a(x, eta) on the product lattice, cached and read-only."""
         if self._values is None:
             grid = self.grid
             _check_dense(grid)
-            size = grid.N**grid.n
-            rows = self.rows.reshape(len(self.xi), size)
-            live = np.flatnonzero(np.any(rows != 0, axis=0))
-            vals = np.zeros(grid.shape + (size,), dtype=np.complex128)
-            step = max(1, BLOCK_ENTRIES // size)
-            for lo in range(0, len(live), step):
-                cols = live[lo:lo + step]
-                block = np.zeros(grid.shape + cols.shape, dtype=np.complex128)
-                block[self.xi_index()] = rows[:, cols]
-                vals[..., cols] = np.fft.ifftn(
-                    block, axes=tuple(range(grid.n))) * size
+            vals = np.zeros(grid.shape + (grid.N**grid.n,), dtype=np.complex128)
+            for cols, block in self.columns():
+                vals[..., cols] = block
             vals.flags.writeable = False
             self._values = vals.reshape(grid.shape + grid.shape)
         return self._values
@@ -297,53 +305,51 @@ def _as_multi(idx, n: int) -> tuple:
     return t
 
 
-def _eta_derivative(a_vals: np.ndarray, grid: TorusGrid, alpha: tuple) -> np.ndarray:
-    """Centered finite differences in eta (spacing 1), one-sided at the
-    lattice edges; applied on the shifted (monotone-eta) layout."""
-    n = grid.n
-    eta_axes = tuple(range(n, 2 * n))
-    out = np.fft.fftshift(a_vals, axes=eta_axes)
+def _eta_derivative(rows: np.ndarray, grid: TorusGrid, alpha: tuple) -> np.ndarray:
+    """Centered finite differences in eta (spacing 1) of each row (eta on
+    axes 1..n), one-sided at the lattice edges; applied on the shifted
+    (monotone-eta) layout."""
+    eta_axes = tuple(range(1, grid.n + 1))
+    out = np.fft.fftshift(rows, axes=eta_axes)
     for ax, order in enumerate(alpha):
         for _ in range(order):
-            out = np.gradient(out, 1.0, axis=n + ax, edge_order=2)
+            out = np.gradient(out, 1.0, axis=1 + ax, edge_order=2)
     return np.fft.ifftshift(out, axes=eta_axes)
 
 
-def _x_derivative(a: DiscreteSymbol, beta: tuple) -> np.ndarray:
-    """Spectral x-derivative D^beta_x = (-i d/dx)^beta ... conventional
-    D = -i grad; only the modulus enters the seminorms, so the phase
-    convention is immaterial."""
-    if all(b == 0 for b in beta):
-        return a.values
-    pft = a.partial_ft().copy()
-    k = a.grid.axis_freqs().astype(float)
-    n = a.grid.n
-    for ax, order in enumerate(beta):
-        if order == 0:
-            continue
-        shape = [1] * (2 * n)
-        shape[ax] = a.grid.N
-        pft = pft * (1j * k.reshape(shape)) ** order
-    return np.fft.ifftn(pft, axes=tuple(range(n))) * a.grid.N**n
+def _eta_square_sums(a: DiscreteSymbol, alpha: tuple, masks) -> np.ndarray:
+    """Per mask (boolean over the lattice) and x, the sum over the masked
+    eta of |D^alpha_eta a(x, eta)|^2; one pass over the columns."""
+    live = np.logical_or.reduce(masks, initial=False)
+    sums = np.zeros((len(masks),) + a.grid.shape)
+    for cols, block in a.columns(_eta_derivative(a.rows, a.grid, alpha) * live):
+        sq = np.abs(block) ** 2
+        for total, mask in zip(sums, masks):
+            total += np.sum(sq * mask.ravel()[cols], axis=-1)
+    return sums
 
 
 def estimate_seminorm(a: DiscreteSymbol, alpha, beta) -> SymbolSeminorm:
     """sup over the lattice of (1+|eta|)^-(d-|a|+|b|) |D^a_eta D^b_x a|.
 
     eta-derivatives use centered lattice differences, x-derivatives are
-    spectral.  Derivative depth |alpha| + |beta| is capped at 4.
+    spectral (row k times (i xi_k)^b).  Derivative depth |alpha| + |beta|
+    is capped at 4.
     """
     alpha = _as_multi(alpha, a.grid.n)
     beta = _as_multi(beta, a.grid.n)
     if sum(alpha) + sum(beta) > 4:
         raise DepthUnsupported("|alpha| + |beta| must be <= 4")
-    work = _x_derivative(a, beta)
-    work = _eta_derivative(work, a.grid, alpha)
+    rows = a.rows
+    lead = (-1,) + (1,) * a.grid.n
+    for ax, order in enumerate(beta):
+        if order:
+            rows = rows * ((1j * a.xi[:, ax]) ** order).reshape(lead)
     expo = a.d - sum(alpha) + sum(beta)
-    weight = (1.0 + a.grid.freq_norms()) ** (-expo)
-    n = a.grid.n
-    shape = (1,) * n + a.grid.shape
-    value = float(np.max(np.abs(work) * weight.reshape(shape)))
+    weight = ((1.0 + a.grid.freq_norms()) ** (-expo)).ravel()
+    value = 0.0
+    for cols, block in a.columns(_eta_derivative(rows, a.grid, alpha)):
+        value = max(value, float(np.max(np.abs(block) * weight[cols])))
     return SymbolSeminorm(alpha, beta, value)
 
 
@@ -507,20 +513,16 @@ def _shell_seminorm(a_loc: DiscreteSymbol, alpha: tuple) -> float:
     """sup over dyadic shells R=2^j and x of
     R^{-d} ( sum_{R<=|eta|<=2R} |R^{|a|} D^a_eta a|^2 / R^n )^{1/2}."""
     grid = a_loc.grid
-    deriv = _eta_derivative(a_loc.values, grid, alpha)
-    norms = grid.freq_norms().reshape((1,) * grid.n + grid.shape)
-    best = 0.0
-    R = 1.0
-    while R <= grid.nyquist / 2:
-        shell = (norms >= R) & (norms <= 2 * R)
+    norms = grid.freq_norms()
+    radii = [2.0**j for j in range(int(np.log2(grid.nyquist)))]  # R <= nyq/2
+    shells = [(norms >= R) & (norms <= 2 * R) for R in radii]
+    for R, shell in zip(radii, shells):
         if not shell.any():
             raise EmptyShell(f"no lattice point in shell [{R}, {2*R}]")
-        ord_a = sum(alpha)
-        sq = np.abs(deriv) ** 2 * shell
-        per_x = np.sqrt(np.sum(sq, axis=tuple(range(grid.n, 2 * grid.n)))
-                        * R ** (2 * ord_a - grid.n))
+    best = 0.0
+    for R, total in zip(radii, _eta_square_sums(a_loc, alpha, shells)):
+        per_x = np.sqrt(total * R ** (2 * sum(alpha) - grid.n))
         best = max(best, float(np.max(per_x)) * R ** (-a_loc.d))
-        R *= 2.0
     return best
 
 

@@ -74,13 +74,6 @@ class TorusGrid:
         kx, ky = np.meshgrid(k, k, indexing="ij")
         return np.sqrt(kx**2 + ky**2)
 
-    def freq_tuples(self) -> list:
-        """All lattice points as integer tuples, in FFT storage order."""
-        k = self.axis_freqs()
-        if self.n == 1:
-            return [(int(v),) for v in k]
-        return [(int(a), int(b)) for a in k for b in k]
-
     def index_of(self, eta) -> tuple:
         """Array index of the lattice point ``eta`` (integer tuple)."""
         return tuple(int(e) % self.N for e in eta)

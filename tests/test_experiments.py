@@ -91,6 +91,23 @@ def test_config_json_round_trip(tmp_path):
         ExperimentConfig.from_json(bad)
 
 
+@pytest.mark.parametrize("doc", [
+    {"grid_sizes": []},
+    {"grid_sizes": 64},
+    {"modulations": [[1.0, 2.0], [1.5]]},
+    {"modulations": [1.0, 2.0]},
+    {"norm_specs": [["B", 1.0, 2.0]]},
+    {"norm_specs": [["B", 1.0, 2.0, 2.0, 1.0]]},
+], ids=["empty_grids", "scalar_grid", "short_pair", "scalar_pair",
+        "short_spec", "long_spec"])
+def test_malformed_config_exits_2(doc, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"scenario": "inequality_suite", **doc}))
+    assert cli_main(["run", "inequality_suite", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # -- scenarios -----------------------------------------------------------------
 
 

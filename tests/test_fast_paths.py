@@ -4,24 +4,31 @@ The shared Littlewood-Paley ladder must reproduce ``symbol_band`` /
 ``dyadic_block`` / ``cumulative_block`` level by level, the batched
 Marschall row norms must reproduce a per-row ``homog_besov_norm`` loop,
 ``apply`` must reproduce the dense sum over the whole lattice,
-``modulated_apply`` must reproduce ``apply`` of ``modulated_symbol``, and
+``modulated_apply`` must reproduce ``apply`` of ``modulated_symbol``,
 every operation on a xi-sparse symbol must reproduce the same operation on
-its twin built from the dense array."""
+its twin built from the dense array, the eta-side checks on the stored rows
+must reproduce their dense formulas on ``a.values``, and
+``random_sparse_symbol`` must reproduce its dense fill."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from paradiff_lab import (DiscreteSymbol, GridMismatch, LevelOutOfRange,
-                          LocalizationCutoff, SpectralField, TorusGrid, apply,
-                          compose_multiplier, cumulative_block, dyadic_block,
+                          LocalizationCutoff, MaxParams, SpectralField,
+                          TooLarge, TorusGrid, apply, compose_multiplier,
+                          cumulative_block, dyadic_block, estimate_seminorm,
                           hl_max, homog_besov_norm, localize, make_modulation,
-                          make_partition, marschall_check, modulated_apply,
-                          para_split, saturation_level, spectral_support_bound,
-                          symbol_band, symbol_ladder)
+                          make_partition, marschall_check, mihlin_bound,
+                          modulated_apply, para_split, saturation_level,
+                          spectral_support_bound, symbol_band, symbol_factor,
+                          symbol_ladder, symbols, tdc_seminorm)
 from paradiff_lab.corpus import (random_band_limited_field,
                                  random_sparse_symbol, rng_for,
                                  standard_ching)
 from paradiff_lab.operators import modulated_symbol
+from paradiff_lab.pointwise import torus_offsets
 from paradiff_lab.spaces import lp_norm
 
 GRIDS = [(1, 64), (2, 16)]
@@ -320,3 +327,193 @@ def test_homog_besov_norm_matches_shell_loop(n, N, s, p, q):
     b = random_band_limited_field(grid, rng_for(75, n), grid.nyquist)
     assert homog_besov_norm(b, s, p, q) == pytest.approx(
         homog_besov_reference(b, s, p, q), rel=1e-12)
+
+
+# -- eta-side checks on the stored rows ---------------------------------------
+
+
+def check_symbols(grid):
+    """The sparse builders, a dense-born twin and a localized symbol."""
+    out = sparse_symbols(grid)
+    out["dense_born"] = dense_twin(out["random"])
+    out["localized"] = localize(out["ching"], LocalizationCutoff(), 0.25)
+    return out
+
+
+def eta_axes(grid):
+    return tuple(range(grid.n, 2 * grid.n))
+
+
+def dense_eta_derivative(vals, grid, alpha):
+    """Centered eta-differences of the dense array (eta axes last)."""
+    out = np.fft.fftshift(vals, axes=eta_axes(grid))
+    for ax, order in enumerate(alpha):
+        for _ in range(order):
+            out = np.gradient(out, 1.0, axis=grid.n + ax, edge_order=2)
+    return np.fft.ifftshift(out, axes=eta_axes(grid))
+
+
+def dense_symbol_factor(a, p, psi):
+    grid = a.grid
+    lead = (1,) * grid.n
+    rows = a.values * psi(grid.freq_norms() / p.R).reshape(lead + grid.shape)
+    G = (np.fft.ifftn(rows, axes=eta_axes(grid)) * grid.N**grid.n
+         / (2.0 * np.pi)**grid.n)
+    w = (1.0 + p.R * torus_offsets(grid)) ** p.N
+    return (np.sum(np.abs(G) * w.reshape(lead + grid.shape),
+                   axis=eta_axes(grid)) * grid.spacing**grid.n)
+
+
+def dense_mihlin_rhs(a, p, psi):
+    grid = a.grid
+    depth = int(np.floor(p.N + grid.n / 2.0)) + 1
+    region = psi(grid.freq_norms() / p.R) > 0
+    total = np.zeros(grid.shape)
+    for alpha in np.ndindex(*(depth + 1,) * grid.n):
+        if sum(alpha) <= depth:
+            sq = np.abs(dense_eta_derivative(a.values, grid, alpha)) ** 2
+            total += np.sqrt(np.sum(sq * region, axis=eta_axes(grid))
+                             * p.R ** (2 * sum(alpha) - grid.n))
+    return total
+
+
+def dense_seminorm(a, alpha, beta):
+    grid = a.grid
+    x_axes = tuple(range(grid.n))
+    pft = np.fft.fftn(a.values, axes=x_axes)
+    k = grid.axis_freqs().astype(float)
+    for ax, order in enumerate(beta):
+        shape = [1] * (2 * grid.n)
+        shape[ax] = grid.N
+        pft = pft * (1j * k.reshape(shape)) ** order
+    work = dense_eta_derivative(np.fft.ifftn(pft, axes=x_axes), grid, alpha)
+    expo = a.d - sum(alpha) + sum(beta)
+    weight = (1.0 + grid.freq_norms()) ** (-expo)
+    return float(np.max(np.abs(work) * weight.reshape((1,) * grid.n
+                                                      + grid.shape)))
+
+
+def dense_shell_seminorm(a, alpha):
+    grid = a.grid
+    deriv = dense_eta_derivative(a.values, grid, alpha)
+    norms = grid.freq_norms().reshape((1,) * grid.n + grid.shape)
+    best, R = 0.0, 1.0
+    while R <= grid.nyquist / 2:
+        sq = np.abs(deriv) ** 2 * ((norms >= R) & (norms <= 2 * R))
+        per_x = np.sqrt(np.sum(sq, axis=eta_axes(grid))
+                        * R ** (2 * sum(alpha) - grid.n))
+        best = max(best, float(np.max(per_x)) * R ** (-a.d))
+        R *= 2.0
+    return best
+
+
+def depths(n, top):
+    return [t for t in np.ndindex(*(top + 1,) * n) if sum(t) <= top]
+
+
+@pytest.mark.parametrize("n,N", GRIDS)
+def test_eta_side_checks_match_dense_formulas(n, N):
+    grid = TorusGrid(n, N)
+    psi = make_modulation(1.0, 2.0)
+    p = MaxParams(2.0, grid.nyquist / 4)
+    chi = LocalizationCutoff()
+    ident = DiscreteSymbol.identity(grid)
+    c = float(np.max(dense_symbol_factor(ident, p, psi)
+                     / dense_mihlin_rhs(ident, p, psi)))
+    for name, a in check_symbols(grid).items():
+        assert_close(symbol_factor(a, p, psi), dense_symbol_factor(a, p, psi))
+        assert_close(mihlin_bound(a, p, psi), c * dense_mihlin_rhs(a, p, psi))
+        for alpha in depths(n, 4):
+            for beta in depths(n, 4 - sum(alpha)):
+                assert estimate_seminorm(a, alpha, beta).value == \
+                    pytest.approx(dense_seminorm(a, alpha, beta), rel=1e-12,
+                                  abs=0.0), (name, alpha, beta)
+        for alpha in depths(n, 2):
+            got = tdc_seminorm(a, chi, 0.25, alpha)
+            want = [dense_shell_seminorm(localize(a, chi, e), alpha)
+                    for e in (0.25,) + got.eps_values]
+            assert (got.value,) + got.seminorm_values == \
+                pytest.approx(want, rel=1e-12, abs=0.0), (name, alpha)
+
+
+@pytest.mark.parametrize("n,N", GRIDS)
+def test_eta_side_checks_run_above_the_dense_cap(n, N, monkeypatch):
+    """The checks read the rows, not the dense view: with the cap below
+    N^(2n) they give the same numbers while ``values`` raises."""
+    grid = TorusGrid(n, N)
+    psi = make_modulation(1.0, 2.0)
+    p = MaxParams(2.0, grid.nyquist / 4)
+    chi = LocalizationCutoff()
+    k = int(np.ceil(np.log2(grid.max_freq_norm())))
+    u = random_band_limited_field(grid, rng_for(80, n), grid.nyquist / 2)
+
+    def run():
+        out = []
+        for a in sparse_symbols(grid).values():
+            out += [symbol_factor(a, p, psi), mihlin_bound(a, p, psi),
+                    estimate_seminorm(a, (1,) * n, (1,) + (0,) * (n - 1)).value,
+                    tdc_seminorm(a, chi, 0.25, (1,) * n).seminorm_values,
+                    marschall_check(a, u, k, 1.0)["max_ratio"]]
+        return out
+
+    want = run()
+    monkeypatch.setattr(symbols, "DENSE_ENTRY_CAP", N ** (2 * n) - 1)
+    with pytest.raises(TooLarge):
+        sparse_symbols(grid)["ching"].values  # noqa: B018
+    got = run()
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+# -- random symbols without a dense fill --------------------------------------
+
+
+def dense_fill_random_symbol(grid, rng, d=0.0, x_band=None, eta_band=None,
+                             eta_min=0.0, entries=40):
+    """The dense-fill generator: every draw written into a whole partial
+    transform, then its nonzero xi-rows kept."""
+    x_band = grid.nyquist / 4 if x_band is None else x_band
+    eta_band = grid.nyquist / 2 if eta_band is None else eta_band
+    norms = grid.freq_norms()
+    xi_ok = np.argwhere(norms <= x_band)
+    eta_ok = np.argwhere((norms <= eta_band) & (norms >= eta_min))
+    pft = np.zeros(grid.shape + grid.shape, dtype=np.complex128)
+    k = grid.axis_freqs().astype(float)
+    for _ in range(entries):
+        xi = tuple(xi_ok[rng.integers(len(xi_ok))])
+        eta = tuple(eta_ok[rng.integers(len(eta_ok))])
+        eta_norm = float(np.sqrt(sum(k[i] ** 2 for i in eta)))
+        amp = rng.standard_normal() + 1j * rng.standard_normal()
+        pft[xi + eta] = amp * (1.0 + eta_norm) ** d
+    peak = np.max(np.abs(pft))
+    if peak > 0:
+        pft /= peak
+    return DiscreteSymbol.from_partial_ft(grid, d, pft)
+
+
+@pytest.mark.parametrize("n,N,kw", [
+    (1, 64, {}), (2, 16, {}), (1, 64, dict(d=1.5, eta_min=2.0)),
+    (2, 16, dict(entries=0)),
+    # 300 draws on 3 x 3 (1-D) or 5 x 5 (2-D) pairs: every pair repeats
+    (1, 64, dict(entries=300, x_band=1.0, eta_band=1.0)),
+    (2, 16, dict(entries=300, x_band=0.0, eta_band=1.0))])
+def test_random_sparse_symbol_matches_dense_fill(n, N, kw):
+    grid = TorusGrid(n, N)
+    for seed in range(3):
+        got = random_sparse_symbol(grid, rng_for(seed, 81), **kw)
+        want = dense_fill_random_symbol(grid, rng_for(seed, 81), **kw)
+        assert np.array_equal(got.xi, want.xi)
+        assert got.rows.tobytes() == want.rows.tobytes()
+        assert got.d == want.d and got.class_tag == want.class_tag
+
+
+def test_random_sparse_symbol_memory():
+    grid = TorusGrid(1, 4096)
+    tracemalloc.start()
+    try:
+        a = random_sparse_symbol(grid, rng_for(0, 82))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(a.xi) > 0
+    assert peak < 32 * 2**20
