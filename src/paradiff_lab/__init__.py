@@ -18,8 +18,8 @@ from .symbols import (ChingProfile, DiscreteSymbol, LocalizationCutoff,
                       symbol_ladder, tdc_seminorm, twisted_diagonal_check)
 from .operators import (Ladder, LimitReport, ParaSplit, SupportReport, apply,
                         compose_multiplier, discrete_adjoint_probe,
-                        modulated_apply, modulation_limit, operator_matrix,
-                        para_split, saturation_level, spectral_support_bound,
+                        modulated_apply, modulation_limit, para_split,
+                        saturation_level, spectral_support_bound,
                         support_inclusions)
 from .pointwise import (MaxParams, check_factorization, hl_max, mihlin_bound,
                         paraterm_pointwise_check, peetre_max, ring_window,

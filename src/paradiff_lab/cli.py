@@ -1,7 +1,7 @@
 """Command-line experiment runner.
 
     paradiff-lab run <scenario> [--config PATH] [--seed S] [--out DIR]
-                                [--grid N] [--max-matrix-dim D]
+                                [--grid N]
 
 The config JSON mirrors ExperimentConfig; flags override config values.
 Outputs land under --out as results.json, tables/*.csv, and manifest.json.
@@ -44,8 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, help="master random seed")
     run.add_argument("--out", help="output directory (default: ./out/<scenario>)")
     run.add_argument("--grid", type=int, help="override: single grid size N")
-    run.add_argument("--max-matrix-dim", type=int,
-                     help="cap for dense-matrix probes")
     return parser
 
 
@@ -63,8 +61,6 @@ def config_from_args(args) -> ExperimentConfig:
         cfg.seed = args.seed
     if args.grid is not None:
         cfg.grid_sizes = (args.grid,)
-    if args.max_matrix_dim is not None:
-        cfg.max_matrix_dim = args.max_matrix_dim
     if args.out is not None:
         cfg.out_dir = args.out
     cfg.validate()

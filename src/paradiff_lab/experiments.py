@@ -22,9 +22,9 @@ from .corpus import (boundedness_corpus, rng_for, random_band_limited_field,
                      random_sparse_symbol, lacunary_stack, standard_ching)
 from .errors import ConfigError
 from .lp import dyadic_block, make_modulation, make_partition
-from .operators import (apply, compose_multiplier, modulated_apply,
-                        modulation_limit, para_split, spectral_support_bound,
-                        support_inclusions)
+from .operators import (apply, compose_multiplier, discrete_adjoint_probe,
+                        modulated_apply, modulation_limit, para_split,
+                        spectral_support_bound, support_inclusions)
 from .pointwise import (MaxParams, check_factorization, hl_max, mihlin_bound,
                         paraterm_pointwise_check, peetre_max, symbol_factor,
                         yamazaki_check)
@@ -96,7 +96,6 @@ class ExperimentConfig:
     modulations: tuple = ((1.0, 2.0), (1.5, 2.5), (0.75, 1.75))
     seed: int = 0
     corpus_size: int = 3
-    max_matrix_dim: int = 256
     out_dir: str | None = None
 
     @classmethod
@@ -138,6 +137,9 @@ class ExperimentConfig:
             raise ConfigError("partition radii must satisfy 0 < r < R")
         if self.partition_R >= min(self.grid_sizes) / 2:
             raise ConfigError("partition support exceeds the smallest nyquist")
+        if self.scenario == "inequality_suite" and max(self.grid_sizes) < 64:
+            raise ConfigError("inequality_suite builds Ching J=4, which needs "
+                              "a grid size >= 64")
         for r, R in self.modulations:
             if not (0 < r < R):
                 raise ConfigError("modulation radii must satisfy 0 < r < R")
@@ -337,20 +339,15 @@ def run_ching_study(cfg: ExperimentConfig) -> ResultRecord:
                     if per_s[f"{s}"]["verdict"] == "stable"]
         thresholds[f"rho{rho}"] = _f(min(stable_s)) if stable_s else np.inf
     ordered = [thresholds[f"rho{rho}"] for rho in zero_orders]
-    # dense-matrix probe of the adjoint symbol: its seminorms grow with the
+    # the adjoint symbol on the study grid: its seminorms grow with the
     # truncation when the profile does not vanish on the ray
-    probe_N = min(cfg.max_matrix_dim, 256)
     probe = {}
-    if probe_N >= 16:
-        pgrid = TorusGrid(1, probe_N)
-        from .operators import discrete_adjoint_probe
-        for J in (2, 4):
-            if 5 * 2 ** (J - 2) >= pgrid.nyquist:
-                continue
-            rep = discrete_adjoint_probe(standard_ching(pgrid, d, J),
-                                         max_dim=cfg.max_matrix_dim)
-            probe[f"J{J}"] = {k: v["adjoint"]
-                              for k, v in rep["seminorms"].items()}
+    for J in (2, 4):
+        if 5 * 2 ** (J - 2) >= grid.nyquist:
+            continue
+        rep = discrete_adjoint_probe(standard_ching(grid, d, J))
+        probe[f"J{J}"] = {k: v["adjoint"]
+                          for k, v in rep["seminorms"].items()}
     metrics = {
         "gain_curves": {"claim": "zero_order_moves_threshold",
                         "curves": curves},
@@ -359,8 +356,7 @@ def run_ching_study(cfg: ExperimentConfig) -> ResultRecord:
                                  "monotone": bool(all(
                                      a >= b for a, b in zip(ordered, ordered[1:])))},
         "adjoint_probe": {"claim": "adjoint_seminorm_blowup",
-                          "seminorms_by_J": probe,
-                          "max_matrix_dim": cfg.max_matrix_dim},
+                          "seminorms_by_J": probe},
     }
     return _finish(cfg, metrics, t0)
 
@@ -567,8 +563,7 @@ def run_inequality_suite(cfg: ExperimentConfig) -> ResultRecord:
             uk = dyadic_block(u, k, part)
             if uk.norm_inf() == 0.0:
                 continue
-            star = peetre_max(uk, MaxParams(grid.n / t_exp, part.R * 2**k),
-                              exact=True)
+            star = peetre_max(uk, MaxParams(grid.n / t_exp, part.R * 2**k))
             mt = hl_max(uk, t_exp)
             mask = mt > 0
             if mask.any():
@@ -579,7 +574,8 @@ def run_inequality_suite(cfg: ExperimentConfig) -> ResultRecord:
     # Fefferman-Stein chain on the blocks of a corpus field
     blocks = [dyadic_block(fields[0], k, part) for k in range(part.J_max + 1)]
     fs = fefferman_stein_check(blocks, NormSpec("F", 1.0, 2.0, 2.0),
-                               t=t_exp, N_decay=2.0, R=part.R)
+                               t=t_exp, N_decay=max(2.0, grid.n / t_exp),
+                               R=part.R)
     add("fefferman_stein_chain", "fefferman_stein_chain",
         _worse(fs["ratio_star_hl"], fs["ratio_hl_blocks"]),
         FROZEN_THRESHOLDS["fs_chain_ratio"], {k: _f(v) for k, v in fs.items()})

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridMismatch, LevelOutOfRange, NotAMultiplier, TooLarge
+from .errors import GridMismatch, LevelOutOfRange, NotAMultiplier
 from .lp import (LPPartition, ModulationFunction, cumulative_block,
                  dyadic_block)
 from .symbols import (BLOCK_ENTRIES, DiscreteSymbol, estimate_seminorm,
@@ -345,57 +345,35 @@ def spectral_support_bound(a: DiscreteSymbol, u: SpectralField) -> FreqSet:
     return FreqSet.from_points(grid, a.xi[k] + eta[j])
 
 
-def operator_matrix(a: DiscreteSymbol, max_dim: int = 256) -> np.ndarray:
-    """Dense matrix of the operator in the Fourier basis (n = 1 only).
+def adjoint_symbol(a: DiscreteSymbol) -> DiscreteSymbol:
+    """Symbol of the discrete adjoint, exactly from the stored rows.
 
-    Column eta holds the output coefficients of a # e^{i eta x}; entry
-    (zeta, eta) equals ahat(zeta - eta mod N, eta).
-    """
-    grid = a.grid
-    if grid.n != 1:
-        raise TooLarge("dense matrix probe is restricted to n = 1")
-    if grid.N > max_dim:
-        raise TooLarge(f"N = {grid.N} exceeds the matrix cap {max_dim}")
-    pft = a.partial_ft()
-    N = grid.N
-    # rows: output index zeta; columns: input eta; xi-index = zeta - eta mod N
-    zeta = np.arange(N)[:, None]
-    eta = np.arange(N)[None, :]
-    return pft[(zeta - eta) % N, eta]
+    The adjoint's partial transform is conj(ahat(-xi, xi + eta)), so row k
+    moves to -xi_k as conj(r_k(eta - xi_k)): a roll by xi_k over the eta
+    axes."""
+    eta_axes = tuple(range(a.grid.n))
+    rows = np.empty_like(a.rows)
+    for k, (xi, row) in enumerate(zip(a.xi, a.rows)):
+        rows[k] = np.conj(np.roll(row, tuple(xi), axis=eta_axes))
+    return DiscreteSymbol(a.grid, a.d, class_tag="custom", xi=-a.xi,
+                          rows=rows)
 
 
-def adjoint_symbol(a: DiscreteSymbol, max_dim: int = 256) -> DiscreteSymbol:
-    """Symbol of the discrete adjoint, extracted from the conjugate
-    transpose of the dense Fourier-basis matrix."""
-    grid = a.grid
-    M = operator_matrix(a, max_dim)
-    B = M.conj().T
-    N = grid.N
-    zeta = np.arange(N)[:, None]
-    eta = np.arange(N)[None, :]
-    pft_adj = np.zeros_like(B)
-    # invert the (zeta, eta) -> (xi = zeta - eta, eta) indexing
-    pft_adj[(zeta - eta) % N, eta] = B[zeta, eta]
-    return DiscreteSymbol.from_partial_ft(grid, a.d, pft_adj,
-                                          class_tag="custom")
-
-
-def discrete_adjoint_probe(a: DiscreteSymbol, max_dim: int = 256,
+def discrete_adjoint_probe(a: DiscreteSymbol,
                            depths=((0, 0), (1, 0), (0, 1), (1, 1))) -> dict:
     """Numerical probe of membership in the self-adjoint symbol subclass.
 
-    Returns the adjoint matrix action, the extracted adjoint symbol, and
-    seminorm estimates for both the symbol and its adjoint at the requested
-    derivative depths.
+    Returns the adjoint symbol and seminorm estimates for both the symbol
+    and its adjoint at the requested derivative depths, taken along the
+    first axis when n = 2.
     """
-    M = operator_matrix(a, max_dim)
-    adj = adjoint_symbol(a, max_dim)
+    adj = adjoint_symbol(a)
+    rest = (0,) * (a.grid.n - 1)
     report = {}
     for alpha, beta in depths:
-        key = f"alpha{alpha}_beta{beta}"
-        report[key] = {
-            "symbol": estimate_seminorm(a, alpha, beta).value,
-            "adjoint": estimate_seminorm(adj, alpha, beta).value,
+        al, be = (alpha,) + rest, (beta,) + rest
+        report[f"alpha{alpha}_beta{beta}"] = {
+            "symbol": estimate_seminorm(a, al, be).value,
+            "adjoint": estimate_seminorm(adj, al, be).value,
         }
-    return {"matrix": M, "adjoint_matrix": M.conj().T,
-            "adjoint_symbol": adj, "seminorms": report}
+    return {"adjoint_symbol": adj, "seminorms": report}

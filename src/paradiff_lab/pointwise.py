@@ -19,10 +19,6 @@ from .operators import ParaSplit, apply
 from .symbols import DiscreteSymbol, _eta_square_sums
 from .torus import SpectralField, TorusGrid
 
-#: Fast-path screen: translates whose decay weight falls below this cannot
-#: influence the maximal function beyond ~1e-14 * max|u| absolute error.
-WINDOW_FLOOR = 1e-14
-
 
 @dataclass(frozen=True)
 class MaxParams:
@@ -52,27 +48,20 @@ def peetre_weights(grid: TorusGrid, p: MaxParams) -> np.ndarray:
     return (1.0 + p.R * torus_offsets(grid)) ** (-p.N)
 
 
-def peetre_max(u: SpectralField, p: MaxParams, exact: bool = False) -> np.ndarray:
-    """u*(x) = sup_y |u(x-y)| / (1 + R |y|)^N with the periodic metric.
-
-    The default path drops translates whose weight is below the 1e-14
-    window floor; ``exact=True`` keeps every competitor (oracle mode).
-    """
+def peetre_max(u: SpectralField, p: MaxParams) -> np.ndarray:
+    """u*(x) = sup_y |u(x-y)| / (1 + R |y|)^N with the periodic metric,
+    over every translate on the grid."""
     grid = u.grid
     w = peetre_weights(grid, p)
     absu = np.abs(u.values)
     if grid.n == 1:
-        N = grid.N
-        cols = np.arange(N)
-        if not exact:
-            cols = cols[w >= WINDOW_FLOOR]
-        idx = (np.arange(N)[:, None] - cols[None, :]) % N
-        return np.max(absu[idx] * w[cols][None, :], axis=1)
+        k = np.arange(grid.N)
+        idx = (k[:, None] - k[None, :]) % grid.N
+        return np.max(absu[idx] * w, axis=1)
     out = np.zeros(grid.shape)
-    it = np.argwhere(w >= (0.0 if exact else WINDOW_FLOOR))
-    for off in it:
-        shifted = np.roll(absu, shift=tuple(off), axis=(0, 1))
-        np.maximum(out, shifted * w[tuple(off)], out=out)
+    for off in np.ndindex(grid.shape):
+        shifted = np.roll(absu, shift=off, axis=(0, 1))
+        np.maximum(out, shifted * w[off], out=out)
     return out
 
 
@@ -177,7 +166,7 @@ def check_factorization(a: DiscreteSymbol, u: SpectralField, p: MaxParams,
             raise SupportViolation("cutoff not identically 1 on supp(u^)", [pt])
     lhs = np.abs(apply(a, u).values)
     Fa = symbol_factor(a, p, psi)
-    ustar = peetre_max(u, p, exact=True)
+    ustar = peetre_max(u, p)
     denom = Fa * ustar
     mask = denom > 0
     ratio = float(np.max(lhs[mask] / denom[mask])) if mask.any() else 0.0
@@ -340,7 +329,7 @@ def paraterm_pointwise_check(split: ParaSplit, a: DiscreteSymbol,
                 continue
             pp = MaxParams(p.N, radius)
             F = symbol_factor(sym, pp, window, allow_clipped=True)
-            wstar = peetre_max(w, pp, exact=True)
+            wstar = peetre_max(w, pp)
             major = F * wstar
             ratios.append(_ratio(term, major))
             ref = window_reference(pp, window)

@@ -134,8 +134,8 @@ def _dyadic_shells(grid: TorusGrid,
     return shells
 
 
-def marschall_check(b: DiscreteSymbol, u: SpectralField, k: int, t: float,
-                    calibrated_c: float | None = None) -> dict:
+def marschall_check(b: DiscreteSymbol, u: SpectralField, k: int,
+                    t: float) -> dict:
     """Pointwise ratio |b#u(x)| / ( ||row_x||_{hom, n/t, 1, t} M_t u(x) ).
 
     The symbol rows and the input spectrum must live in B(0, 2^k); the
@@ -179,10 +179,7 @@ def marschall_check(b: DiscreteSymbol, u: SpectralField, k: int, t: float,
     out_bound = peak * float(np.sum(np.abs(u.coeffs)))
     ratios = np.where(lhs <= SUPPORT_REL_THRESHOLD * out_bound, 0.0, np.inf)
     np.divide(lhs, den, out=ratios, where=live & (den > 0))
-    out = {"max_ratio": float(np.max(ratios))}
-    if calibrated_c is not None:
-        out["holds"] = bool(out["max_ratio"] <= calibrated_c)
-    return out
+    return {"max_ratio": float(np.max(ratios))}
 
 
 @dataclass(frozen=True)
@@ -276,7 +273,7 @@ def fefferman_stein_check(blocks, spec: NormSpec, t: float, N_decay: float,
         raise BadExponent("decay exponent must be >= n/t")
     if R is None:
         R = 2.0
-    star_fields = [peetre_max(blk, MaxParams(N_decay, R * 2.0**k), exact=True)
+    star_fields = [peetre_max(blk, MaxParams(N_decay, R * 2.0**k))
                    for k, blk in enumerate(blocks)]
     mt_fields = [hl_max(blk, t) for blk in blocks]
     Q1 = _mixed_f_norm(star_fields, spec.s, spec.p, spec.q)

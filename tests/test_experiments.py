@@ -74,6 +74,10 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         ExperimentConfig(scenario="ching_study",
                          symbol_family="weird").normalized()
+    for n in (1, 2):  # Ching J=4 in the suite needs nyquist > 20
+        with pytest.raises(ConfigError):
+            ExperimentConfig(scenario="inequality_suite", grid_n=n,
+                             grid_sizes=(32,)).normalized()
 
 
 def test_config_json_round_trip(tmp_path):
@@ -98,14 +102,22 @@ def test_config_json_round_trip(tmp_path):
     {"modulations": [1.0, 2.0]},
     {"norm_specs": [["B", 1.0, 2.0]]},
     {"norm_specs": [["B", 1.0, 2.0, 2.0, 1.0]]},
+    {"max_matrix_dim": 256},
 ], ids=["empty_grids", "scalar_grid", "short_pair", "scalar_pair",
-        "short_spec", "long_spec"])
+        "short_spec", "long_spec", "stale_max_matrix_dim"])
 def test_malformed_config_exits_2(doc, tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"scenario": "inequality_suite", **doc}))
     assert cli_main(["run", "inequality_suite", "--config", str(path),
                      "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_removed_flag_exits_2(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["run", "ching_study", "--max-matrix-dim", "256",
+                  "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
 
 
 # -- scenarios -----------------------------------------------------------------

@@ -7,8 +7,9 @@ Marschall row norms must reproduce a per-row ``homog_besov_norm`` loop,
 ``modulated_apply`` must reproduce ``apply`` of ``modulated_symbol``,
 every operation on a xi-sparse symbol must reproduce the same operation on
 its twin built from the dense array, the eta-side checks on the stored rows
-must reproduce their dense formulas on ``a.values``, and
-``random_sparse_symbol`` must reproduce its dense fill."""
+must reproduce their dense formulas on ``a.values``,
+``random_sparse_symbol`` must reproduce its dense fill, and the row adjoint
+must reproduce the conjugate transpose of the dense Fourier-basis matrix."""
 
 import tracemalloc
 
@@ -27,7 +28,7 @@ from paradiff_lab import (DiscreteSymbol, GridMismatch, LevelOutOfRange,
 from paradiff_lab.corpus import (random_band_limited_field,
                                  random_sparse_symbol, rng_for,
                                  standard_ching)
-from paradiff_lab.operators import modulated_symbol
+from paradiff_lab.operators import adjoint_symbol, modulated_symbol
 from paradiff_lab.pointwise import torus_offsets
 from paradiff_lab.spaces import lp_norm
 
@@ -517,3 +518,58 @@ def test_random_sparse_symbol_memory():
         tracemalloc.stop()
     assert len(a.xi) > 0
     assert peak < 32 * 2**20
+
+
+# -- the exact adjoint on the stored rows -------------------------------------
+
+
+def fourier_pairs(grid):
+    """Per-axis lattice indices (zeta - eta mod N, eta) at the flat lattice
+    indices (zeta, eta) of the Fourier-basis matrix."""
+    lat = np.indices(grid.shape).reshape(grid.n, -1)
+    return (tuple((lat[:, :, None] - lat[:, None, :]) % grid.N)
+            + tuple(lat[:, None, :]))
+
+
+def operator_matrix(a):
+    """Dense matrix of the operator in the Fourier basis, over flat lattice
+    indices: column eta holds the output coefficients of a # e^{i x.eta},
+    so entry (zeta, eta) is ahat(zeta - eta mod N, eta)."""
+    return a.partial_ft()[fourier_pairs(a.grid)]
+
+
+@pytest.mark.parametrize("n,N", GRIDS)
+def test_adjoint_symbol_matches_matrix_oracle(n, N):
+    grid = TorusGrid(n, N)
+    for name, a in check_symbols(grid).items():
+        adj = adjoint_symbol(a)
+        want = np.zeros(grid.shape + grid.shape, dtype=np.complex128)
+        want[fourier_pairs(grid)] = operator_matrix(a).conj().T
+        assert np.array_equal(adj.partial_ft(), want), name
+        oracle = DiscreteSymbol.from_partial_ft(grid, a.d, want)
+        for alpha in depths(n, 2):
+            for beta in depths(n, 2 - sum(alpha)):
+                assert estimate_seminorm(adj, alpha, beta).value == \
+                    estimate_seminorm(oracle, alpha, beta).value, \
+                    (name, alpha, beta)
+        back = adjoint_symbol(adj)
+        assert np.array_equal(back.xi, a.xi), name
+        assert np.array_equal(back.rows, a.rows), name
+        assert back.d == a.d
+
+
+def test_adjoint_symbol_above_the_dense_cap():
+    """<a#u, v> = <u, a*#v> at a grid whose dense view raises."""
+    grid = TorusGrid(1, 8192)
+    rng = rng_for(83, 1)
+    u, v = (SpectralField.from_coeffs(grid, rng.standard_normal(grid.shape)
+                                      + 1j * rng.standard_normal(grid.shape))
+            for _ in range(2))
+    for a in (standard_ching(grid, 0.0, 10),
+              random_sparse_symbol(grid, rng_for(83, 2))):
+        adj = adjoint_symbol(a)
+        with pytest.raises(TooLarge):
+            adj.values  # noqa: B018
+        lhs = np.vdot(v.coeffs, apply(a, u).coeffs)
+        rhs = np.vdot(apply(adj, v).coeffs, u.coeffs)
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
