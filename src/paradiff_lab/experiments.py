@@ -78,6 +78,7 @@ FROZEN_THRESHOLDS = {
     "fs_chain_ratio": 4.0,
     "marschall_constant": 1.5,
     "composition_rel": 1e-10,
+    "adjoint_growth": 2.0,
 }
 
 
@@ -348,6 +349,11 @@ def run_ching_study(cfg: ExperimentConfig) -> ResultRecord:
         rep = discrete_adjoint_probe(standard_ching(grid, d, J))
         probe[f"J{J}"] = {k: v["adjoint"]
                           for k, v in rep["seminorms"].items()}
+    # the J=4 / J=2 ratio of the first eta-derivative; NaN (a fail) when
+    # J=4 does not fit the grid
+    growth = (probe["J4"]["alpha0_beta1"] / probe["J2"]["alpha0_beta1"]
+              if "J4" in probe else np.nan)
+    growth_min = FROZEN_THRESHOLDS["adjoint_growth"]
     metrics = {
         "gain_curves": {"claim": "zero_order_moves_threshold",
                         "curves": curves},
@@ -356,7 +362,9 @@ def run_ching_study(cfg: ExperimentConfig) -> ResultRecord:
                                  "monotone": bool(all(
                                      a >= b for a, b in zip(ordered, ordered[1:])))},
         "adjoint_probe": {"claim": "adjoint_seminorm_blowup",
-                          "seminorms_by_J": probe},
+                          "seminorms_by_J": probe, "growth": _f(growth),
+                          "threshold": growth_min,
+                          "pass": bool(growth >= growth_min)},
     }
     return _finish(cfg, metrics, t0)
 
@@ -516,7 +524,7 @@ def run_inequality_suite(cfg: ExperimentConfig) -> ResultRecord:
             worst_rec = _worse(worst_rec, err / scale)
             rep = support_inclusions(split)
             worst_viol = _worse(worst_viol, len(rep.violations))
-            prep = paraterm_pointwise_check(split, a, u, MaxParams(2.0, part.R))
+            prep = paraterm_pointwise_check(split, MaxParams(2.0, part.R))
             worst_ratio = _worse(worst_ratio, prep.max_factorization_ratio)
             for slope in prep.growth_slopes.values():
                 worst_slope = _worse(worst_slope, slope)

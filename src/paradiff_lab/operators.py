@@ -20,8 +20,7 @@ from .lp import (LPPartition, ModulationFunction, cumulative_block,
 from .symbols import (BLOCK_ENTRIES, DiscreteSymbol, estimate_seminorm,
                       symbol_ladder)
 from .symbols import symbol_band  # noqa: F401  (re-exported)
-from .torus import (SUPPORT_REL_THRESHOLD, FreqSet, SpectralField,
-                    TorusGrid, sumset)
+from .torus import FreqSet, SpectralField, TorusGrid, sumset
 
 
 def apply(a: DiscreteSymbol, u: SpectralField) -> SpectralField:
@@ -195,22 +194,6 @@ class Ladder:
         if k < 0:
             return SpectralField.zero(self.u.grid)
         return self.cumulative_blocks[k]
-
-    def built_from(self, a: DiscreteSymbol, u: SpectralField) -> bool:
-        """Whether (a, u) equals the pair the ladder was built from."""
-        same_a = a is self.a or (a.grid == self.a.grid and a.d == self.a.d
-                                 and _same_rows(a, self.a))
-        same_u = u is self.u or (u.grid == self.u.grid
-                                 and np.array_equal(u.coeffs, self.u.coeffs))
-        return same_a and same_u
-
-
-def _same_rows(a: DiscreteSymbol, b: DiscreteSymbol) -> bool:
-    """Whether a - b vanishes to the support threshold of b's peak, so a
-    copy built another way (from a dense array or from rows) is the same."""
-    peak = float(np.max(np.abs(b.rows), initial=0.0))
-    diff = float(np.max(np.abs((a - b).rows), initial=0.0))
-    return diff <= SUPPORT_REL_THRESHOLD * peak
 
 
 @dataclass

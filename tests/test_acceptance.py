@@ -194,6 +194,10 @@ def test_acceptance_08_zero_order_sensitivity():
     growth = rho0["gains"][-1]["gain"] / rho0["gains"][0]["gain"]
     assert growth >= 2.0
     assert rho1["variation"] < 0.2
+    # the adjoint's first eta-derivative grows 31/7 from J=2 to J=4
+    probe = rec.metrics["adjoint_probe"]
+    assert abs(probe["growth"] - 31.0 / 7.0) <= 1e-12
+    assert probe["threshold"] == 2.0 and probe["pass"] is True
     elapsed = time.monotonic() - t0
     _pass(8, f"at s=-0.5: zero-order-0 grows x{growth:.1f} >= 2 while "
              f"zero-order-1 varies {100 * rho1['variation']:.2f}% < 20% "

@@ -8,8 +8,10 @@ Marschall row norms must reproduce a per-row ``homog_besov_norm`` loop,
 every operation on a xi-sparse symbol must reproduce the same operation on
 its twin built from the dense array, the eta-side checks on the stored rows
 must reproduce their dense formulas on ``a.values``,
-``random_sparse_symbol`` must reproduce its dense fill, and the row adjoint
-must reproduce the conjugate transpose of the dense Fourier-basis matrix."""
+``random_sparse_symbol`` must reproduce its dense fill, the row adjoint
+must reproduce the conjugate transpose of the dense Fourier-basis matrix,
+and the translate sweeps of ``peetre_max`` and ``hl_max`` must reproduce
+the index gather and the FFT ball-mask convolutions."""
 
 import tracemalloc
 
@@ -22,7 +24,8 @@ from paradiff_lab import (DiscreteSymbol, GridMismatch, LevelOutOfRange,
                           cumulative_block, dyadic_block, estimate_seminorm,
                           hl_max, homog_besov_norm, localize, make_modulation,
                           make_partition, marschall_check, mihlin_bound,
-                          modulated_apply, para_split, saturation_level,
+                          modulated_apply, para_split, peetre_max,
+                          saturation_level,
                           spectral_support_bound, symbol_band, symbol_factor,
                           symbol_ladder, symbols, tdc_seminorm)
 from paradiff_lab.corpus import (random_band_limited_field,
@@ -235,7 +238,7 @@ def test_split_ladder_matches_per_level_blocks(n, N):
         assert np.array_equal(lad.cumulative_block(k).coeffs,
                               cumulative_block(u, k, part).coeffs)
     assert lad.cumulative_block(-1).norm_inf() == 0.0
-    assert lad.built_from(a, u)
+    assert lad.a is a and lad.u is u
 
 
 # -- batched Marschall row norms ----------------------------------------------
@@ -573,3 +576,77 @@ def test_adjoint_symbol_above_the_dense_cap():
         lhs = np.vdot(v.coeffs, apply(a, u).coeffs)
         rhs = np.vdot(apply(adj, v).coeffs, u.coeffs)
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+
+# -- both maximal functions as one translate sweep ----------------------------
+
+
+def peetre_oracle(u, p):
+    """The N x N index gather (n = 1) and the np.roll offset loop (n = 2)."""
+    grid = u.grid
+    w = (1.0 + p.R * torus_offsets(grid)) ** (-p.N)
+    absu = np.abs(u.values)
+    if grid.n == 1:
+        k = np.arange(grid.N)
+        idx = (k[:, None] - k[None, :]) % grid.N
+        return np.max(absu[idx] * w, axis=1)
+    out = np.zeros(grid.shape)
+    for off in np.ndindex(grid.shape):
+        shifted = np.roll(absu, shift=off, axis=(0, 1))
+        np.maximum(out, shifted * w[off], out=out)
+    return out
+
+
+def hl_oracle(u, t):
+    """One FFT convolution per ball mask |y| <= j*spacing, j = 1..N/2."""
+    grid = u.grid
+    d = torus_offsets(grid)
+    ft = np.fft.fftn(np.abs(u.values) ** t)
+    best = np.abs(u.values) ** t
+    for j in range(1, grid.N // 2 + 1):
+        mask = (d <= j * grid.spacing + 1e-12).astype(float)
+        avg = np.real(np.fft.ifftn(ft * np.fft.fftn(mask))) / mask.sum()
+        np.maximum(best, np.maximum(avg, 0.0), out=best)
+    return best ** (1.0 / t)
+
+
+def maximal_inputs(grid):
+    u = random_band_limited_field(grid, rng_for(84, grid.n), grid.nyquist / 2)
+    spike = np.zeros(grid.shape, dtype=complex)
+    spike[(3,) * grid.n] = 1.0 / grid.spacing**grid.n
+    return {"random": u,
+            "spike": SpectralField.from_values(grid, spike),
+            "zero": SpectralField.zero(grid),
+            "tiny": SpectralField.from_values(grid, 1e-200 * u.values)}
+
+
+@pytest.mark.parametrize("n,N", [(1, 64), (1, 256), (2, 16), (2, 32)])
+def test_maximal_functions_match_oracles(n, N):
+    grid = TorusGrid(n, N)
+    for name, u in maximal_inputs(grid).items():
+        for p in (MaxParams(2.0, 1.0), MaxParams(n / 0.5, 8.0)):
+            assert np.array_equal(peetre_max(u, p), peetre_oracle(u, p)), \
+                (name, p)
+        for t in (1.0, 0.5):
+            got, want = hl_max(u, t), hl_oracle(u, t)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want), \
+                (name, t)
+
+
+@pytest.mark.parametrize("fn,arg", [(peetre_max, MaxParams(2.0, 64.0)),
+                                    (hl_max, 1.0)])
+def test_maximal_function_memory(fn, arg):
+    """No N x N transient and nothing held after the call (1-D N=4096)."""
+    grid = TorusGrid(1, 4096)
+    u = random_band_limited_field(grid, rng_for(85, 1), grid.nyquist / 2)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn(u, arg)
+        peak = tracemalloc.get_traced_memory()[1]
+        del out
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert held < 2**16
