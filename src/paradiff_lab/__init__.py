@@ -15,8 +15,8 @@ from .lp import (LPPartition, ModulationFunction, cumulative_block,
 from .symbols import (ChingProfile, DiscreteSymbol, LocalizationCutoff,
                       SymbolSeminorm, TDCSeminorm, ching_symbol,
                       estimate_seminorm, localize, partial_ft, symbol_band,
-                      symbol_ladder, tdc_seminorm, twisted_diagonal_check)
-from .operators import (Ladder, LimitReport, ParaSplit, SupportReport, apply,
+                      tdc_seminorm, twisted_diagonal_check)
+from .operators import (LimitReport, ParaSplit, SupportReport, apply,
                         compose_multiplier, discrete_adjoint_probe,
                         modulated_apply, modulation_limit, para_split,
                         saturation_level, spectral_support_bound,

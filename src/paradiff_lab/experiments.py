@@ -528,6 +528,9 @@ def run_inequality_suite(cfg: ExperimentConfig) -> ResultRecord:
             worst_ratio = _worse(worst_ratio, prep.max_factorization_ratio)
             for slope in prep.growth_slopes.values():
                 worst_slope = _worse(worst_slope, slope)
+            # a split holds every level's (symbol, input, term) triples:
+            # free it before the next one is built
+            del split
     add("reconstruction", "paradifferential_reconstruction", worst_rec,
         FROZEN_THRESHOLDS["reconstruction_abs"])
     add("corona_ball_inclusions", "corona_ball_inclusions", worst_viol, 0)

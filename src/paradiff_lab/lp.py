@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BadRadii, GridTooCoarse, LevelOutOfRange
+from .errors import BadRadii, GridMismatch, GridTooCoarse, LevelOutOfRange
 from .torus import SpectralField, TorusGrid
 
 
@@ -153,8 +153,16 @@ def make_partition(psi: ModulationFunction, grid: TorusGrid,
     return LPPartition(psi, grid, h, J_max)
 
 
+def check_grid(part: LPPartition, grid: TorusGrid) -> None:
+    """Raise GridMismatch unless ``grid`` is the one the partition's
+    weights live on (same dimension and size)."""
+    if grid != part.grid:
+        raise GridMismatch(f"operand on {grid}, partition on {part.grid}")
+
+
 def dyadic_block(u: SpectralField, k: int, part: LPPartition) -> SpectralField:
     """u_k = phi(2^-k D) u  (psi(D) u for k = 0, zero field for k < 0)."""
+    check_grid(part, u.grid)
     if k > part.J_max:
         raise LevelOutOfRange(f"level {k} > J_max {part.J_max}")
     if k < 0:
@@ -164,6 +172,7 @@ def dyadic_block(u: SpectralField, k: int, part: LPPartition) -> SpectralField:
 
 def cumulative_block(u: SpectralField, k: int, part: LPPartition) -> SpectralField:
     """u^k = psi(2^-k D) u; zero field for k < 0."""
+    check_grid(part, u.grid)
     if k > part.J_max:
         raise LevelOutOfRange(f"level {k} > J_max {part.J_max}")
     if k < 0:

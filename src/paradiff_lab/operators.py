@@ -18,8 +18,7 @@ from .errors import GridMismatch, LevelOutOfRange, NotAMultiplier
 from .lp import (LPPartition, ModulationFunction, cumulative_block,
                  dyadic_block)
 from .symbols import (BLOCK_ENTRIES, DiscreteSymbol, estimate_seminorm,
-                      symbol_ladder)
-from .symbols import symbol_band  # noqa: F401  (re-exported)
+                      symbol_band)
 from .torus import FreqSet, SpectralField, TorusGrid, sumset
 
 
@@ -170,51 +169,29 @@ def compose_multiplier(a: DiscreteSymbol, b) -> DiscreteSymbol:
     return a.with_rows(a.rows * col, d=a.d + d2)
 
 
-@dataclass(frozen=True)
-class Ladder:
-    """The Littlewood-Paley ladder of one (symbol, input) pair, levels 0..m:
-    symbol bands a_k, cumulative symbols a^k, input blocks u_k and
-    cumulative input blocks u^k, together with the pair they came from."""
-
-    a: DiscreteSymbol
-    u: SpectralField
-    bands: list
-    cumulative: list
-    blocks: list
-    cumulative_blocks: list
-
-    def near_diagonal_symbol(self, k: int, h: int) -> DiscreteSymbol:
-        """a^k - a^{k-h} (a^k itself for k < h)."""
-        if k < h:
-            return self.cumulative[k]
-        return self.cumulative[k] - self.cumulative[k - h]
-
-    def cumulative_block(self, k: int) -> SpectralField:
-        """u^k; the zero field below level 0."""
-        if k < 0:
-            return SpectralField.zero(self.u.grid)
-        return self.cumulative_blocks[k]
-
-
 @dataclass
 class ParaSplit:
     """The three paradifferential series at a fixed modulation level m.
 
-    Per-term fields are retained: ``low_high[k]`` holds a^{k-h}(x,D)u_k,
-    ``high_low[j]`` holds a_j(x,D)u^{j-h}, and ``diagonal[k]`` the pair of
-    near-diagonal pieces ((a^k - a^{k-h})(x,D)u_k, a_k(x,D)(u^{k-1}-u^{k-h})).
-    ``ladder`` keeps the bands and blocks the terms were built from.
+    ``series[name][k]`` is the (symbol, input, term) triple of level k,
+    term = symbol(x, D) input:
+
+    * ``low_high``: (a^{k-h}, u_k);
+    * ``diagonal_a``: (a^k - a^{k-h}, u_k), a^k itself for k < h;
+    * ``diagonal_b``: (a_k, u^{k-1} - u^{k-h});
+    * ``high_low``: (a_k, u^{k-h}).
+
+    A low-high or high-low term absent at k < h has symbol None and the
+    zero field as its term.  ``u`` is the input the split decomposes.
     """
 
     a1u: SpectralField
     a2u: SpectralField
     a3u: SpectralField
-    low_high: list
-    high_low: list
-    diagonal: list
+    series: dict
     partition: LPPartition
     m: int
-    ladder: Ladder
+    u: SpectralField
 
     def total(self) -> SpectralField:
         return self.a1u + self.a2u + self.a3u
@@ -226,28 +203,38 @@ def para_split(a: DiscreteSymbol, u: SpectralField, part: LPPartition,
     low-high, near-diagonal, and high-low series."""
     if m > part.J_max:
         raise LevelOutOfRange(f"m={m} exceeds J_max={part.J_max}")
-    grid = u.grid
-    bands, cumulative = symbol_ladder(a, m, part)
-    lad = Ladder(a, u, bands, cumulative,
-                 [dyadic_block(u, k, part) for k in range(m + 1)],
-                 [cumulative_block(u, k, part) for k in range(m + 1)])
     h = part.h
-    zero = SpectralField.zero(grid)
-    low_high, high_low, diagonal = [], [], []
-    for k in range(m + 1):
-        uk = lad.blocks[k]
-        low_high.append(apply(cumulative[k - h], uk) if k >= h else zero)
-        vk = lad.cumulative_block(k - 1) - lad.cumulative_block(k - h)
-        diagonal.append((apply(lad.near_diagonal_symbol(k, h), uk),
-                         apply(bands[k], vk)))
-        high_low.append(apply(bands[k], lad.cumulative_block(k - h))
-                        if k >= h else zero)
+    zero = SpectralField.zero(u.grid)
+    cumulative = [symbol_band(a, k, part, cumulative=True)
+                  for k in range(m + 1)]
+    u_cum = [cumulative_block(u, k, part) for k in range(m + 1)]
 
-    a1u = sum(low_high, zero)
-    a2u = sum([t2a + t2b for t2a, t2b in diagonal], zero)
-    a3u = sum(high_low, zero)
-    return ParaSplit(a1u, a2u, a3u, low_high, high_low, diagonal, part, m,
-                     lad)
+    def lagged(k):
+        return u_cum[k] if k >= 0 else zero
+
+    def triple(sym, w):
+        return (sym, w, zero if sym is None else apply(sym, w))
+
+    series = {"low_high": [], "diagonal_a": [], "diagonal_b": [],
+              "high_low": []}
+    for k in range(m + 1):
+        a_k, u_k = symbol_band(a, k, part), dyadic_block(u, k, part)
+        low = cumulative[k - h] if k >= h else None
+        near = cumulative[k] if low is None else cumulative[k] - low
+        series["low_high"].append(triple(low, u_k))
+        series["diagonal_a"].append(triple(near, u_k))
+        series["diagonal_b"].append(triple(a_k, lagged(k - 1) - lagged(k - h)))
+        series["high_low"].append(triple(a_k if k >= h else None,
+                                         lagged(k - h)))
+
+    def terms(name):
+        return [term for _, _, term in series[name]]
+
+    a1u = sum(terms("low_high"), zero)
+    a2u = sum([ta + tb for ta, tb in zip(terms("diagonal_a"),
+                                         terms("diagonal_b"))], zero)
+    a3u = sum(terms("high_low"), zero)
+    return ParaSplit(a1u, a2u, a3u, series, part, m, u)
 
 
 @dataclass
@@ -286,22 +273,21 @@ def support_inclusions(split: ParaSplit, tdc_B: float | None = None) -> SupportR
         if bad:
             violations.append((series, k, bad))
 
-    for k, fld in enumerate(split.low_high):
+    for k in range(split.m + 1):
         corona_bounds[k] = (R_h * 2**k, 1.25 * R * 2**k)
-        check("low_high", k, fld, *corona_bounds[k])
-    for j, fld in enumerate(split.high_low):
-        check("high_low", j, fld, R_h * 2**j, 1.25 * R * 2**j)
+        ball_bounds[k] = 2.0 * R * 2**k
     k_tdc = None
     if tdc_B is not None:
         k_tdc = int(np.ceil(h + 1 + np.log2(tdc_B / r)))
-    for k, (t2a, t2b) in enumerate(split.diagonal):
-        ball_bounds[k] = 2.0 * R * 2**k
-        check("diagonal_a", k, t2a, 0.0, ball_bounds[k])
-        check("diagonal_b", k, t2b, 0.0, ball_bounds[k])
-        if k_tdc is not None and k >= k_tdc:
-            inner = (r / (2.0 ** (h + 1) * tdc_B)) * 2**k
-            check("diagonal_a_tdc", k, t2a, inner, ball_bounds[k])
-            check("diagonal_b_tdc", k, t2b, inner, ball_bounds[k])
+    for name, triples in split.series.items():
+        for k, (_, _, term) in enumerate(triples):
+            if name in ("low_high", "high_low"):
+                check(name, k, term, *corona_bounds[k])
+                continue
+            check(name, k, term, 0.0, ball_bounds[k])
+            if k_tdc is not None and k >= k_tdc:
+                inner = (r / (2.0 ** (h + 1) * tdc_B)) * 2**k
+                check(name + "_tdc", k, term, inner, ball_bounds[k])
     return SupportReport(violations, corona_bounds, ball_bounds,
                          tdc_corona_checked=tdc_B is not None)
 

@@ -228,14 +228,11 @@ class ParatermReport:
       symbol that is resolved at the active levels the normalized
       constants are flat in the level.
 
-    ``scaled_ratios`` keeps the raw term / (2^{kd}-weighted maximal
-    majorant) numbers for reference; they absorb the symbol's seminorm.
     Trend slopes are computed over the resolved, unclipped levels only.
     """
 
     factorization_ratios: dict
     scale_constants: dict
-    scaled_ratios: dict
     max_factorization_ratio: float
     growth_slopes: dict
     trend_levels: dict
@@ -276,8 +273,7 @@ def _log_slope(values, resolved_from: int = 0) -> float:
     return float(np.polyfit(ks, vs, 1)[0])
 
 
-def paraterm_pointwise_check(split: ParaSplit, p: MaxParams,
-                             M: int = 1) -> ParatermReport:
+def paraterm_pointwise_check(split: ParaSplit, p: MaxParams) -> ParatermReport:
     """Check the pointwise estimates for every retained split term.
 
     For each series the term is compared against (symbol factor of its own
@@ -285,14 +281,11 @@ def paraterm_pointwise_check(split: ParaSplit, p: MaxParams,
     the lattice -- while the dyadic scaling content of the estimates is
     isolated in the per-level constants  max_x F(x) / scaling_law(level).
 
-    The symbol, the input, the bands and the blocks all come from
-    ``split.ladder``.
+    Every (symbol, input, term) triple comes from ``split.series``.
     """
-    lad = split.ladder
-    u = lad.u
     part, m = split.partition, split.m
-    R, h, d = part.R, part.h, lad.a.d
-    grid = u.grid
+    R, h = part.R, part.h
+    grid = part.grid
     psi = part.psi
     r = part.r
     # annular windows equal to 1 on the input's corona but vanishing near
@@ -302,8 +295,6 @@ def paraterm_pointwise_check(split: ParaSplit, p: MaxParams,
     lag_ring = ring_window(r / (R * 2.0 ** (h + 1)), r / (R * 2.0**h),
                            0.5, 1.0)
 
-    fact, scale, scaled, trends = {}, {}, {}, {}
-
     def window_reference(pp, window):
         """Symbol factor of the identity symbol through the same window:
         the pure window/weight contribution at this level."""
@@ -312,60 +303,40 @@ def paraterm_pointwise_check(split: ParaSplit, p: MaxParams,
         w = (1.0 + pp.R * torus_offsets(grid)) ** pp.N
         return float(np.sum(np.abs(G) * w) * grid.spacing**grid.n)
 
-    tiny = 1e-12 * max(u.norm_inf(), 1e-300)
+    tiny = 1e-12 * max(split.u.norm_inf(), 1e-300)
 
-    def run_series(name, entries, law):
-        ratios, consts, raw, levels = [], [], [], []
-        for k, (sym, w, radius, window, term) in enumerate(entries):
+    def level_law(name, k, d):
+        """Peetre radius, window and scaling law (for symbol order d) of
+        level k.  The lagged-cumulative high-low input is a ball, so the
+        high-low constants keep the ball window; they are reported, not
+        trend-asserted."""
+        if name == "high_low":
+            return (R * 2.0 ** max(k - h, 0), psi,
+                    2.0 ** (-k) * (R * 2.0**k) ** (d + 1))
+        ring = lag_ring if name == "diagonal_b" else block_ring
+        return R * 2.0**k, psi if k == 0 else ring, (R * 2.0**k) ** d
+
+    fact, scale, trends = {}, {}, {}
+    for name, triples in split.series.items():
+        ratios, consts, levels = [], [], []
+        for k, (sym, w, term) in enumerate(triples):
             num = np.abs(term.values)
             if sym is None or w.norm_inf() <= tiny or float(np.max(num)) <= tiny:
                 ratios.append(0.0)
                 consts.append(0.0)
-                raw.append(0.0)
                 continue
+            radius, window, law = level_law(name, k, sym.d)
             pp = MaxParams(p.N, radius)
             F = symbol_factor(sym, pp, window, allow_clipped=True)
-            wstar = peetre_max(w, pp)
-            major = F * wstar
+            major = F * peetre_max(w, pp)
             ratios.append(_ratio(term, major))
             ref = window_reference(pp, window)
-            consts.append(float(np.max(F)) / (law(k) * ref))
-            raw.append(_ratio(term, law(k) * wstar))
+            consts.append(float(np.max(F)) / (law * ref))
             if radius * getattr(window, "R") <= grid.nyquist:
                 levels.append(k)
         fact[name] = ratios
         scale[name] = consts
-        scaled[name] = raw
         trends[name] = levels
-
-    def block_window(k):
-        return psi if k == 0 else block_ring
-
-    run_series(
-        "low_high",
-        [(lad.cumulative[k - h] if k >= h else None, lad.blocks[k],
-          R * 2.0**k, block_window(k), split.low_high[k])
-         for k in range(m + 1)],
-        lambda k: (R * 2.0**k) ** d)
-    run_series(
-        "diagonal_a",
-        [(lad.near_diagonal_symbol(k, h), lad.blocks[k], R * 2.0**k,
-          block_window(k), split.diagonal[k][0]) for k in range(m + 1)],
-        lambda k: (R * 2.0**k) ** d)
-    run_series(
-        "diagonal_b",
-        [(lad.bands[k],
-          lad.cumulative_block(k - 1) - lad.cumulative_block(k - h),
-          R * 2.0**k, psi if k == 0 else lag_ring, split.diagonal[k][1])
-         for k in range(m + 1)],
-        lambda k: (R * 2.0**k) ** d)
-    # the lagged-cumulative input is a ball, so the high-low constants keep
-    # the ball window; they are reported, not trend-asserted
-    run_series(
-        "high_low",
-        [(lad.bands[j], lad.cumulative_block(j - h), R * 2.0 ** max(j - h, 0),
-          psi, split.high_low[j]) for j in range(m + 1)],
-        lambda j: 2.0 ** (-j * M) * (R * 2.0**j) ** (d + M))
 
     ratios = [rr for rs in fact.values() for rr in rs]
     worst = max((rr for rr in ratios if np.isfinite(rr)), default=0.0)
@@ -377,7 +348,7 @@ def paraterm_pointwise_check(split: ParaSplit, p: MaxParams,
         usable = [v if k in trends[name] else 0.0
                   for k, v in enumerate(scale[name])]
         slopes[name] = _log_slope(usable, resolved_from)
-    return ParatermReport(fact, scale, scaled, worst, slopes, trends)
+    return ParatermReport(fact, scale, worst, slopes, trends)
 
 
 def yamazaki_constant(s: float, q: float) -> float:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import (AliasingRisk, BadExponent, GridTooCoarse, NotResolvable,
                      SupportViolation)
-from .lp import LPPartition, ModulationFunction, dyadic_block, make_modulation
+from .lp import LPPartition, check_grid, make_modulation
 from .operators import apply
 from .pointwise import MaxParams, hl_max, peetre_max
 from .symbols import DiscreteSymbol
@@ -62,20 +62,42 @@ def _lq(arr: np.ndarray, q: float, axis=0) -> np.ndarray:
     return np.sum(arr**q, axis=axis) ** (1.0 / q)
 
 
+def _dyadic_norm(scale: str, levels: np.ndarray, weights, p: float,
+                 q: float) -> float:
+    """Quasi-norm of a stack of level values ``levels[j]`` (grid samples,
+    an array or a list of arrays) with the level weights w_j:
+
+    B scale:  || {w_j ||levels_j||_p} ||_{l_q}
+    F scale:  || || {w_j levels_j} ||_{l_q}(x) ||_p
+    """
+    levels = np.asarray(levels)
+    w = np.array(weights, dtype=float)
+    if scale == "B":
+        return float(_lq(w * _lp(levels, p, axis=tuple(range(1, levels.ndim))),
+                         q))
+    a = np.abs(levels)
+    a *= w.reshape((-1,) + (1,) * (levels.ndim - 1))
+    return lp_norm(_lq(a, q, axis=0), p)
+
+
 def space_norm(u: SpectralField, spec: NormSpec, part: LPPartition) -> float:
-    """Quasi-norm from the dyadic blocks u_j, j = 0..J_max.
+    """Quasi-norm from the dyadic blocks u_j, j = 0..J_max, all taken by one
+    inverse FFT of the stacked level-weighted coefficients.
 
     B scale:  || {2^{sj} ||u_j||_p} ||_{l_q}
     F scale:  || || {2^{sj} u_j} ||_{l_q}(x) ||_p
     """
-    weights = [2.0 ** (spec.s * j) for j in range(part.J_max + 1)]
-    blocks = [dyadic_block(u, j, part) for j in range(part.J_max + 1)]
-    if spec.scale == "B":
-        seq = np.array([w * lp_norm(b.values, spec.p)
-                        for w, b in zip(weights, blocks)])
-        return float(_lq(seq, spec.q))
-    stack = np.stack([w * np.abs(b.values) for w, b in zip(weights, blocks)])
-    return lp_norm(_lq(stack, spec.q, axis=0), spec.p)
+    check_grid(part, u.grid)
+    grid = u.grid
+    levels = range(part.J_max + 1)
+    # filled and transformed in place: no second stack-sized transient
+    blocks = np.empty((len(levels),) + grid.shape, dtype=np.complex128)
+    for j in levels:
+        np.multiply(u.coeffs, part.level_weights(j), out=blocks[j])
+    np.fft.ifftn(blocks, axes=tuple(range(1, grid.n + 1)), out=blocks)
+    blocks *= grid.N**grid.n
+    return _dyadic_norm(spec.scale, blocks,
+                        [2.0 ** (spec.s * j) for j in levels], spec.p, spec.q)
 
 
 def dyadic_dilate(u: SpectralField, k: int) -> SpectralField:
@@ -101,37 +123,36 @@ def dyadic_dilate(u: SpectralField, k: int) -> SpectralField:
 
 
 def homog_besov_norm(b: SpectralField, smoothness: float, p: float = 1.0,
-                     q: float = 1.0,
-                     profile: ModulationFunction | None = None) -> float:
+                     q: float = 1.0) -> float:
     """Two-sided homogeneous dyadic norm
     ( sum_{j} (2^{j s} ||b_j||_p)^q )^{1/q},  b_j = phi(2^-j D) b,
     truncated to the lattice-resolvable shells.  The zero mode is quotiented
     out, so inputs should vanish at frequency zero to the needed order."""
     grid = b.grid
+    js, shells = _dyadic_shells(grid)
+    blocks = np.fft.ifftn(b.coeffs * shells, axes=tuple(range(1, grid.n + 1)))
     # ||N^n ifft(c)||_p = N^n ||ifft(c)||_p: scale the norms, not the blocks
-    terms = [2.0 ** (j * smoothness) * grid.N**grid.n
-             * _lp(np.fft.ifftn(b.coeffs * w), p)
-             for j, w in _dyadic_shells(grid, profile)]
-    return float(_lq(np.array(terms), q))
+    return _dyadic_norm("B", blocks, [2.0 ** (j * smoothness) * grid.N**grid.n
+                                      for j in js], p, q)
 
 
-def _dyadic_shells(grid: TorusGrid,
-                   profile: ModulationFunction | None = None) -> list:
-    """(j, phi(2^-j .)) for the homogeneous dyadic shells that meet the
-    lattice, phi(2^-j .) = profile(2^-j .) - profile(2^{1-j} .)."""
-    if profile is None:
-        profile = make_modulation(1.0, 2.0)
+def _dyadic_shells(grid: TorusGrid) -> tuple:
+    """(js, shells): the homogeneous dyadic shells phi(2^-j .) that meet the
+    lattice, stacked along the first axis, phi = psi - psi(2 .) for the
+    standard cutoff psi with (r, R) = (1, 2)."""
+    profile = make_modulation(1.0, 2.0)
     norms = grid.freq_norms()
     j_min = int(np.ceil(-np.log2(profile.R)))
     j_max = int(np.ceil(np.log2(grid.max_freq_norm() / profile.r))) + 1
-    shells = []
+    js, shells = [], []
     for j in range(j_min, j_max + 1):
         w = profile(norms / 2.0**j) - profile(norms * 2.0 / 2.0**j)
         if (w != 0).any():
-            shells.append((j, w))
+            js.append(j)
+            shells.append(w)
     if not shells:
         raise NotResolvable("no dyadic shell meets the lattice")
-    return shells
+    return js, np.stack(shells)
 
 
 def marschall_check(b: DiscreteSymbol, u: SpectralField, k: int,
@@ -165,7 +186,7 @@ def marschall_check(b: DiscreteSymbol, u: SpectralField, k: int,
     eta_axes = tuple(range(1, n + 1))
     coeffs = np.fft.fftn(b.rows, axes=eta_axes)
     terms = []
-    for j, w in _dyadic_shells(grid):
+    for j, w in zip(*_dyadic_shells(grid)):
         l1 = np.zeros(grid.shape)
         for _, block in b.columns(np.fft.ifftn(coeffs * w, axes=eta_axes)):
             l1 += np.sum(np.abs(block), axis=-1)
@@ -224,14 +245,6 @@ class CoronaSpec:
         return self.s_prime < self.s - loss
 
 
-def _mixed_f_norm(items, s: float, p: float, q: float) -> float:
-    """|| ( sum_j |2^{sj} f_j(.)|^q )^{1/q} ||_{L_p}; items are fields or
-    plain sample arrays."""
-    stack = np.stack([2.0 ** (s * j) * np.abs(getattr(f, "values", f))
-                      for j, f in enumerate(items)])
-    return lp_norm(_lq(stack, q, axis=0), p)
-
-
 def corona_sum_check(terms, spec: CoronaSpec, part: LPPartition) -> dict:
     """Exact support validation plus the bound quantity and the summed norm.
 
@@ -250,7 +263,9 @@ def corona_sum_check(terms, spec: CoronaSpec, part: LPPartition) -> dict:
                 offenders.append((j, pt))
     if offenders:
         raise SupportViolation("corona/ball condition violated", offenders)
-    F = _mixed_f_norm(terms, spec.s, spec.p, spec.q)
+    F = _dyadic_norm("F", [term.values for term in terms],
+                     [2.0 ** (spec.s * j) for j in range(len(terms))],
+                     spec.p, spec.q)
     total = terms[0]
     for term in terms[1:]:
         total = total + term
@@ -273,12 +288,14 @@ def fefferman_stein_check(blocks, spec: NormSpec, t: float, N_decay: float,
         raise BadExponent("decay exponent must be >= n/t")
     if R is None:
         R = 2.0
-    star_fields = [peetre_max(blk, MaxParams(N_decay, R * 2.0**k))
-                   for k, blk in enumerate(blocks)]
-    mt_fields = [hl_max(blk, t) for blk in blocks]
-    Q1 = _mixed_f_norm(star_fields, spec.s, spec.p, spec.q)
-    Q2 = _mixed_f_norm(mt_fields, spec.s, spec.p, spec.q)
-    Q3 = _mixed_f_norm(blocks, spec.s, spec.p, spec.q)
+    weights = [2.0 ** (spec.s * k) for k in range(len(blocks))]
+    Q1 = _dyadic_norm("F", [peetre_max(blk, MaxParams(N_decay, R * 2.0**k))
+                            for k, blk in enumerate(blocks)],
+                      weights, spec.p, spec.q)
+    Q2 = _dyadic_norm("F", [hl_max(blk, t) for blk in blocks], weights,
+                      spec.p, spec.q)
+    Q3 = _dyadic_norm("F", [blk.values for blk in blocks], weights, spec.p,
+                      spec.q)
     return {"Q_star": Q1, "Q_hl": Q2, "Q_blocks": Q3,
             "ratio_star_hl": Q1 / Q2 if Q2 > 0 else 0.0,
             "ratio_hl_blocks": Q2 / Q3 if Q3 > 0 else 0.0}

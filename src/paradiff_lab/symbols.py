@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (DepthUnsupported, EmptyShell, GridMismatch,
                      GridTooCoarse, LevelOutOfRange, TooLarge)
-from .lp import LPPartition, ModulationFunction
+from .lp import LPPartition, ModulationFunction, check_grid
 from .torus import SUPPORT_REL_THRESHOLD, FreqSet, TorusGrid
 
 #: Largest number of dense symbol entries we are willing to materialize.
@@ -560,31 +560,16 @@ def symbol_band(a: DiscreteSymbol, k: int, part: LPPartition,
                 cumulative: bool = False) -> DiscreteSymbol:
     """a_k = phi(2^-k D_x) a  (cumulative: a^k = psi(2^-k D_x) a).
 
-    Levels below zero give the zero symbol; levels above J_max raise."""
+    Each stored row is multiplied by the level weight at its xi_k; rows
+    whose weight is exactly 0 are dropped.  Levels below zero give the zero
+    symbol; levels above J_max raise."""
+    check_grid(part, a.grid)
     if k > part.J_max:
         raise LevelOutOfRange(f"level {k} > J_max {part.J_max}")
     if k < 0:
         return DiscreteSymbol.zero(a.grid, a.d)
-    return _xi_weighted(a, part.cumulative_weights(k) if cumulative
-                        else part.level_weights(k))
-
-
-def _xi_weighted(a: DiscreteSymbol, w: np.ndarray) -> DiscreteSymbol:
-    """w(D_x) a: each row times the lattice weight at its xi_k; rows whose
-    weight is exactly 0 are dropped."""
+    w = part.cumulative_weights(k) if cumulative else part.level_weights(k)
     wk = w[a.xi_index()]
     keep = wk != 0
     lead = (-1,) + (1,) * a.grid.n
     return a.with_rows(a.rows[keep] * wk[keep].reshape(lead), keep)
-
-
-def symbol_ladder(a: DiscreteSymbol, m: int, part: LPPartition):
-    """Bands a_k and cumulative symbols a^k for k = 0..m, as two lists.
-
-    Both weight the stored rows by the partition's level weights at xi_k,
-    so they equal :func:`symbol_band` and its cumulative form exactly."""
-    if m > part.J_max:
-        raise LevelOutOfRange(f"level {m} > J_max {part.J_max}")
-    return ([_xi_weighted(a, part.level_weights(k)) for k in range(m + 1)],
-            [_xi_weighted(a, part.cumulative_weights(k))
-             for k in range(m + 1)])

@@ -193,6 +193,30 @@ def test_modulation_study_flags_divergence():
             assert row["psi_discrepancy"] <= 1e-10
 
 
+def test_ching_study_probe_offsets():
+    # the off-ray probes only add inputs to the corpus, so no gain falls;
+    # on the rho = 1 ray at s = -1 they reach the extremal direction and
+    # the verdict turns from stable (0.81 / 0.81) to growth (1.00 / 3.00)
+    def curves(probe):
+        cfg = small_cfg("ching_study", grid_sizes=(256,), symbol_params={
+            "J_values": [3, 5], "s_values": [-1.0, 0.0, 1.0],
+            "zero_orders": [0, 1], "probe_offsets": probe})
+        return run_scenario(cfg).metrics["gain_curves"]["curves"]
+
+    plain, probed = curves(False), curves(True)
+    for rho, per_s in plain.items():
+        for s, entry in per_s.items():
+            pairs = list(zip(entry["gains"], probed[rho][s]["gains"]))
+            assert len(pairs) == 2
+            for g0, g1 in pairs:
+                assert g0["J"] == g1["J"] and g1["gain"] >= g0["gain"]
+    rho1 = list(zip(plain["rho1"]["-1.0"]["gains"],
+                    probed["rho1"]["-1.0"]["gains"]))
+    assert any(g1["gain"] > g0["gain"] for g0, g1 in rho1)
+    assert plain["rho1"]["-1.0"]["verdict"] == "stable"
+    assert probed["rho1"]["-1.0"]["verdict"] == "growth"
+
+
 def test_outputs_layout(tmp_path):
     rec = run_scenario(small_cfg("inequality_suite", seed=3))
     paths = write_outputs(rec, tmp_path / "run")

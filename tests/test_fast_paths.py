@@ -1,8 +1,11 @@
 """Fast paths against the per-level, per-row and dense code they replace.
 
-The shared Littlewood-Paley ladder must reproduce ``symbol_band`` /
-``dyadic_block`` / ``cumulative_block`` level by level, the batched
-Marschall row norms must reproduce a per-row ``homog_besov_norm`` loop,
+The (symbol, input, term) series of ``para_split`` must reproduce
+``symbol_band`` / ``dyadic_block`` / ``cumulative_block`` level by level,
+``space_norm`` and the mixed norms of ``fefferman_stein_check`` and
+``corona_sum_check`` must reproduce their one-field-per-level list forms,
+the batched Marschall row norms must reproduce a per-row
+``homog_besov_norm`` loop,
 ``apply`` must reproduce the dense sum over the whole lattice,
 ``modulated_apply`` must reproduce ``apply`` of ``modulated_symbol``,
 every operation on a xi-sparse symbol must reproduce the same operation on
@@ -18,16 +21,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from paradiff_lab import (DiscreteSymbol, GridMismatch, LevelOutOfRange,
-                          LocalizationCutoff, MaxParams, SpectralField,
-                          TooLarge, TorusGrid, apply, compose_multiplier,
+from paradiff_lab import (CoronaSpec, DiscreteSymbol, GridMismatch,
+                          LocalizationCutoff, MaxParams, NormSpec,
+                          SpectralField, TooLarge, TorusGrid, apply,
+                          compose_multiplier, corona_sum_check,
                           cumulative_block, dyadic_block, estimate_seminorm,
-                          hl_max, homog_besov_norm, localize, make_modulation,
-                          make_partition, marschall_check, mihlin_bound,
-                          modulated_apply, para_split, peetre_max,
-                          saturation_level,
-                          spectral_support_bound, symbol_band, symbol_factor,
-                          symbol_ladder, symbols, tdc_seminorm)
+                          fefferman_stein_check, hl_max, homog_besov_norm,
+                          localize, make_modulation, make_partition,
+                          marschall_check, mihlin_bound, modulated_apply,
+                          para_split, peetre_max, saturation_level,
+                          space_norm, spectral_support_bound, symbol_band,
+                          symbol_factor, symbols, tdc_seminorm)
 from paradiff_lab.corpus import (random_band_limited_field,
                                  random_sparse_symbol, rng_for,
                                  standard_ching)
@@ -188,9 +192,10 @@ def test_sparse_symbol_matches_dense_twin(n, N):
                            * part.cumulative_weights(k).reshape(xi_shape))
                  for k in range(part.J_max + 1)]
         for a in (s, twin):
-            bands, cumulative = symbol_ladder(a, part.J_max, part)
-            for got, ref in zip(bands + cumulative, want):
-                assert_close(got.values, ref, peak)
+            got = [symbol_band(a, k, part, cumulative=cum)
+                   for cum in (False, True) for k in range(part.J_max + 1)]
+            for band, ref in zip(got, want):
+                assert_close(band.values, ref, peak)
             assert_close(localize(a, chi, 0.25).values,
                          x_inverse(grid, pft * chi(zeta, 0.25 * eta)), peak)
             assert_close((a + other).values, twin.values + other.values,
@@ -208,37 +213,36 @@ def test_sparse_symbol_matches_dense_twin(n, N):
 
 
 @pytest.mark.parametrize("n,N", GRIDS)
-def test_ladder_matches_symbol_band(n, N):
-    grid, part, a, _ = setup(n, N)
-    bands, cumulative = symbol_ladder(a, part.J_max, part)
-    assert len(bands) == len(cumulative) == part.J_max + 1
-    scale = float(np.max(np.abs(a.values)))
-    for k in range(part.J_max + 1):
-        for got, cum in ((bands[k], False), (cumulative[k], True)):
-            ref = symbol_band(a, k, part, cumulative=cum)
-            assert got.d == ref.d and got.class_tag == ref.class_tag
-            assert np.max(np.abs(got.values - ref.values)) <= 1e-12 * scale
-
-
-def test_ladder_level_guard():
-    grid, part, a, _ = setup(1, 64)
-    with pytest.raises(LevelOutOfRange):
-        symbol_ladder(a, part.J_max + 1, part)
-
-
-@pytest.mark.parametrize("n,N", GRIDS)
 def test_split_ladder_matches_per_level_blocks(n, N):
+    """Every (symbol, input, term) triple of the split is built from the
+    per-level symbol bands and input blocks."""
     grid, part, a, u = setup(n, N)
-    lad = para_split(a, u, part, part.J_max).ladder
+    h = part.h
+    split = para_split(a, u, part, part.J_max)
+
+    def band(k, cum=False):
+        return symbol_band(a, k, part, cumulative=cum)
+
+    def u_cum(k):
+        return cumulative_block(u, k, part)
+
     for k in range(part.J_max + 1):
-        assert np.array_equal(lad.blocks[k].coeffs,
-                              dyadic_block(u, k, part).coeffs)
-        assert np.array_equal(lad.cumulative_blocks[k].coeffs,
-                              cumulative_block(u, k, part).coeffs)
-        assert np.array_equal(lad.cumulative_block(k).coeffs,
-                              cumulative_block(u, k, part).coeffs)
-    assert lad.cumulative_block(-1).norm_inf() == 0.0
-    assert lad.a is a and lad.u is u
+        uk = dyadic_block(u, k, part)
+        near = band(k, True) - band(k - h, True) if k >= h else band(k, True)
+        want = {"low_high": (band(k - h, True) if k >= h else None, uk),
+                "diagonal_a": (near, uk),
+                "diagonal_b": (band(k), u_cum(k - 1) - u_cum(k - h)),
+                "high_low": (band(k) if k >= h else None, u_cum(k - h))}
+        for name, (sym, w) in want.items():
+            got_sym, got_w, term = split.series[name][k]
+            assert np.array_equal(got_w.coeffs, w.coeffs)
+            if sym is None:
+                assert got_sym is None and term.norm_inf() == 0.0
+                continue
+            assert np.array_equal(got_sym.xi, sym.xi)
+            assert np.array_equal(got_sym.rows, sym.rows)
+            assert np.array_equal(term.coeffs, apply(sym, w).coeffs)
+    assert split.u is u
 
 
 # -- batched Marschall row norms ----------------------------------------------
@@ -259,6 +263,93 @@ def homog_besov_reference(b, s, p, q):
             terms.append(2.0 ** (j * s) * lp_norm(block.values, p))
     terms = np.array(terms)
     return float(np.max(terms) if np.isinf(q) else np.sum(terms**q) ** (1 / q))
+
+
+def lq_reference(arr, q):
+    return np.max(arr, axis=0) if np.isinf(q) else \
+        np.sum(arr**q, axis=0) ** (1.0 / q)
+
+
+def mixed_f_reference(items, s, p, q):
+    """|| ( sum_j |2^{sj} f_j(.)|^q )^{1/q} ||_{L_p} of a list of fields
+    or sample arrays, one level at a time (the list form)."""
+    stack = np.stack([2.0 ** (s * j) * np.abs(getattr(f, "values", f))
+                      for j, f in enumerate(items)])
+    return lp_norm(lq_reference(stack, q), p)
+
+
+def space_norm_reference(u, spec, part):
+    """The quasi-norm from one dyadic_block field per level."""
+    weights = [2.0 ** (spec.s * j) for j in range(part.J_max + 1)]
+    blocks = [dyadic_block(u, j, part) for j in range(part.J_max + 1)]
+    if spec.scale == "F":
+        return mixed_f_reference(blocks, spec.s, spec.p, spec.q)
+    seq = np.array([w * lp_norm(b.values, spec.p)
+                    for w, b in zip(weights, blocks)])
+    return float(lq_reference(seq, spec.q))
+
+
+NORM_GRIDS = [(1, 64), (1, 256), (2, 16), (2, 32)]
+EXPONENTS = (0.5, 1.0, 2.0, np.inf)
+
+
+def norm_fields(grid):
+    single = np.zeros(grid.shape, dtype=complex)
+    single[grid.index_of((3,) + (1,) * (grid.n - 1))] = 1.5 - 0.5j
+    return {"random": random_band_limited_field(grid, rng_for(77, grid.n),
+                                                grid.nyquist / 2),
+            "single": SpectralField.from_coeffs(grid, single),
+            "zero": SpectralField.zero(grid)}
+
+
+@pytest.mark.parametrize("n,N", NORM_GRIDS)
+def test_space_norm_matches_block_loop(n, N):
+    grid = TorusGrid(n, N)
+    part = make_partition(make_modulation(1.0, 2.0), grid)
+    for u in norm_fields(grid).values():
+        for scale in ("B", "F"):
+            for p in EXPONENTS:
+                if scale == "F" and np.isinf(p):
+                    continue
+                for q in EXPONENTS:
+                    spec = NormSpec(scale, 0.7, p, q)
+                    assert space_norm(u, spec, part) == pytest.approx(
+                        space_norm_reference(u, spec, part), rel=1e-13,
+                        abs=0.0)
+
+
+@pytest.mark.parametrize("n,N", NORM_GRIDS)
+def test_level_norms_match_list_forms(n, N):
+    """fefferman_stein_check and corona_sum_check against their per-level
+    list forms, on the dyadic blocks of a random field."""
+    grid = TorusGrid(n, N)
+    part = make_partition(make_modulation(1.0, 2.0), grid)
+    u = norm_fields(grid)["random"]
+    blocks = [dyadic_block(u, k, part) for k in range(part.J_max + 1)]
+    t = 0.9
+    N_decay = max(2.0, n / t)
+    for p, q in ((2.0, 2.0), (1.0, np.inf), (4.0, 1.5)):
+        spec = NormSpec("F", 1.0, p, q)
+        res = fefferman_stein_check(blocks, spec, t=t, N_decay=N_decay,
+                                    R=part.R)
+        star = [peetre_max(b, MaxParams(N_decay, part.R * 2.0**k))
+                for k, b in enumerate(blocks)]
+        hl = [hl_max(b, t) for b in blocks]
+        for key, items in (("Q_star", star), ("Q_hl", hl),
+                           ("Q_blocks", blocks)):
+            assert res[key] == pytest.approx(
+                mixed_f_reference(items, spec.s, p, q), rel=1e-13)
+    total = blocks[0]
+    for b in blocks[1:]:
+        total = total + b
+    for p, q in ((2.0, 2.0), (0.5, 1.0), (1.0, np.inf)):
+        spec = CoronaSpec(A=2.5, theta=1.0, J=1, s=0.5, p=p, q=q,
+                          s_prime=0.5)
+        res = corona_sum_check(blocks, spec, part)
+        assert res["F_bound"] == pytest.approx(
+            mixed_f_reference(blocks, 0.5, p, q), rel=1e-13)
+        assert res["norm_of_sum"] == pytest.approx(space_norm_reference(
+            total, NormSpec("F", 0.5, p, q), part), rel=1e-13)
 
 
 def marschall_loop(b, u, k, t):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from paradiff_lab import (BadRadii, GridTooCoarse, LevelOutOfRange,
+from paradiff_lab import (BadRadii, DiscreteSymbol, GridMismatch,
+                          GridTooCoarse, LevelOutOfRange, NormSpec,
                           SpectralField, TorusGrid, cumulative_block,
                           dyadic_block, make_modulation, make_partition,
-                          minimal_gap)
+                          minimal_gap, space_norm, symbol_band)
 from paradiff_lab.lp import block_corona
 
 
@@ -190,3 +191,26 @@ def test_level_weights_stored_once_and_read_only(n, N):
             part.level_weights(k)
         with pytest.raises(LevelOutOfRange):
             part.cumulative_weights(k)
+
+
+@pytest.mark.parametrize("field_grid,part_grid", [((2, 32), (1, 32)),
+                                                  ((1, 32), (2, 32)),
+                                                  ((1, 64), (1, 32))])
+def test_grid_mismatch_raises(field_grid, part_grid):
+    # a 2-D field against a 1-D partition used to be weighted along its
+    # last axis only, and a 1-D N=64 identity symbol against an N=32
+    # partition read the weight at its one xi = 0 without complaint
+    grid = TorusGrid(*field_grid)
+    part = make_partition(make_modulation(1.0, 2.0), TorusGrid(*part_grid))
+    u = SpectralField.from_values(
+        grid, np.random.default_rng(8).standard_normal(grid.shape))
+    a = DiscreteSymbol.identity(grid)
+    calls = [lambda: dyadic_block(u, 1, part),
+             lambda: cumulative_block(u, 1, part),
+             lambda: symbol_band(a, 1, part),
+             lambda: symbol_band(a, 1, part, cumulative=True)]
+    calls += [lambda scale=scale: space_norm(u, NormSpec(scale, 1.0, 2.0, 2.0),
+                                             part) for scale in ("B", "F")]
+    for call in calls:
+        with pytest.raises(GridMismatch):
+            call()

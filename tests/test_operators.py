@@ -273,7 +273,7 @@ def test_para_split_multiplier_reduction(grid, psi, part):
     m = part.J_max
     sp = para_split(b, u, part, m)
     for j in range(1, m + 1):
-        assert sp.high_low[j].norm_inf() < 1e-13
+        assert sp.series["high_low"][j][2].norm_inf() < 1e-13
     ref = modulated_apply(b, u, psi, m)
     assert np.max(np.abs(sp.total().values - ref.values)) <= 1e-10
     bu = apply(b, u)
@@ -285,8 +285,8 @@ def test_para_split_single_mode_few_blocks(grid, part):
     u = mode(grid, 12)
     sp = para_split(a, u, part, part.J_max)
     active = [k for k in range(part.J_max + 1)
-              if (sp.low_high[k].norm_inf() > 1e-13
-                  or sp.diagonal[k][0].norm_inf() > 1e-13)]
+              if (sp.series["low_high"][k][2].norm_inf() > 1e-13
+                  or sp.series["diagonal_a"][k][2].norm_inf() > 1e-13)]
     # only levels whose band weight is nonzero at eta = 12 contribute
     weights = [part.level_weights(k)[grid.index_of((12,))] for k in
                range(part.J_max + 1)]
