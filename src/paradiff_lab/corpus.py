@@ -92,12 +92,10 @@ def optimal_stack_weights(J: int, source_smoothness: float) -> np.ndarray:
     return 2.0 ** (-2.0 * source_smoothness * np.arange(J + 1))
 
 
-def single_band_input(grid: TorusGrid, theta, j: int,
-                      offset: int = 0) -> SpectralField:
-    """One mode at 2^j theta (+ offset along the first axis)."""
+def single_band_input(grid: TorusGrid, theta, j: int) -> SpectralField:
+    """One mode at 2^j theta."""
     theta = tuple(int(t) for t in (theta if hasattr(theta, "__len__") else (theta,)))
     pt = tuple(2**j * t for t in theta)
-    pt = (pt[0] + offset,) + pt[1:]
     coeffs = np.zeros(grid.shape, dtype=np.complex128)
     coeffs[grid.index_of(pt)] = 1.0
     return SpectralField.from_coeffs(grid, coeffs)
@@ -124,11 +122,11 @@ def offset_stack(grid: TorusGrid, theta, J: int, weights, delta: int = 1,
 
 
 def boundedness_corpus(grid: TorusGrid, theta, J: int, source_s: float,
-                       seed: int, profile=None, n_random: int = 3,
-                       random_band: float = 10.0) -> list:
+                       seed: int, profile=None, n_random: int = 3) -> list:
     """Inputs probing the operator norm of a lacunary symbol truncated at J:
     coherent stacks on and off the lacunary ray, single bands, and seeded
-    random fields band-limited below the first unresolved annulus.
+    random fields band-limited to |eta| <= 10, below the first unresolved
+    annulus.
 
     With the symbol's annular ``profile`` given, the off-ray stack is
     amplitude-adapted: weights b_j 2^{-2 j s} with b_j the profile value at
@@ -157,7 +155,7 @@ def boundedness_corpus(grid: TorusGrid, theta, J: int, source_s: float,
     for i in range(n_random):
         rng = rng_for(seed, 7, i)
         items.append((f"random_{i}",
-                      random_band_limited_field(grid, rng, random_band)))
+                      random_band_limited_field(grid, rng, 10.0)))
     return items
 
 

@@ -25,9 +25,9 @@ from .lp import dyadic_block, make_modulation, make_partition
 from .operators import (apply, compose_multiplier, discrete_adjoint_probe,
                         modulated_apply, modulation_limit, para_split,
                         spectral_support_bound, support_inclusions)
-from .pointwise import (MaxParams, check_factorization, hl_max, mihlin_bound,
-                        paraterm_pointwise_check, peetre_max, symbol_factor,
-                        yamazaki_check)
+from .pointwise import (MaxParams, check_factorization, hl_max, max_ratio,
+                        mihlin_bound, paraterm_pointwise_check, peetre_max,
+                        symbol_factor, yamazaki_check)
 from .spaces import (NormSpec, fefferman_stein_check, marschall_check,
                      space_norm)
 from .symbols import ChingProfile, DiscreteSymbol, LocalizationCutoff, localize
@@ -177,26 +177,33 @@ def _f(x) -> float:
     return float(x)
 
 
-def _worse(worst, value):
-    """max(worst, value) that keeps a NaN: the builtin max(0.0, nan) is 0.0,
-    which would let a NaN ratio pass its check."""
-    return value if np.isnan(value) or value > worst else worst
+@dataclass
+class _Worst:
+    """Largest value seen and ``where``: the keyword arguments of the first
+    case that reached it ({} while nothing exceeded 0).  A NaN sticks, so a
+    NaN ratio cannot pass (the builtin max(0.0, nan) is 0.0)."""
+
+    value: float = 0.0
+    where: dict = field(default_factory=dict)
+
+    def see(self, value, **where) -> "_Worst":
+        if not np.isnan(self.value) and (np.isnan(value) or value > self.value):
+            self.value, self.where = value, where
+        return self
 
 
 def _grid_gain(a: DiscreteSymbol, items, spec_src: NormSpec,
                spec_dst: NormSpec, part) -> dict:
     """Squared quasi-norm amplification sup_u ||a#u||^2 / ||u||^2 over the
     corpus (the energy gain; the plain ratio is its square root)."""
-    best, best_name = 0.0, None
+    best = _Worst()
     for name, u in items:
         src = space_norm(u, spec_src, part)
         if src == 0.0:
             continue
-        dst = space_norm(apply(a, u), spec_dst, part)
-        g = (dst / src) ** 2
-        if g > best:
-            best, best_name = g, name
-    return {"gain": _f(best), "argmax": best_name}
+        best.see((space_norm(apply(a, u), spec_dst, part) / src) ** 2,
+                 argmax=name)
+    return {"gain": _f(best.value), "argmax": best.where.get("argmax")}
 
 
 def run_boundedness_sweep(cfg: ExperimentConfig) -> ResultRecord:
@@ -454,7 +461,8 @@ def run_modulation_study(cfg: ExperimentConfig) -> ResultRecord:
 
 def run_inequality_suite(cfg: ExperimentConfig) -> ResultRecord:
     """Every pointwise and summed inequality checker over a seeded corpus,
-    with one pass/fail line per check against the frozen thresholds."""
+    with one pass/fail line per check against the frozen thresholds and
+    the witness of its worst case."""
     t0 = time.monotonic()
     N = max(cfg.grid_sizes)
     grid = TorusGrid(cfg.grid_n, N)
@@ -462,14 +470,12 @@ def run_inequality_suite(cfg: ExperimentConfig) -> ResultRecord:
     part = make_partition(psi, grid)
     checks = []
 
-    def add(name, claim, max_ratio, threshold, extra=None, params=None):
-        entry = {"name": name, "claim": claim,
-                 "params": params or {"N": N, "seed": cfg.seed},
-                 "max_ratio": _f(max_ratio), "threshold": _f(threshold),
-                 "pass": bool(max_ratio <= threshold)}
-        if extra:
-            entry.update(extra)
-        checks.append(entry)
+    def add(name, claim, worst: _Worst, threshold, extra=None):
+        checks.append({"name": name, "claim": claim,
+                       "params": {"N": N, "seed": cfg.seed},
+                       "max_ratio": _f(worst.value), "threshold": _f(threshold),
+                       "pass": bool(worst.value <= threshold),
+                       "witness": worst.where, **(extra or {})})
 
     symbols = [
         ("identity", DiscreteSymbol.identity(grid)),
@@ -483,28 +489,27 @@ def run_inequality_suite(cfg: ExperimentConfig) -> ResultRecord:
                         random_sparse_symbol(grid, rng_for(cfg.seed, 11, i),
                                              d=0.0, x_band=grid.nyquist / 8,
                                              eta_band=grid.nyquist / 8)))
-    fields = [random_band_limited_field(grid, rng_for(cfg.seed, 13, i), 12.0)
+    fields = [(f"field_{i}",
+               random_band_limited_field(grid, rng_for(cfg.seed, 13, i), 12.0))
               for i in range(max(cfg.corpus_size, 2))]
 
     # factorization inequality
     p_fact = MaxParams(N=2.0, R=16.0)
-    worst = 0.0
-    for _, a in symbols:
-        for u in fields:
-            worst = _worse(worst,
-                           check_factorization(a, u, p_fact)["max_ratio"])
+    worst = _Worst()
+    for sname, a in symbols:
+        for uname, u in fields:
+            res = check_factorization(a, u, p_fact)
+            worst.see(res["max_ratio"], symbol=sname, input=uname, x=res["x"])
     add("factorization", "factorization_inequality", worst,
         FROZEN_THRESHOLDS["factorization_ratio"])
 
     # Mihlin-type bound on the symbol factor
     p_m = MaxParams(N=1.0, R=8.0)
-    worst = 0.0
-    for _, a in symbols:
-        Fa = symbol_factor(a, p_m, psi)
-        rhs = mihlin_bound(a, p_m, psi)
-        mask = rhs > 0
-        if mask.any():
-            worst = _worse(worst, float(np.max(Fa[mask] / rhs[mask])))
+    worst = _Worst()
+    for sname, a in symbols:
+        ratio, x = max_ratio(symbol_factor(a, p_m, psi),
+                             mihlin_bound(a, p_m, psi))
+        worst.see(ratio, symbol=sname, x=x)
     add("mihlin_symbol_factor", "mihlin_type_symbol_factor_bound", worst,
         FROZEN_THRESHOLDS["mihlin_margin"])
 
@@ -513,33 +518,41 @@ def run_inequality_suite(cfg: ExperimentConfig) -> ResultRecord:
     # scale-constant trend diagnostic has data
     u_wide = random_band_limited_field(grid, rng_for(cfg.seed, 29),
                                        0.8 * part.r * 2**part.J_max, modes=40)
-    worst_rec, worst_viol, worst_ratio, worst_slope = 0.0, 0, 0.0, 0.0
+    worst_rec, worst_viol, worst_ratio, worst_slope = [_Worst() for _ in range(4)]
+    vanishing = 0
     m = part.J_max
-    for _, a in symbols:
-        for u in (fields[0], u_wide):
+    for sname, a in symbols:
+        for uname, u in (fields[0], ("wide", u_wide)):
             split = para_split(a, u, part, m)
             ref = modulated_apply(a, u, psi, m)
-            err = float(np.max(np.abs(split.total().values - ref.values)))
-            scale = max(ref.norm_inf(), 1.0)
-            worst_rec = _worse(worst_rec, err / scale)
+            err, x = max_ratio(np.abs(split.total().values - ref.values),
+                               max(ref.norm_inf(), 1.0))
+            worst_rec.see(err, symbol=sname, input=uname, x=x)
             rep = support_inclusions(split)
-            worst_viol = _worse(worst_viol, len(rep.violations))
+            worst_viol.see(len(rep.violations), symbol=sname, input=uname)
             prep = paraterm_pointwise_check(split, MaxParams(2.0, part.R))
-            worst_ratio = _worse(worst_ratio, prep.max_factorization_ratio)
-            for slope in prep.growth_slopes.values():
-                worst_slope = _worse(worst_slope, slope)
+            worst_ratio.see(prep.max_factorization_ratio, symbol=sname,
+                            input=uname, **prep.witness)
+            vanishing += sum(np.isinf(rr) for rs in
+                             prep.factorization_ratios.values() for rr in rs)
+            for series, slope in prep.growth_slopes.items():
+                worst_slope.see(slope, symbol=sname, input=uname, series=series)
             # a split holds every level's (symbol, input, term) triples:
             # free it before the next one is built
             del split
     add("reconstruction", "paradifferential_reconstruction", worst_rec,
         FROZEN_THRESHOLDS["reconstruction_abs"])
     add("corona_ball_inclusions", "corona_ball_inclusions", worst_viol, 0)
-    slope_ok = worst_slope <= FROZEN_THRESHOLDS["paraterm_slope"]
-    add("paraterm_pointwise", "paraterm_pointwise_estimates",
-        worst_ratio if slope_ok else np.inf,
+    if not worst_slope.value <= FROZEN_THRESHOLDS["paraterm_slope"]:
+        worst_ratio = _Worst(np.inf, worst_slope.where)
+    # terms with mass where their majorant vanishes are counted, not
+    # asserted: max_factorization_ratio leaves them out
+    add("paraterm_pointwise", "paraterm_pointwise_estimates", worst_ratio,
         FROZEN_THRESHOLDS["paraterm_max_ratio"],
-        {"max_scale_slope": _f(worst_slope),
-         "slope_threshold": FROZEN_THRESHOLDS["paraterm_slope"]})
+        {"max_scale_slope": _f(worst_slope.value),
+         "slope_threshold": FROZEN_THRESHOLDS["paraterm_slope"],
+         "slope_witness": worst_slope.where,
+         "vanishing_majorant_terms": int(vanishing)})
 
     # twisted-diagonal enforced symbol: near-diagonal terms gain a corona
     eps = 0.25
@@ -547,48 +560,48 @@ def run_inequality_suite(cfg: ExperimentConfig) -> ResultRecord:
     ching = standard_ching(grid, 0.0, 4)
     a_tdc = ching - localize(ching, chi, eps)
     B = 2.0 / eps
-    split = para_split(a_tdc, fields[0], part, m)
-    rep = support_inclusions(split, tdc_B=B)
+    rep = support_inclusions(para_split(a_tdc, fields[0][1], part, m), tdc_B=B)
     add("tdc_diagonal_corona", "tdc_diagonal_corona",
-        len(rep.violations), 0, {"B": _f(B)})
+        _Worst().see(len(rep.violations), symbol="ching_tdc",
+                     input=fields[0][0]), 0, {"B": _f(B)})
 
     # cumulative-sum inequality
     rng = rng_for(cfg.seed, 17)
-    worst = 0.0
+    worst = _Worst()
     for s in (-1.0, -0.5):
         for q in (1.0, 2.0, np.inf):
-            for _ in range(200):
-                b = rng.random(24)
-                res = yamazaki_check(b, s, q)
-                if res["rhs"] > 0:
-                    ratio = res["lhs"] / (res["rhs_const"] * res["rhs"])
-                    worst = _worse(worst, ratio)
+            for draw in range(200):
+                res = yamazaki_check(rng.random(24), s, q)
+                ratio, _ = max_ratio(res["lhs"], res["rhs_const"] * res["rhs"])
+                worst.see(ratio, s=s, q=q, draw=draw)
     add("cumulative_sum_inequality", "cumulative_sum_inequality", worst,
         1.0 + 1e-12)
 
     # Peetre max dominated by the Hardy-Littlewood variant
     t_exp = 0.9
-    worst = 0.0
-    for u in fields:
+    worst = _Worst()
+    for uname, u in fields:
         for k in (2, 3):
             uk = dyadic_block(u, k, part)
             if uk.norm_inf() == 0.0:
                 continue
-            star = peetre_max(uk, MaxParams(grid.n / t_exp, part.R * 2**k))
-            mt = hl_max(uk, t_exp)
-            mask = mt > 0
-            if mask.any():
-                worst = _worse(worst, float(np.max(star[mask] / mt[mask])))
+            ratio, x = max_ratio(
+                peetre_max(uk, MaxParams(grid.n / t_exp, part.R * 2**k)),
+                hl_max(uk, t_exp))
+            worst.see(ratio, input=uname, level=k, x=x)
     add("peetre_hl_domination", "peetre_hardy_littlewood_domination", worst,
         FROZEN_THRESHOLDS["peetre_hl_constant"])
 
     # Fefferman-Stein chain on the blocks of a corpus field
-    blocks = [dyadic_block(fields[0], k, part) for k in range(part.J_max + 1)]
+    blocks = [dyadic_block(fields[0][1], k, part)
+              for k in range(part.J_max + 1)]
     fs = fefferman_stein_check(blocks, NormSpec("F", 1.0, 2.0, 2.0),
                                t=t_exp, N_decay=max(2.0, grid.n / t_exp),
                                R=part.R)
-    add("fefferman_stein_chain", "fefferman_stein_chain",
-        _worse(fs["ratio_star_hl"], fs["ratio_hl_blocks"]),
+    worst = _Worst()
+    for link in ("ratio_star_hl", "ratio_hl_blocks"):
+        worst.see(fs[link], input=fields[0][0], link=link)
+    add("fefferman_stein_chain", "fefferman_stein_chain", worst,
         FROZEN_THRESHOLDS["fs_chain_ratio"], {k: _f(v) for k, v in fs.items()})
 
     # Marschall inequality (rows must carry no zero-frequency mass, which the
@@ -601,10 +614,11 @@ def run_inequality_suite(cfg: ExperimentConfig) -> ResultRecord:
                 grid, rng_for(cfg.seed, 23, i), d=0.0,
                 x_band=grid.nyquist / 8, eta_band=grid.nyquist / 4,
                 eta_min=2.0)))
-    worst = 0.0
-    for name, a in marschall_symbols:
-        res = marschall_check(a, fields[0], k_m, t=1.0)
-        worst = _worse(worst, res["max_ratio"])
+    worst = _Worst()
+    for sname, a in marschall_symbols:
+        res = marschall_check(a, fields[0][1], k_m, t=1.0)
+        worst.see(res["max_ratio"], symbol=sname, input=fields[0][0],
+                  x=res["x"])
     add("marschall", "marschall_inequality", worst,
         FROZEN_THRESHOLDS["marschall_constant"])
 
@@ -612,39 +626,34 @@ def run_inequality_suite(cfg: ExperimentConfig) -> ResultRecord:
     # (the composed and the chained operator share their whole limit profile)
     b = DiscreteSymbol.multiplier(grid, lambda *k: (1.0 + sum(x**2 for x in k)) ** -0.5,
                                   d=-1.0)
-    worst = 0.0
-    for _, a in symbols[:3]:
+    worst = _Worst()
+    for sname, a in symbols[:3]:
         c = compose_multiplier(a, b)
-        for u in fields[:2]:
-            lhs = apply(c, u)
-            rhs = apply(a, apply(b, u))
+        for uname, u in fields[:2]:
             denom = max(u.norm_inf(), 1e-300)
-            worst = _worse(worst,
-                           float(np.max(np.abs(lhs.values - rhs.values)))
-                           / denom)
-            for mm in (1, part.J_max):
-                lm = modulated_apply(c, u, psi, mm)
-                rm = modulated_apply(a, apply(b, u), psi, mm)
-                worst = _worse(worst,
-                               float(np.max(np.abs(lm.values - rm.values)))
-                               / denom)
+            outs = [(None, apply(c, u), apply(a, apply(b, u)))]
+            outs += [(mm, modulated_apply(c, u, psi, mm),
+                       modulated_apply(a, apply(b, u), psi, mm))
+                      for mm in (1, part.J_max)]
+            for level, lhs, rhs in outs:
+                ratio, x = max_ratio(np.abs(lhs.values - rhs.values), denom)
+                worst.see(ratio, symbol=sname, input=uname, level=level, x=x)
     add("composition_domain", "multiplier_composition_domain", worst,
         FROZEN_THRESHOLDS["composition_rel"])
 
     # spectral support rule over sparse pairs
-    ok_pairs, total_pairs = 0, 0
-    for i in range(10):
+    pairs, failed = 10, []
+    for i in range(pairs):
         rng_i = rng_for(cfg.seed, 19, i)
         a = random_sparse_symbol(grid, rng_i, d=0.0,
                                  x_band=grid.nyquist / 8,
                                  eta_band=grid.nyquist / 8)
         u = random_band_limited_field(grid, rng_i, grid.nyquist / 8)
-        bound = spectral_support_bound(a, u)
-        out = apply(a, u).support()
-        total_pairs += 1
-        ok_pairs += int(out.issubset(bound))
+        if not apply(a, u).support().issubset(spectral_support_bound(a, u)):
+            failed.append(i)
     add("spectral_support_rule", "spectral_support_rule",
-        total_pairs - ok_pairs, 0, {"pairs": total_pairs})
+        _Worst().see(len(failed), pair=failed[0] if failed else None), 0,
+        {"pairs": pairs})
 
     all_pass = all(c["pass"] for c in checks)
     metrics = {c["name"]: {"claim": c["claim"], **{k: v for k, v in c.items()

@@ -328,18 +328,17 @@ def adjoint_symbol(a: DiscreteSymbol) -> DiscreteSymbol:
                           rows=rows)
 
 
-def discrete_adjoint_probe(a: DiscreteSymbol,
-                           depths=((0, 0), (1, 0), (0, 1), (1, 1))) -> dict:
+def discrete_adjoint_probe(a: DiscreteSymbol) -> dict:
     """Numerical probe of membership in the self-adjoint symbol subclass.
 
     Returns the adjoint symbol and seminorm estimates for both the symbol
-    and its adjoint at the requested derivative depths, taken along the
-    first axis when n = 2.
+    and its adjoint at the derivative depths (alpha, beta) in {0, 1}^2,
+    taken along the first axis when n = 2.
     """
     adj = adjoint_symbol(a)
     rest = (0,) * (a.grid.n - 1)
     report = {}
-    for alpha, beta in depths:
+    for alpha, beta in ((0, 0), (1, 0), (0, 1), (1, 1)):
         al, be = (alpha,) + rest, (beta,) + rest
         report[f"alpha{alpha}_beta{beta}"] = {
             "symbol": estimate_seminorm(a, al, be).value,

@@ -143,15 +143,30 @@ def symbol_factor(a: DiscreteSymbol, p: MaxParams, psi,
     return total * grid.spacing**grid.n
 
 
-def check_factorization(a: DiscreteSymbol, u: SpectralField, p: MaxParams,
-                        psi: ModulationFunction | None = None) -> dict:
-    """max_x |a#u(x)| / (F_a(x) u*(x)); holds iff the ratio is <= 1 + 1e-6.
+def max_ratio(num, den, floor: float = 0.0) -> tuple:
+    """(ratio, x): the majorant rule of every inequality verdict.
+
+    ratio = max of num / den, where a point with den = 0 counts inf if num
+    exceeds ``floor`` there and 0 otherwise; NaN if either array holds a
+    NaN.  x is the flat row-major index of the maximum (the first NaN)."""
+    num, den = np.broadcast_arrays(np.asarray(num, dtype=float),
+                                   np.asarray(den, dtype=float))
+    ratios = np.where(num > floor, np.inf, 0.0)
+    np.divide(num, den, out=ratios, where=den > 0)
+    ratios[np.isnan(num) | np.isnan(den)] = np.nan
+    x = int(np.argmax(ratios))
+    return float(ratios.flat[x]), x
+
+
+def check_factorization(a: DiscreteSymbol, u: SpectralField,
+                        p: MaxParams) -> dict:
+    """max_x |a#u(x)| / (F_a(x) u*(x)) at its x; holds iff <= 1 + 1e-6.
 
     Preconditions (checked exactly on the lattice): the input spectrum lies
-    in the ball of radius R and the cutoff chi = psi(./R) equals 1 on it.
+    in the ball of radius R and the cutoff chi = psi(./R) equals 1 on it,
+    psi the standard cutoff with (r, R) = (1, 2).
     """
-    if psi is None:
-        psi = make_modulation(1.0, 2.0)
+    psi = make_modulation(1.0, 2.0)
     grid = u.grid
     sup = u.support()
     bad = [pt for pt in sup
@@ -163,15 +178,9 @@ def check_factorization(a: DiscreteSymbol, u: SpectralField, p: MaxParams,
     for pt in sup:
         if chi[grid.index_of(pt)] != 1.0:
             raise SupportViolation("cutoff not identically 1 on supp(u^)", [pt])
-    lhs = np.abs(apply(a, u).values)
-    Fa = symbol_factor(a, p, psi)
-    ustar = peetre_max(u, p)
-    denom = Fa * ustar
-    mask = denom > 0
-    ratio = float(np.max(lhs[mask] / denom[mask])) if mask.any() else 0.0
-    if np.any(lhs[~mask] > 0):
-        ratio = np.inf
-    return {"max_ratio": ratio, "holds": bool(ratio <= 1.0 + 1e-6)}
+    ratio, x = max_ratio(np.abs(apply(a, u).values),
+                         symbol_factor(a, p, psi) * peetre_max(u, p))
+    return {"max_ratio": ratio, "x": x, "holds": bool(ratio <= 1.0 + 1e-6)}
 
 
 def _multi_indices(n: int, max_order: int):
@@ -219,9 +228,10 @@ class ParatermReport:
     Each paradifferential term is checked in two independent layers:
 
     * ``factorization_ratios``: term / (own symbol factor x maximal
-      function of its input) -- an exact triangle inequality, so every
-      finite entry must be <= 1.  ``max_factorization_ratio`` is the
-      largest finite entry, or NaN if any entry is NaN.
+      function of its input) by :func:`max_ratio` -- an exact triangle
+      inequality, so every finite entry must be <= 1.
+      ``max_factorization_ratio`` is the largest finite entry (NaN if any
+      entry is NaN), first reached at the series, level and point ``witness``.
     * ``scale_constants``: symbol factor / (dyadic scaling law x the
       same-window identity reference).  Dividing by the reference cancels
       the lattice-resolution transient of the window family, so for a
@@ -236,26 +246,13 @@ class ParatermReport:
     max_factorization_ratio: float
     growth_slopes: dict
     trend_levels: dict
+    witness: dict
 
-    def pointwise_ok(self, tol: float = 1e-6) -> bool:
-        return self.max_factorization_ratio <= 1.0 + tol
+    def pointwise_ok(self) -> bool:
+        return self.max_factorization_ratio <= 1.0 + 1e-6
 
-    def stable(self, slope_tol: float = 0.8) -> bool:
-        return all(s <= slope_tol for s in self.growth_slopes.values())
-
-
-def _ratio(term, major) -> float:
-    """max |term| / major where major > 0; inf if the term has mass where
-    the majorant vanishes; NaN if either array holds a NaN."""
-    num = np.abs(term.values)
-    if np.isnan(num).any() or np.isnan(major).any():
-        return np.nan
-    mask = major > 0
-    if not mask.any():
-        return 0.0 if float(np.max(num)) == 0.0 else np.inf
-    if np.any(num[~mask] > 1e-13 * max(float(np.max(num)), 1.0)):
-        return np.inf
-    return float(np.max(num[mask] / major[mask]))
+    def stable(self) -> bool:
+        return all(s <= 0.8 for s in self.growth_slopes.values())
 
 
 def _log_slope(values, resolved_from: int = 0) -> float:
@@ -316,7 +313,7 @@ def paraterm_pointwise_check(split: ParaSplit, p: MaxParams) -> ParatermReport:
         ring = lag_ring if name == "diagonal_b" else block_ring
         return R * 2.0**k, psi if k == 0 else ring, (R * 2.0**k) ** d
 
-    fact, scale, trends = {}, {}, {}
+    fact, scale, trends, finite = {}, {}, {}, []
     for name, triples in split.series.items():
         ratios, consts, levels = [], [], []
         for k, (sym, w, term) in enumerate(triples):
@@ -328,8 +325,11 @@ def paraterm_pointwise_check(split: ParaSplit, p: MaxParams) -> ParatermReport:
             radius, window, law = level_law(name, k, sym.d)
             pp = MaxParams(p.N, radius)
             F = symbol_factor(sym, pp, window, allow_clipped=True)
-            major = F * peetre_max(w, pp)
-            ratios.append(_ratio(term, major))
+            ratio, x = max_ratio(num, F * peetre_max(w, pp),
+                                 1e-13 * max(float(np.max(num)), 1.0))
+            ratios.append(ratio)
+            if not np.isinf(ratio):
+                finite.append((ratio, {"series": name, "level": k, "x": x}))
             ref = window_reference(pp, window)
             consts.append(float(np.max(F)) / (law * ref))
             if radius * getattr(window, "R") <= grid.nyquist:
@@ -338,17 +338,16 @@ def paraterm_pointwise_check(split: ParaSplit, p: MaxParams) -> ParatermReport:
         scale[name] = consts
         trends[name] = levels
 
-    ratios = [rr for rs in fact.values() for rr in rs]
-    worst = max((rr for rr in ratios if np.isfinite(rr)), default=0.0)
-    if any(np.isnan(rr) for rr in ratios):
-        worst = np.nan
+    # the first largest finite entry; a NaN outranks every number
+    worst, witness = max(finite, default=(0.0, {}),
+                         key=lambda e: np.inf if np.isnan(e[0]) else e[0])
     resolved_from = max(3, (m + 1) // 2)
     slopes = {}
     for name in ("low_high", "diagonal_a", "diagonal_b"):
         usable = [v if k in trends[name] else 0.0
                   for k, v in enumerate(scale[name])]
         slopes[name] = _log_slope(usable, resolved_from)
-    return ParatermReport(fact, scale, worst, slopes, trends)
+    return ParatermReport(fact, scale, worst, slopes, trends, witness)
 
 
 def yamazaki_constant(s: float, q: float) -> float:

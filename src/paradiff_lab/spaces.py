@@ -16,7 +16,7 @@ from .errors import (AliasingRisk, BadExponent, GridTooCoarse, NotResolvable,
                      SupportViolation)
 from .lp import LPPartition, check_grid, make_modulation
 from .operators import apply
-from .pointwise import MaxParams, hl_max, peetre_max
+from .pointwise import MaxParams, hl_max, max_ratio, peetre_max
 from .symbols import DiscreteSymbol
 from .torus import SUPPORT_REL_THRESHOLD, SpectralField, TorusGrid
 
@@ -157,7 +157,7 @@ def _dyadic_shells(grid: TorusGrid) -> tuple:
 
 def marschall_check(b: DiscreteSymbol, u: SpectralField, k: int,
                     t: float) -> dict:
-    """Pointwise ratio |b#u(x)| / ( ||row_x||_{hom, n/t, 1, t} M_t u(x) ).
+    """max_x |b#u(x)| / ( ||row_x||_{hom, n/t, 1, t} M_t u(x) ) at its x.
 
     The symbol rows and the input spectrum must live in B(0, 2^k); the
     row norm uses the dyadic scaling identity to account for the 2^k
@@ -192,15 +192,14 @@ def marschall_check(b: DiscreteSymbol, u: SpectralField, k: int,
             l1 += np.sum(np.abs(block), axis=-1)
         terms.append(2.0 ** (j * s_h) * l1 / grid.N**n)
     norms = _lq(np.array(terms), t)
-    den = scale * norms * Mt
     # a row norm below the support threshold of the largest, and a |b#u(x)|
-    # below it of the bound sup|b| sum|c|, count as zero (0/0 -> 0, x/0 ->
-    # inf), so the verdict does not hang on roundoff of how b is stored
+    # below it of the bound sup|b| sum|c|, count as zero, so the verdict
+    # does not hang on roundoff of how b is stored
     live = norms > SUPPORT_REL_THRESHOLD * np.max(norms, initial=0.0)
     out_bound = peak * float(np.sum(np.abs(u.coeffs)))
-    ratios = np.where(lhs <= SUPPORT_REL_THRESHOLD * out_bound, 0.0, np.inf)
-    np.divide(lhs, den, out=ratios, where=live & (den > 0))
-    return {"max_ratio": float(np.max(ratios))}
+    ratio, x = max_ratio(lhs, np.where(live, scale * norms * Mt, 0.0),
+                         SUPPORT_REL_THRESHOLD * out_bound)
+    return {"max_ratio": ratio, "x": x}
 
 
 @dataclass(frozen=True)
@@ -270,12 +269,11 @@ def corona_sum_check(terms, spec: CoronaSpec, part: LPPartition) -> dict:
     for term in terms[1:]:
         total = total + term
     nrm = space_norm(total, NormSpec("F", spec.s_prime, spec.p, spec.q), part)
-    return {"norm_of_sum": nrm, "F_bound": F,
-            "ratio": nrm / F if F > 0 else 0.0}
+    return {"norm_of_sum": nrm, "F_bound": F, "ratio": max_ratio(nrm, F)[0]}
 
 
 def fefferman_stein_check(blocks, spec: NormSpec, t: float, N_decay: float,
-                          R: float | None = None) -> dict:
+                          R: float = 2.0) -> dict:
     """Three-term chain: mixed norm of the block maximal functions, of the
     Hardy-Littlewood regularizations, and of the blocks themselves.
 
@@ -286,8 +284,6 @@ def fefferman_stein_check(blocks, spec: NormSpec, t: float, N_decay: float,
     grid = blocks[0].grid
     if N_decay < grid.n / t:
         raise BadExponent("decay exponent must be >= n/t")
-    if R is None:
-        R = 2.0
     weights = [2.0 ** (spec.s * k) for k in range(len(blocks))]
     Q1 = _dyadic_norm("F", [peetre_max(blk, MaxParams(N_decay, R * 2.0**k))
                             for k, blk in enumerate(blocks)],
@@ -297,8 +293,8 @@ def fefferman_stein_check(blocks, spec: NormSpec, t: float, N_decay: float,
     Q3 = _dyadic_norm("F", [blk.values for blk in blocks], weights, spec.p,
                       spec.q)
     return {"Q_star": Q1, "Q_hl": Q2, "Q_blocks": Q3,
-            "ratio_star_hl": Q1 / Q2 if Q2 > 0 else 0.0,
-            "ratio_hl_blocks": Q2 / Q3 if Q3 > 0 else 0.0}
+            "ratio_star_hl": max_ratio(Q1, Q2)[0],
+            "ratio_hl_blocks": max_ratio(Q2, Q3)[0]}
 
 
 def embedding_constant(s: float, s_prime: float, q: float, r: float) -> float:

@@ -112,7 +112,7 @@ class DiscreteSymbol:
             raise ValueError("symbol values must be finite")
 
     @classmethod
-    def from_function(cls, grid: TorusGrid, fn, d: float, class_tag="custom"):
+    def from_function(cls, grid: TorusGrid, fn, d: float):
         """Sample a callable a(x_meshes, eta_meshes) on the product lattice.
 
         ``fn`` receives two tuples of broadcastable arrays: per-axis x
@@ -134,7 +134,7 @@ class DiscreteSymbol:
         vals = np.broadcast_to(np.asarray(fn(tuple(xs), tuple(ks)),
                                           dtype=np.complex128),
                                grid.shape + grid.shape)
-        return cls(grid, d, vals, class_tag)
+        return cls(grid, d, vals)
 
     @classmethod
     def multiplier(cls, grid: TorusGrid, b, d: float = 0.0,
@@ -222,11 +222,11 @@ class DiscreteSymbol:
         return self._pft
 
     @classmethod
-    def from_partial_ft(cls, grid, d, pft, class_tag="custom"):
+    def from_partial_ft(cls, grid, d, pft):
         """The symbol with partial transform ``pft``, keeping the xi-rows
         that hold a nonzero entry."""
         xi, rows = _support_rows(grid, np.asarray(pft, dtype=np.complex128))
-        return cls(grid, d, class_tag=class_tag, xi=xi, rows=rows)
+        return cls(grid, d, xi=xi, rows=rows)
 
     def with_rows(self, rows, keep=None, d=None) -> "DiscreteSymbol":
         """This symbol's xi-support (restricted to ``keep``) with new rows."""
@@ -234,12 +234,12 @@ class DiscreteSymbol:
         return DiscreteSymbol(self.grid, self.d if d is None else d,
                               class_tag=self.class_tag, xi=xi, rows=rows)
 
-    def xi_support(self, threshold=None) -> FreqSet:
-        """Frequencies xi carrying partial-transform mass (global threshold)."""
+    def xi_support(self) -> FreqSet:
+        """Frequencies xi carrying partial-transform mass above
+        ``SUPPORT_REL_THRESHOLD`` of the largest."""
         mag = np.max(np.abs(self.rows), axis=tuple(range(1, self.grid.n + 1)),
                      initial=0.0)
-        if threshold is None:
-            threshold = SUPPORT_REL_THRESHOLD * float(np.max(mag, initial=0.0))
+        threshold = SUPPORT_REL_THRESHOLD * float(np.max(mag, initial=0.0))
         pts = frozenset(tuple(int(c) for c in p)
                         for p in self.xi[mag > threshold])
         return FreqSet(pts, self.grid)
@@ -254,7 +254,8 @@ class DiscreteSymbol:
     # -- algebra -------------------------------------------------------------
 
     def _combine(self, other, sign):
-        """self + sign * other over the union of the two supports."""
+        """self + sign * other over the union of the two supports; rows
+        that cancel exactly are dropped."""
         if other.grid != self.grid:
             raise GridMismatch("symbols live on different grids")
         grid = self.grid
@@ -264,9 +265,10 @@ class DiscreteSymbol:
                                     return_inverse=True)
         rows = np.zeros((len(first),) + grid.shape, dtype=np.complex128)
         np.add.at(rows, where, np.concatenate([self.rows, sign * other.rows]))
+        keep = np.any(rows != 0, axis=tuple(range(1, grid.n + 1)))
         return DiscreteSymbol(grid, max(self.d, other.d),
-                              class_tag=self.class_tag, xi=xi[first],
-                              rows=rows)
+                              class_tag=self.class_tag, xi=xi[first][keep],
+                              rows=rows[keep])
 
     def __add__(self, other):
         return self._combine(other, 1.0)
@@ -279,12 +281,12 @@ class DiscreteSymbol:
 
     __rmul__ = __mul__
 
-    def is_x_independent(self, tol=1e-14) -> bool:
-        """Whether the rows off xi = 0 vanish to ``tol`` of the peak."""
+    def is_x_independent(self) -> bool:
+        """Whether the rows off xi = 0 vanish to 1e-14 of the peak."""
         mag = np.abs(self.rows)
         peak = float(np.max(mag, initial=0.0)) or 1.0
         off = np.any(self.xi != 0, axis=1)
-        return bool(np.max(mag[off], initial=0.0) <= tol * peak)
+        return bool(np.max(mag[off], initial=0.0) <= 1e-14 * peak)
 
 
 @dataclass(frozen=True)
@@ -442,14 +444,13 @@ class LocalizationCutoff:
         ratio = xi_norm / np.maximum(eta_norm, 1.0)
         return self.rho(ratio) * sigma
 
-    def homogeneity_witness(self, samples=((0.5, 3.0), (1.0, 4.0), (2.0, 8.0)),
-                            t_values=(1.0, 1.5, 2.0, 4.0)) -> float:
+    def homogeneity_witness(self) -> float:
         """Max |chi(t xi, t eta) - chi(xi, eta)| over sample pairs with
-        |eta| >= 2; zero up to roundoff by construction."""
+        |eta| >= 2 and t in [1, 4]; zero up to roundoff by construction."""
         worst = 0.0
-        for xi, eta in samples:
+        for xi, eta in ((0.5, 3.0), (1.0, 4.0), (2.0, 8.0)):
             base = float(self(np.array([xi]), np.array([eta]))[0])
-            for t in t_values:
+            for t in (1.0, 1.5, 2.0, 4.0):
                 val = float(self(np.array([t * xi]), np.array([t * eta]))[0])
                 worst = max(worst, abs(val - base))
         return worst
@@ -527,11 +528,11 @@ def _shell_seminorm(a_loc: DiscreteSymbol, alpha: tuple) -> float:
 
 
 def tdc_seminorm(a: DiscreteSymbol, chi: LocalizationCutoff, eps: float,
-                 alpha, eps_family=(0.5, 0.25, 0.125, 0.0625, 0.03125)) -> TDCSeminorm:
+                 alpha) -> TDCSeminorm:
     """Discretized localized shell seminorm with its eps -> 0 decay fit.
 
     The family N(eps) is fitted as log2 N = log2 c + kappa log2 eps over the
-    dyadic eps samples; the reported exponent is
+    dyadic eps samples 2^-1 .. 2^-5; the reported exponent is
     sigma_hat = kappa - n/2 + |alpha|.  A family that is identically zero
     gets the +inf sentinel (faster than any power).
     """
@@ -539,6 +540,7 @@ def tdc_seminorm(a: DiscreteSymbol, chi: LocalizationCutoff, eps: float,
     if sum(alpha) > 4:
         raise DepthUnsupported("|alpha| must be <= 4")
     value = _shell_seminorm(localize(a, chi, eps), alpha)
+    eps_family = (0.5, 0.25, 0.125, 0.0625, 0.03125)
     family = [_shell_seminorm(localize(a, chi, e), alpha) for e in eps_family]
     positive = [(e, v) for e, v in zip(eps_family, family) if v > 0.0]
     if not positive:

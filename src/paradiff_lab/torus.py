@@ -92,49 +92,44 @@ class SpectralField:
     values : complex ndarray over grid points
     coeffs : complex ndarray over the frequency lattice (FFT order);
         coeffs[0...] is the mean value of the field.
-    support_threshold : float
-        Absolute coefficient threshold used by :meth:`support`.
     """
 
-    __slots__ = ("grid", "values", "coeffs", "support_threshold")
+    __slots__ = ("grid", "values", "coeffs")
 
-    def __init__(self, grid, values, coeffs, support_threshold=None):
+    def __init__(self, grid, values, coeffs):
         if not (np.isfinite(values).all() and np.isfinite(coeffs).all()):
             raise ValueError("field values and coefficients must be finite")
         self.grid = grid
         self.values = values
         self.coeffs = coeffs
-        if support_threshold is None:
-            peak = float(np.max(np.abs(coeffs))) if coeffs.size else 0.0
-            support_threshold = SUPPORT_REL_THRESHOLD * peak
-        self.support_threshold = support_threshold
 
     @classmethod
-    def from_values(cls, grid: TorusGrid, values, support_threshold=None):
+    def from_values(cls, grid: TorusGrid, values):
         values = np.asarray(values, dtype=np.complex128).reshape(grid.shape)
         coeffs = np.fft.fftn(values) / grid.N**grid.n
-        return cls(grid, values, coeffs, support_threshold)
+        return cls(grid, values, coeffs)
 
     @classmethod
-    def from_coeffs(cls, grid: TorusGrid, coeffs, support_threshold=None):
+    def from_coeffs(cls, grid: TorusGrid, coeffs):
         coeffs = np.asarray(coeffs, dtype=np.complex128).reshape(grid.shape)
         values = np.fft.ifftn(coeffs) * grid.N**grid.n
-        return cls(grid, values, coeffs, support_threshold)
+        return cls(grid, values, coeffs)
 
     @classmethod
     def zero(cls, grid: TorusGrid):
         z = np.zeros(grid.shape, dtype=np.complex128)
-        return cls(grid, z, z.copy(), support_threshold=0.0)
+        return cls(grid, z, z.copy())
 
     def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.values.copy(), self.coeffs.copy(),
-                             self.support_threshold)
+        return SpectralField(self.grid, self.values.copy(), self.coeffs.copy())
 
     def support(self, threshold=None) -> "FreqSet":
-        """Frequencies whose coefficient modulus exceeds the threshold."""
+        """Frequencies whose coefficient modulus exceeds ``threshold``, by
+        default ``SUPPORT_REL_THRESHOLD`` of the largest modulus."""
+        mag = np.abs(self.coeffs)
         if threshold is None:
-            threshold = self.support_threshold
-        mask = np.abs(self.coeffs) > threshold
+            threshold = SUPPORT_REL_THRESHOLD * float(np.max(mag, initial=0.0))
+        mask = mag > threshold
         if not mask.any():
             return FreqSet(frozenset(), self.grid)
         k = self.grid.axis_freqs()

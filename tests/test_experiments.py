@@ -170,13 +170,46 @@ def test_inequality_suite_passes_small():
     assert rec.metrics["summary"]["all_pass"]
 
 
+def test_inequality_suite_witnesses():
+    rec = run_scenario(small_cfg("inequality_suite", seed=3))
+    checks = {k: v for k, v in rec.metrics.items() if k != "summary"}
+    assert len(checks) == rec.metrics["summary"]["n_checks"]
+    assert all("witness" in c for c in checks.values())
+    fact = checks["factorization"]["witness"]
+    assert fact["symbol"] in {"identity", "ching", "bessel_multiplier",
+                              "random_0", "random_1"}
+    assert fact["input"] in {"field_0", "field_1"}
+    assert 0 <= fact["x"] < 64
+    assert checks["peetre_hl_domination"]["witness"]["level"] in (2, 3)
+    # a check whose worst value is 0 has no witness
+    assert checks["spectral_support_rule"]["witness"] == {}
+    para = checks["paraterm_pointwise"]
+    assert para["witness"]["series"] in {"low_high", "diagonal_a",
+                                         "diagonal_b", "high_low"}
+    assert type(para["vanishing_majorant_terms"]) is int
+
+
+def test_worst_record_keeps_nan_and_first_witness():
+    w = experiments._Worst()
+    w.see(0.0, at="zero")
+    assert w.where == {}
+    w.see(2.0, at="first").see(2.0, at="tie").see(1.0, at="smaller")
+    assert (w.value, w.where) == (2.0, {"at": "first"})
+    w.see(float("nan"), at="nan").see(5.0, at="after").see(float("nan"),
+                                                            at="second")
+    assert np.isnan(w.value) and w.where == {"at": "nan"}
+
+
 def test_inequality_suite_nan_ratio_fails(monkeypatch):
     # builtin max(0.0, nan) is 0.0: a NaN ratio must still fail its check
     monkeypatch.setattr(experiments, "marschall_check",
-                        lambda *args, **kw: {"max_ratio": float("nan")})
+                        lambda *args, **kw: {"max_ratio": float("nan"),
+                                             "x": None})
     rec = run_scenario(small_cfg("inequality_suite", seed=3))
     assert np.isnan(rec.metrics["marschall"]["max_ratio"])
     assert rec.metrics["marschall"]["pass"] is False
+    # the first NaN stays the witness
+    assert rec.metrics["marschall"]["witness"]["symbol"] == "ching"
     assert rec.metrics["summary"]["all_pass"] is False
     assert all(c["pass"] for name, c in rec.metrics.items()
                if name not in ("marschall", "summary"))

@@ -245,6 +245,18 @@ def test_split_ladder_matches_per_level_blocks(n, N):
     assert split.u is u
 
 
+@pytest.mark.parametrize("n,N", GRIDS)
+def test_difference_drops_cancelled_rows(n, N):
+    """a - a stores no row, and no near-diagonal symbol a^k - a^{k-h} keeps
+    a row that cancelled exactly."""
+    grid, part, a, u = setup(n, N)
+    assert len((a - a).xi) == 0 and (a - a).rows.shape == (0,) + grid.shape
+    split = para_split(a, u, part, part.J_max)
+    eta_axes = tuple(range(1, n + 1))
+    for sym, _, _ in split.series["diagonal_a"]:
+        assert np.all(np.any(sym.rows != 0, axis=eta_axes))
+
+
 # -- batched Marschall row norms ----------------------------------------------
 
 

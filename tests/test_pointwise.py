@@ -201,6 +201,28 @@ def test_symbol_factor_window_range_check(grid):
 # -- factorization inequality ---------------------------------------------------
 
 
+@pytest.mark.parametrize("num, den, floor, ratio, x", [
+    ([1.0, 6.0, 2.0], [2.0, 3.0, 4.0], 0.0, 2.0, 1),
+    ([1.0, 2.0], [1.0, 0.0], 0.0, np.inf, 1),        # mass where den = 0
+    ([1.0, 1e-14], [1.0, 0.0], 1e-13, 1.0, 0),       # below the floor
+    ([1.0, 1e-13], [1.0, 0.0], 1e-13, 1.0, 0),       # at the floor
+    ([0.0, 0.0], [0.0, 0.0], 0.0, 0.0, 0),           # 0 / 0
+    ([1.0, np.nan], [1.0, 1.0], 0.0, np.nan, 1),     # NaN in num
+    ([1.0, 1.0], [np.nan, 1.0], 0.0, np.nan, 0),     # NaN in den
+    ([3.0, 1.0], [np.nan, 0.0], 0.0, np.nan, 0),     # NaN outranks inf
+    (3.0, 2.0, 0.0, 1.5, 0),                         # 0-d
+    (3.0, 0.0, 0.0, np.inf, 0),
+    ([[1.0, 2.0], [8.0, 1.0]], 2.0, 0.0, 4.0, 2),    # flat row-major x
+])
+def test_max_ratio_rule(num, den, floor, ratio, x):
+    got, at = pointwise.max_ratio(num, den, floor)
+    assert at == x and isinstance(at, int)
+    if np.isnan(ratio):
+        assert np.isnan(got)
+    else:
+        assert got == ratio
+
+
 def test_factorization_identity(grid):
     rng = rng_for(43, 0)
     u = random_band_limited_field(grid, rng, 8.0)
@@ -218,7 +240,7 @@ def test_factorization_multiplier_single_mode(grid):
     Fa = symbol_factor(b, p, make_modulation(1.0, 2.0))
     expected = (1.0 / 37.0) / float(Fa[0])
     assert res["max_ratio"] == pytest.approx(expected, rel=1e-9)
-    assert res["holds"]
+    assert res["holds"] and 0 <= res["x"] < grid.N
 
 
 def test_factorization_sweep(grid):
@@ -338,6 +360,7 @@ def test_paraterm_nan_majorant_fails(grid, monkeypatch):
     rep = paraterm_pointwise_check(sp, MaxParams(2.0, 2.0))
     assert np.isnan(rep.max_factorization_ratio)
     assert rep.pointwise_ok() is False
+    assert set(rep.witness) == {"series", "level", "x"}
 
 
 # -- cumulative-sum inequality ---------------------------------------------------
