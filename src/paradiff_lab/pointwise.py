@@ -8,7 +8,6 @@ finite (exactly computable) maximum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import islice
 
 import numpy as np
@@ -45,22 +44,37 @@ def torus_offsets(grid: TorusGrid) -> np.ndarray:
     return np.sqrt(d[:, None] ** 2 + d[None, :] ** 2)
 
 
-def _translates(f: np.ndarray, offsets):
-    """Yield (y, f(. - y)) for each lattice offset y in ``offsets``; every
+def _by_distance(grid: TorusGrid) -> tuple:
+    """(order, d): the flat lattice offsets in order of |y| (a stable sort,
+    so ties keep row-major order) and their sorted distances."""
+    d = torus_offsets(grid).ravel()
+    order = np.argsort(d, kind="stable")
+    return order, d[order]
+
+
+def _translates(f: np.ndarray, order):
+    """Yield (y, f(. - y)) for each flat lattice offset y in ``order``; every
     periodic translate is a slice view of one doubled copy of f."""
     N = f.shape[0]
     doubled = np.tile(f, (2,) * f.ndim)
-    for y in offsets:
+    for y in zip(*np.unravel_index(order, f.shape)):
         yield y, doubled[tuple(slice(N - k, 2 * N - k) for k in y)]
 
 
 def peetre_max(u: SpectralField, p: MaxParams) -> np.ndarray:
-    """u*(x) = sup_y |u(x-y)| / (1 + R |y|)^N with the periodic metric:
-    the running max of the weighted translates over every grid offset."""
+    """u*(x) = sup_y |u(x-y)| / (1 + R |y|)^N with the periodic metric: the
+    running max of the weighted translates in order of |y|, until max|u|
+    times the largest weight ahead is <= its min over x (no later offset
+    can raise it anywhere, so the max is exact)."""
     grid = u.grid
+    f = np.abs(u.values)
     w = (1.0 + p.R * torus_offsets(grid)) ** (-p.N)
+    order, _ = _by_distance(grid)
+    ahead = np.maximum.accumulate(w.ravel()[order][::-1])[::-1]
     out = np.zeros(grid.shape)
-    for y, shifted in _translates(np.abs(u.values), np.ndindex(grid.shape)):
+    for (y, shifted), bound in zip(_translates(f, order), np.max(f) * ahead):
+        if bound <= out.min():
+            break
         np.maximum(out, shifted * w[y], out=out)
     return out
 
@@ -80,11 +94,10 @@ def hl_max(u: SpectralField, t: float) -> np.ndarray:
         raise BadExponent("t must lie in (0, 1]")
     grid = u.grid
     f = np.abs(u.values) ** t
-    d = torus_offsets(grid).ravel()
-    order = np.argsort(d, kind="stable")
+    order, d = _by_distance(grid)
     radii = np.arange(1, grid.N // 2 + 1) * grid.spacing + 1e-12
-    counts = np.searchsorted(d[order], radii, side="right")
-    sweep = _translates(f, zip(*np.unravel_index(order, grid.shape)))
+    counts = np.searchsorted(d, radii, side="right")
+    sweep = _translates(f, order)
     ball = np.zeros(grid.shape)
     best = f.copy()   # the degenerate ball {x} itself
     done = 0
@@ -96,25 +109,17 @@ def hl_max(u: SpectralField, t: float) -> np.ndarray:
     return best ** (1.0 / t)
 
 
-class FrequencyWindow:
-    """Radial eta-cutoff used inside the symbol factor; anything with an
-    outer support radius ``R`` and a profile on radii qualifies."""
-
-    def __init__(self, profile, R: float):
-        self.profile = profile
-        self.R = float(R)
-
-    def __call__(self, radii):
-        return self.profile(radii)
-
-
 def ring_window(inner: float, plateau_lo: float, plateau_hi: float,
-                outer: float) -> FrequencyWindow:
-    """Smooth annular window vanishing near the origin (for order scans)."""
+                outer: float):
+    """Smooth annular window vanishing near the origin (for order scans);
+    like a modulation function it carries its outer support radius ``R``."""
     rise = ModulationFunction(inner, plateau_lo)
     fall = ModulationFunction(plateau_hi, outer)
-    return FrequencyWindow(lambda s: (1.0 - rise(np.asarray(s, float))) * fall(np.asarray(s, float)),
-                           outer)
+
+    def window(radii):
+        return (1.0 - rise(radii)) * fall(radii)
+    window.R = float(outer)
+    return window
 
 
 def symbol_factor(a: DiscreteSymbol, p: MaxParams, psi,
@@ -138,8 +143,8 @@ def symbol_factor(a: DiscreteSymbol, p: MaxParams, psi,
          * grid.N**grid.n / (2.0 * np.pi)**grid.n)
     w = ((1.0 + p.R * torus_offsets(grid)) ** p.N).ravel()
     total = np.zeros(grid.shape)
-    for cols, block in a.columns(G):
-        total += np.sum(np.abs(block) * w[cols], axis=-1)
+    for cols, mod in a.moduli(G):
+        total += np.sum(mod * w[cols], axis=-1)
     return total * grid.spacing**grid.n
 
 
@@ -183,13 +188,6 @@ def check_factorization(a: DiscreteSymbol, u: SpectralField,
     return {"max_ratio": ratio, "x": x, "holds": bool(ratio <= 1.0 + 1e-6)}
 
 
-def _multi_indices(n: int, max_order: int):
-    if n == 1:
-        return [(k,) for k in range(max_order + 1)]
-    return [(i, j) for i in range(max_order + 1)
-            for j in range(max_order + 1 - i)]
-
-
 def _mihlin_rhs(a: DiscreteSymbol, p: MaxParams, psi) -> np.ndarray:
     grid = a.grid
     K = int(np.floor(p.N + grid.n / 2.0)) + 1
@@ -197,27 +195,19 @@ def _mihlin_rhs(a: DiscreteSymbol, p: MaxParams, psi) -> np.ndarray:
         raise DepthUnsupported(f"derivative depth {K} exceeds 4")
     region = psi(grid.freq_norms() / p.R) > 0
     total = np.zeros(grid.shape)
-    for alpha in _multi_indices(grid.n, K):
+    for alpha in (b for b in np.ndindex(*(K + 1,) * grid.n) if sum(b) <= K):
         sq, = _eta_square_sums(a, alpha, [region])
         total += np.sqrt(sq * p.R ** (2 * sum(alpha) - grid.n))
     return total
 
 
-@lru_cache(maxsize=32)
-def _mihlin_constant(n: int, N: int, params: MaxParams, psi) -> float:
-    """Calibrated on the identity symbol: the one free constant of the
-    Mihlin-type bound for this (grid, N, R, window)."""
-    grid = TorusGrid(n, N)
-    ident = DiscreteSymbol.identity(grid)
-    Fa = symbol_factor(ident, params, psi)
-    rhs = _mihlin_rhs(ident, params, psi)
-    return float(np.max(Fa / rhs))
-
-
 def mihlin_bound(a: DiscreteSymbol, p: MaxParams, psi) -> np.ndarray:
-    """Derivative-integral majorant of the symbol factor, scaled by the
-    constant calibrated once on the identity symbol."""
-    c = _mihlin_constant(a.grid.n, a.grid.N, p, psi)
+    """Derivative-integral majorant of the symbol factor, scaled by its one
+    free constant for this (grid, N, R, window), calibrated on the identity
+    symbol."""
+    ident = DiscreteSymbol.identity(a.grid)
+    c = float(np.max(symbol_factor(ident, p, psi)
+                     / _mihlin_rhs(ident, p, psi)))
     return c * _mihlin_rhs(a, p, psi)
 
 
@@ -292,14 +282,8 @@ def paraterm_pointwise_check(split: ParaSplit, p: MaxParams) -> ParatermReport:
     lag_ring = ring_window(r / (R * 2.0 ** (h + 1)), r / (R * 2.0**h),
                            0.5, 1.0)
 
-    def window_reference(pp, window):
-        """Symbol factor of the identity symbol through the same window:
-        the pure window/weight contribution at this level."""
-        chi = window(grid.freq_norms() / pp.R)
-        G = np.fft.ifftn(chi) * grid.N**grid.n / (2.0 * np.pi)**grid.n
-        w = (1.0 + pp.R * torus_offsets(grid)) ** pp.N
-        return float(np.sum(np.abs(G) * w) * grid.spacing**grid.n)
-
+    # its symbol factor is each level's pure window/weight reference
+    ident = DiscreteSymbol.identity(grid)
     tiny = 1e-12 * max(split.u.norm_inf(), 1e-300)
 
     def level_law(name, k, d):
@@ -330,7 +314,8 @@ def paraterm_pointwise_check(split: ParaSplit, p: MaxParams) -> ParatermReport:
             ratios.append(ratio)
             if not np.isinf(ratio):
                 finite.append((ratio, {"series": name, "level": k, "x": x}))
-            ref = window_reference(pp, window)
+            ref = float(symbol_factor(ident, pp, window,
+                                      allow_clipped=True).flat[0])
             consts.append(float(np.max(F)) / (law * ref))
             if radius * getattr(window, "R") <= grid.nyquist:
                 levels.append(k)

@@ -169,8 +169,8 @@ def marschall_check(b: DiscreteSymbol, u: SpectralField, k: int,
     n = grid.n
     # max over x of |b(x, eta)|: the rows' eta-support and sup|b|
     mag = np.zeros(grid.N**n)
-    for cols, block in b.columns():
-        mag[cols] = np.max(np.abs(block), axis=tuple(range(n)))
+    for cols, mod in b.moduli():
+        mag[cols] = np.max(mod, axis=tuple(range(n)))
     peak = float(np.max(mag))
     bound = 2.0**k
     radius = np.max(grid.freq_norms().ravel()[mag > 1e-10 * peak],
@@ -188,8 +188,8 @@ def marschall_check(b: DiscreteSymbol, u: SpectralField, k: int,
     terms = []
     for j, w in zip(*_dyadic_shells(grid)):
         l1 = np.zeros(grid.shape)
-        for _, block in b.columns(np.fft.ifftn(coeffs * w, axes=eta_axes)):
-            l1 += np.sum(np.abs(block), axis=-1)
+        for _, mod in b.moduli(np.fft.ifftn(coeffs * w, axes=eta_axes)):
+            l1 += np.sum(mod, axis=-1)
         terms.append(2.0 ** (j * s_h) * l1 / grid.N**n)
     norms = _lq(np.array(terms), t)
     # a row norm below the support threshold of the largest, and a |b#u(x)|

@@ -178,6 +178,15 @@ class DiscreteSymbol:
         """Lattice index of each xi_k, one index array per axis."""
         return tuple((self.xi % self.grid.N).T)
 
+    def _live_blocks(self, rows):
+        """(cols, rows[:, cols]) over the live columns, a block at a time."""
+        size = self.grid.N**self.grid.n
+        rows = (self.rows if rows is None else rows).reshape(len(self.xi), size)
+        live = np.flatnonzero(np.any(rows != 0, axis=0))
+        step = max(1, BLOCK_ENTRIES // size)
+        for lo in range(0, len(live), step):
+            yield live[lo:lo + step], rows[:, live[lo:lo + step]]
+
     def columns(self, rows=None):
         """Yield ``(cols, block)``, ``block[..., j] = sum_k rows[k, cols[j]]
         e^{i x.xi_k}`` over the x-grid (``cols`` flat lattice indices; the
@@ -186,15 +195,21 @@ class DiscreteSymbol:
         block.  ``rows`` defaults to the stored rows; a check linear in
         a(x, .) until it takes a modulus runs on the K rows instead."""
         grid = self.grid
-        size = grid.N**grid.n
-        rows = (self.rows if rows is None else rows).reshape(len(self.xi), size)
-        live = np.flatnonzero(np.any(rows != 0, axis=0))
-        step = max(1, BLOCK_ENTRIES // size)
-        for lo in range(0, len(live), step):
-            cols = live[lo:lo + step]
+        for cols, sub in self._live_blocks(rows):
             block = np.zeros(grid.shape + cols.shape, dtype=np.complex128)
-            block[self.xi_index()] = rows[:, cols]
-            yield cols, np.fft.ifftn(block, axes=tuple(range(grid.n))) * size
+            block[self.xi_index()] = sub
+            yield cols, (np.fft.ifftn(block, axes=tuple(range(grid.n)))
+                         * grid.N**grid.n)
+
+    def moduli(self, rows=None):
+        """Yield ``(cols, |block|)`` over the blocks of :meth:`columns`.  A
+        single row (K <= 1) gives |rows[0, cols]| with x-extent 1, shape
+        (1,)*n + (C,): |r(eta) e^{i x.xi_1}| does not depend on x."""
+        if len(self.xi) > 1:
+            yield from ((c, np.abs(b)) for c, b in self.columns(rows))
+        else:
+            for cols, sub in self._live_blocks(rows):
+                yield cols, np.abs(sub).reshape((1,) * self.grid.n + cols.shape)
 
     @property
     def values(self) -> np.ndarray:
@@ -324,8 +339,8 @@ def _eta_square_sums(a: DiscreteSymbol, alpha: tuple, masks) -> np.ndarray:
     eta of |D^alpha_eta a(x, eta)|^2; one pass over the columns."""
     live = np.logical_or.reduce(masks, initial=False)
     sums = np.zeros((len(masks),) + a.grid.shape)
-    for cols, block in a.columns(_eta_derivative(a.rows, a.grid, alpha) * live):
-        sq = np.abs(block) ** 2
+    for cols, mod in a.moduli(_eta_derivative(a.rows, a.grid, alpha) * live):
+        sq = mod ** 2
         for total, mask in zip(sums, masks):
             total += np.sum(sq * mask.ravel()[cols], axis=-1)
     return sums
@@ -350,8 +365,8 @@ def estimate_seminorm(a: DiscreteSymbol, alpha, beta) -> SymbolSeminorm:
     expo = a.d - sum(alpha) + sum(beta)
     weight = ((1.0 + a.grid.freq_norms()) ** (-expo)).ravel()
     value = 0.0
-    for cols, block in a.columns(_eta_derivative(rows, a.grid, alpha)):
-        value = max(value, float(np.max(np.abs(block) * weight[cols])))
+    for cols, mod in a.moduli(_eta_derivative(rows, a.grid, alpha)):
+        value = max(value, float(np.max(mod * weight[cols])))
     return SymbolSeminorm(alpha, beta, value)
 
 

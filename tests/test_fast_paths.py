@@ -13,8 +13,10 @@ its twin built from the dense array, the eta-side checks on the stored rows
 must reproduce their dense formulas on ``a.values``,
 ``random_sparse_symbol`` must reproduce its dense fill, the row adjoint
 must reproduce the conjugate transpose of the dense Fourier-basis matrix,
-and the translate sweeps of ``peetre_max`` and ``hl_max`` must reproduce
-the index gather and the FFT ball-mask convolutions."""
+the translate sweeps of ``peetre_max`` and ``hl_max`` must reproduce
+the index gather and the FFT ball-mask convolutions (the Peetre sweep
+exactly, though it stops once no offset can win), and the modulus view of
+a symbol must reproduce the modulus of its dense columns."""
 
 import tracemalloc
 
@@ -36,7 +38,8 @@ from paradiff_lab.corpus import (random_band_limited_field,
                                  random_sparse_symbol, rng_for,
                                  standard_ching)
 from paradiff_lab.operators import adjoint_symbol, modulated_symbol
-from paradiff_lab.pointwise import torus_offsets
+from paradiff_lab import pointwise
+from paradiff_lab.pointwise import _mihlin_rhs, torus_offsets
 from paradiff_lab.spaces import lp_norm
 
 GRIDS = [(1, 64), (2, 16)]
@@ -717,10 +720,15 @@ def maximal_inputs(grid):
     u = random_band_limited_field(grid, rng_for(84, grid.n), grid.nyquist / 2)
     spike = np.zeros(grid.shape, dtype=complex)
     spike[(3,) * grid.n] = 1.0 / grid.spacing**grid.n
+    one = np.zeros(grid.shape, dtype=complex)
+    one[grid.index_of((5,) * grid.n)] = 0.5 + 2.0j
     return {"random": u,
             "spike": SpectralField.from_values(grid, spike),
             "zero": SpectralField.zero(grid),
-            "tiny": SpectralField.from_values(grid, 1e-200 * u.values)}
+            "tiny": SpectralField.from_values(grid, 1e-200 * u.values),
+            "constant": SpectralField.from_values(
+                grid, np.full(grid.shape, 1.5 - 0.5j)),
+            "one_mode": SpectralField.from_coeffs(grid, one)}
 
 
 @pytest.mark.parametrize("n,N", [(1, 64), (1, 256), (2, 16), (2, 32)])
@@ -734,6 +742,29 @@ def test_maximal_functions_match_oracles(n, N):
             got, want = hl_max(u, t), hl_oracle(u, t)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want), \
                 (name, t)
+
+
+def test_peetre_sweep_stops_once_dominated(monkeypatch):
+    """The |y|-ordered sweep visits a fraction of the offsets: at most N/4
+    for a band-limited field and 2 for a constant one (the full sweep
+    visits all N), and still gives the full sweep's maximum exactly."""
+    grid = TorusGrid(1, 256)
+    p = MaxParams(2.0, 1.0)
+    inputs = maximal_inputs(grid)
+    visited = []
+    sweep = pointwise._translates
+
+    def counted(f, order):
+        for y, shifted in sweep(f, order):
+            visited.append(y)
+            yield y, shifted
+
+    monkeypatch.setattr(pointwise, "_translates", counted)
+    for name, most in (("random", grid.N // 4), ("constant", 2)):
+        visited.clear()
+        u = inputs[name]
+        assert np.array_equal(peetre_max(u, p), peetre_oracle(u, p)), name
+        assert 0 < len(visited) <= most, (name, len(visited))
 
 
 @pytest.mark.parametrize("fn,arg", [(peetre_max, MaxParams(2.0, 64.0)),
@@ -753,3 +784,60 @@ def test_maximal_function_memory(fn, arg):
         tracemalloc.stop()
     assert peak < 4 * 2**20
     assert held < 2**16
+
+
+# -- the modulus view -----------------------------------------------------------
+
+
+def single_row(grid, xi, seed):
+    """One xi-row at ``xi`` with a random row that vanishes at eta = 0."""
+    rng = rng_for(seed, grid.n)
+    row = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    row[(0,) * grid.n] = 0.0
+    return DiscreteSymbol(grid, 0.0, xi=[xi], rows=row[None])
+
+
+def single_rows(grid):
+    return {"row_xi0": single_row(grid, (0,) * grid.n, 86),
+            "row_xi": single_row(grid, (5, -3)[:grid.n], 87)}
+
+
+@pytest.mark.parametrize("n,N", GRIDS)
+def test_moduli_match_dense_columns(n, N):
+    """The view walks the blocks of ``columns`` and gives |block|; with at
+    most one row its x-extent is 1."""
+    grid = TorusGrid(n, N)
+    for name, a in {**all_symbols(grid), **single_rows(grid)}.items():
+        dense = np.abs(a.values).reshape(grid.shape + (-1,))
+        peak = float(np.max(dense, initial=0.0))
+        extent = (1,) * n if len(a.xi) <= 1 else grid.shape
+        got = list(a.moduli())
+        assert [c.tolist() for c, _ in got] == \
+            [c.tolist() for c, _ in a.columns()], name
+        for cols, mod in got:
+            assert mod.shape == extent + cols.shape, name
+            assert np.max(np.abs(mod - dense[..., cols])) <= 1e-13 * peak, name
+
+
+@pytest.mark.parametrize("n,N", GRIDS)
+def test_single_row_checks_match_dense_formulas(n, N):
+    """The symbol factor of a single row off xi = 0 is constant in x; it and
+    the seminorm, Mihlin and Marschall checks match their dense forms."""
+    grid = TorusGrid(n, N)
+    psi = make_modulation(1.0, 2.0)
+    p = MaxParams(2.0, grid.nyquist / 4)
+    k = int(np.ceil(np.log2(grid.max_freq_norm())))
+    u = random_band_limited_field(grid, rng_for(74, n), grid.nyquist / 2)
+    for name, a in single_rows(grid).items():
+        F = symbol_factor(a, p, psi)
+        assert F.shape == grid.shape and np.all(F == F.flat[0]), name
+        assert_close(F, dense_symbol_factor(a, p, psi))
+        assert_close(_mihlin_rhs(a, p, psi), dense_mihlin_rhs(a, p, psi))
+        for alpha in depths(n, 2):
+            for beta in depths(n, 2):
+                assert estimate_seminorm(a, alpha, beta).value == \
+                    pytest.approx(dense_seminorm(a, alpha, beta), rel=1e-12,
+                                  abs=0.0), (name, alpha, beta)
+        for t in (1.0, 0.5):
+            assert marschall_check(a, u, k, t)["max_ratio"] == \
+                pytest.approx(marschall_loop(a, u, k, t), rel=1e-12), name
