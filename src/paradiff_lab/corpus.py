@@ -70,10 +70,8 @@ def random_sparse_symbol(grid: TorusGrid, rng, d: float = 0.0,
     rows = np.zeros((len(at),) + grid.shape, dtype=np.complex128)
     for pair, v in zip(drawn, vals):
         rows[(at.index(pair[:n]),) + pair[n:]] = v
-    keep = np.any(rows != 0, axis=tuple(range(1, n + 1)))
     xi = grid.axis_freqs()[np.array(at, dtype=np.int64).reshape(-1, n)]
-    return DiscreteSymbol(grid, d, class_tag="custom", xi=xi[keep],
-                          rows=rows[keep])
+    return DiscreteSymbol(grid, d, class_tag="custom", xi=xi, rows=rows)
 
 
 def lacunary_stack(grid: TorusGrid, theta, J: int, weights) -> SpectralField:

@@ -19,7 +19,8 @@ from .lp import (LPPartition, ModulationFunction, cumulative_block,
                  dyadic_block)
 from .symbols import (BLOCK_ENTRIES, DiscreteSymbol, estimate_seminorm,
                       symbol_band)
-from .torus import FreqSet, SpectralField, TorusGrid, sumset
+from .torus import (SUPPORT_REL_THRESHOLD, FreqSet, SpectralField, TorusGrid,
+                    sumset)
 
 
 def apply(a: DiscreteSymbol, u: SpectralField) -> SpectralField:
@@ -304,7 +305,7 @@ def spectral_support_bound(a: DiscreteSymbol, u: SpectralField) -> FreqSet:
     """
     grid = u.grid
     mag = np.abs(a.rows)
-    tau = (float(np.max(mag, initial=0.0)) or 1.0) * 1e-10
+    tau = (float(np.max(mag, initial=0.0)) or 1.0) * SUPPORT_REL_THRESHOLD
     u_sup = u.support()
     # enforce the no-wraparound precondition via the sumset guard
     sumset(a.xi_support(), u_sup)

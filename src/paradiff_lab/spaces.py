@@ -173,8 +173,8 @@ def marschall_check(b: DiscreteSymbol, u: SpectralField, k: int,
         mag[cols] = np.max(mod, axis=tuple(range(n)))
     peak = float(np.max(mag))
     bound = 2.0**k
-    radius = np.max(grid.freq_norms().ravel()[mag > 1e-10 * peak],
-                    initial=0.0)
+    radius = np.max(grid.freq_norms().ravel()[
+        mag > SUPPORT_REL_THRESHOLD * peak], initial=0.0)
     if radius > bound + 1e-12:
         raise SupportViolation("symbol rows escape B(0, 2^k)")
     if u.band_limit() > bound + 1e-12:

@@ -41,12 +41,9 @@ def _eta_meshes(grid: TorusGrid) -> tuple:
 
 
 def _support_rows(grid: TorusGrid, pft: np.ndarray) -> tuple:
-    """(xi, rows) of a partial transform over the whole lattice: the
-    xi-rows that hold a nonzero entry."""
-    keep = np.any(pft != 0, axis=tuple(range(grid.n, 2 * grid.n)))
-    k = grid.axis_freqs()
-    xi = np.stack([k[i] for i in np.nonzero(keep)], axis=1)
-    return xi, pft.reshape((-1,) + grid.shape) if keep.all() else pft[keep]
+    """(xi, rows) of a partial transform over the whole lattice."""
+    xi = grid.axis_freqs()[np.indices(grid.shape).reshape(grid.n, -1).T]
+    return xi, pft.reshape((-1,) + grid.shape)
 
 
 def _check_dense(grid: TorusGrid):
@@ -75,10 +72,11 @@ class DiscreteSymbol:
     class_tag : str
         One of {"S11", "S10", "smoothed_multiplier", "ching", "custom"}.
 
-    Given ``values`` instead of ``xi`` and ``rows``, the rows are the whole
-    partial transform (those with a nonzero entry) and ``values`` is kept
-    as the cached view.  The dense views are capped at ``DENSE_ENTRY_CAP``
-    entries; the stored rows are not.
+    The constructor alone decides the support: it rejects xi points that
+    coincide once wrapped and drops the rows with no nonzero entry.  Given
+    ``values`` instead of ``xi`` and ``rows``, the rows are the whole
+    partial transform and ``values`` is kept as the cached view.  The dense
+    views are capped at ``DENSE_ENTRY_CAP`` entries; the stored rows are not.
     """
 
     __slots__ = ("grid", "d", "class_tag", "xi", "rows", "_values", "_pft")
@@ -110,6 +108,12 @@ class DiscreteSymbol:
             raise ValueError("rows must have shape (K,) + grid.shape")
         if not np.isfinite(self.rows).all():
             raise ValueError("symbol values must be finite")
+        # a set, not np.unique, whose first call imports numpy.ma (~17 ms)
+        if len(set(map(tuple, self.xi.tolist()))) < len(self.xi):
+            raise ValueError("xi points must be distinct on the lattice")
+        nonzero = np.any(self.rows != 0, axis=tuple(range(1, grid.n + 1)))
+        if not nonzero.all():
+            self.xi, self.rows = self.xi[nonzero], self.rows[nonzero]
 
     @classmethod
     def from_function(cls, grid: TorusGrid, fn, d: float):
@@ -187,6 +191,18 @@ class DiscreteSymbol:
         for lo in range(0, len(live), step):
             yield live[lo:lo + step], rows[:, live[lo:lo + step]]
 
+    def _expand(self, rows, axes):
+        """The blocks of :meth:`columns`, transformed back along ``axes``
+        only; the other x-axes have extent 1 (xi_k's phase there dropped)."""
+        grid = self.grid
+        shape = tuple(grid.N if i in axes else 1 for i in range(grid.n))
+        index = tuple(ix if i in axes else np.zeros_like(ix)
+                      for i, ix in enumerate(self.xi_index()))
+        for cols, sub in self._live_blocks(rows):
+            block = np.zeros(shape + cols.shape, dtype=np.complex128)
+            block[index] = sub
+            yield cols, np.fft.ifftn(block, axes=axes) * grid.N**len(axes)
+
     def columns(self, rows=None):
         """Yield ``(cols, block)``, ``block[..., j] = sum_k rows[k, cols[j]]
         e^{i x.xi_k}`` over the x-grid (``cols`` flat lattice indices; the
@@ -194,22 +210,14 @@ class DiscreteSymbol:
         over xi and transformed back in x, ``BLOCK_ENTRIES`` entries per
         block.  ``rows`` defaults to the stored rows; a check linear in
         a(x, .) until it takes a modulus runs on the K rows instead."""
-        grid = self.grid
-        for cols, sub in self._live_blocks(rows):
-            block = np.zeros(grid.shape + cols.shape, dtype=np.complex128)
-            block[self.xi_index()] = sub
-            yield cols, (np.fft.ifftn(block, axes=tuple(range(grid.n)))
-                         * grid.N**grid.n)
+        return self._expand(rows, tuple(range(self.grid.n)))
 
     def moduli(self, rows=None):
-        """Yield ``(cols, |block|)`` over the blocks of :meth:`columns`.  A
-        single row (K <= 1) gives |rows[0, cols]| with x-extent 1, shape
-        (1,)*n + (C,): |r(eta) e^{i x.xi_1}| does not depend on x."""
-        if len(self.xi) > 1:
-            yield from ((c, np.abs(b)) for c, b in self.columns(rows))
-        else:
-            for cols, sub in self._live_blocks(rows):
-                yield cols, np.abs(sub).reshape((1,) * self.grid.n + cols.shape)
+        """Yield ``(cols, |block|)`` over the blocks of :meth:`columns`, with
+        x-extent 1 on every axis where all xi_k share their coordinate:
+        |sum_k r_k(eta) e^{i x.xi_k}| does not depend on that x_i."""
+        axes = tuple(np.flatnonzero(np.any(self.xi != self.xi[:1], axis=0)))
+        yield from ((c, np.abs(b)) for c, b in self._expand(rows, axes))
 
     @property
     def values(self) -> np.ndarray:
@@ -238,16 +246,14 @@ class DiscreteSymbol:
 
     @classmethod
     def from_partial_ft(cls, grid, d, pft):
-        """The symbol with partial transform ``pft``, keeping the xi-rows
-        that hold a nonzero entry."""
+        """The symbol with partial transform ``pft`` (xi axes first)."""
         xi, rows = _support_rows(grid, np.asarray(pft, dtype=np.complex128))
         return cls(grid, d, xi=xi, rows=rows)
 
-    def with_rows(self, rows, keep=None, d=None) -> "DiscreteSymbol":
-        """This symbol's xi-support (restricted to ``keep``) with new rows."""
-        xi = self.xi if keep is None else self.xi[keep]
+    def with_rows(self, rows, d=None) -> "DiscreteSymbol":
+        """This symbol's xi-support with new rows."""
         return DiscreteSymbol(self.grid, self.d if d is None else d,
-                              class_tag=self.class_tag, xi=xi, rows=rows)
+                              class_tag=self.class_tag, xi=self.xi, rows=rows)
 
     def xi_support(self) -> FreqSet:
         """Frequencies xi carrying partial-transform mass above
@@ -269,8 +275,7 @@ class DiscreteSymbol:
     # -- algebra -------------------------------------------------------------
 
     def _combine(self, other, sign):
-        """self + sign * other over the union of the two supports; rows
-        that cancel exactly are dropped."""
+        """self + sign * other over the union of the two supports."""
         if other.grid != self.grid:
             raise GridMismatch("symbols live on different grids")
         grid = self.grid
@@ -280,10 +285,8 @@ class DiscreteSymbol:
                                     return_inverse=True)
         rows = np.zeros((len(first),) + grid.shape, dtype=np.complex128)
         np.add.at(rows, where, np.concatenate([self.rows, sign * other.rows]))
-        keep = np.any(rows != 0, axis=tuple(range(1, grid.n + 1)))
         return DiscreteSymbol(grid, max(self.d, other.d),
-                              class_tag=self.class_tag, xi=xi[first][keep],
-                              rows=rows[keep])
+                              class_tag=self.class_tag, xi=xi[first], rows=rows)
 
     def __add__(self, other):
         return self._combine(other, 1.0)
@@ -577,16 +580,13 @@ def symbol_band(a: DiscreteSymbol, k: int, part: LPPartition,
                 cumulative: bool = False) -> DiscreteSymbol:
     """a_k = phi(2^-k D_x) a  (cumulative: a^k = psi(2^-k D_x) a).
 
-    Each stored row is multiplied by the level weight at its xi_k; rows
-    whose weight is exactly 0 are dropped.  Levels below zero give the zero
-    symbol; levels above J_max raise."""
+    Each stored row is multiplied by the level weight at its xi_k.  Levels
+    below zero give the zero symbol; levels above J_max raise."""
     check_grid(part, a.grid)
     if k > part.J_max:
         raise LevelOutOfRange(f"level {k} > J_max {part.J_max}")
     if k < 0:
         return DiscreteSymbol.zero(a.grid, a.d)
     w = part.cumulative_weights(k) if cumulative else part.level_weights(k)
-    wk = w[a.xi_index()]
-    keep = wk != 0
     lead = (-1,) + (1,) * a.grid.n
-    return a.with_rows(a.rows[keep] * wk[keep].reshape(lead), keep)
+    return a.with_rows(a.rows * w[a.xi_index()].reshape(lead))

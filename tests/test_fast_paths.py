@@ -260,6 +260,37 @@ def test_difference_drops_cancelled_rows(n, N):
         assert np.all(np.any(sym.rows != 0, axis=eta_axes))
 
 
+@pytest.mark.parametrize("n,N", GRIDS)
+def test_no_stored_row_is_all_zero(n, N):
+    """Every construction path stores only rows with a nonzero entry, each
+    drops the rows it zeroes, and ``apply`` matches the dense sum."""
+    grid, part, _, _ = setup(n, N)
+    eta_axes = tuple(range(1, n + 1))
+    near, far = (-4,) + (0,) * (n - 1), (1,) + (0,) * (n - 1)
+    norms = grid.freq_norms()
+    # row 0 on |eta + xi| <= 1 (kept by localize), row 1 on |eta| <= 1
+    # (where the cutoff and the multiplier vanish), row 2 zero
+    rows = np.zeros((3,) + grid.shape, dtype=complex)
+    rows[0] = (np.roll(norms, 4, axis=0) <= 1) * (1.0 + 2.0j)
+    rows[1] = (norms <= 1) * (3.0 - 1.0j)
+    a = DiscreteSymbol(grid, 0.0, xi=[near, far, (2,) * n], rows=rows)
+    x_free = DiscreteSymbol.multiplier(grid, rows[0])
+    made = {"rows": (a, 2),
+            "values": (DiscreteSymbol(grid, 0.0, x_free.values), 1),
+            "partial_ft": (DiscreteSymbol.from_partial_ft(
+                grid, 0.0, a.partial_ft()), 2),
+            "zero_times": (0 * a, 0),
+            "localize": (localize(a, LocalizationCutoff(), 0.5), 1),
+            "compose_multiplier": (compose_multiplier(
+                a, (norms > 1.5).astype(float)), 1),
+            "symbol_band": (symbol_band(a, 0, part), 1)}
+    for name, (sym, K) in made.items():
+        assert len(sym.xi) == K, name
+        assert np.all(np.any(sym.rows != 0, axis=eta_axes)), name
+        for u in apply_inputs(grid).values():
+            assert_close(apply(sym, u).values, dense_apply(sym, u))
+
+
 # -- batched Marschall row norms ----------------------------------------------
 
 
@@ -789,28 +820,42 @@ def test_maximal_function_memory(fn, arg):
 # -- the modulus view -----------------------------------------------------------
 
 
-def single_row(grid, xi, seed):
-    """One xi-row at ``xi`` with a random row that vanishes at eta = 0."""
+def rows_at(grid, xis, seed):
+    """A xi-row at each point of ``xis``, random rows that vanish at
+    eta = 0."""
     rng = rng_for(seed, grid.n)
-    row = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    row[(0,) * grid.n] = 0.0
-    return DiscreteSymbol(grid, 0.0, xi=[xi], rows=row[None])
+    shape = (len(xis),) + grid.shape
+    rows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    rows[(slice(None),) + (0,) * grid.n] = 0.0
+    return DiscreteSymbol(grid, 0.0, xi=xis, rows=rows)
 
 
 def single_rows(grid):
-    return {"row_xi0": single_row(grid, (0,) * grid.n, 86),
-            "row_xi": single_row(grid, (5, -3)[:grid.n], 87)}
+    """Symbols whose xi_k share a coordinate: single rows and, in 2-D, rows
+    on a line parallel to axis 0, to axis 1, and off the origin."""
+    out = {"row_xi0": rows_at(grid, [(0,) * grid.n], 86),
+           "row_xi": rows_at(grid, [(5, -3)[:grid.n]], 87)}
+    if grid.n == 2:
+        out.update(line_axis0=rows_at(grid, [(j, 0) for j in (-4, 1, 3)], 88),
+                   line_axis1=rows_at(grid, [(0, j) for j in (-2, 2, 5)], 89),
+                   line_at_3=rows_at(grid, [(j, 3) for j in (-6, 0, 1)], 90))
+    return out
+
+
+def shared_axes(a):
+    """The x-axes on which every xi_k has the same coordinate."""
+    return [ax for ax in range(a.grid.n) if len(set(a.xi[:, ax])) <= 1]
 
 
 @pytest.mark.parametrize("n,N", GRIDS)
 def test_moduli_match_dense_columns(n, N):
-    """The view walks the blocks of ``columns`` and gives |block|; with at
-    most one row its x-extent is 1."""
+    """The view walks the blocks of ``columns`` and gives |block|; its
+    x-extent is N exactly on the axes where the xi_k differ, else 1."""
     grid = TorusGrid(n, N)
     for name, a in {**all_symbols(grid), **single_rows(grid)}.items():
         dense = np.abs(a.values).reshape(grid.shape + (-1,))
         peak = float(np.max(dense, initial=0.0))
-        extent = (1,) * n if len(a.xi) <= 1 else grid.shape
+        extent = tuple(1 if ax in shared_axes(a) else N for ax in range(n))
         got = list(a.moduli())
         assert [c.tolist() for c, _ in got] == \
             [c.tolist() for c, _ in a.columns()], name
@@ -821,8 +866,9 @@ def test_moduli_match_dense_columns(n, N):
 
 @pytest.mark.parametrize("n,N", GRIDS)
 def test_single_row_checks_match_dense_formulas(n, N):
-    """The symbol factor of a single row off xi = 0 is constant in x; it and
-    the seminorm, Mihlin and Marschall checks match their dense forms."""
+    """The symbol factor of rows whose xi_k share a coordinate is constant
+    along that x-axis; it and the seminorm, Mihlin and Marschall checks
+    match their dense forms."""
     grid = TorusGrid(n, N)
     psi = make_modulation(1.0, 2.0)
     p = MaxParams(2.0, grid.nyquist / 4)
@@ -830,7 +876,9 @@ def test_single_row_checks_match_dense_formulas(n, N):
     u = random_band_limited_field(grid, rng_for(74, n), grid.nyquist / 2)
     for name, a in single_rows(grid).items():
         F = symbol_factor(a, p, psi)
-        assert F.shape == grid.shape and np.all(F == F.flat[0]), name
+        assert F.shape == grid.shape, name
+        for ax in shared_axes(a):
+            assert np.all(F == np.take(F, [0], axis=ax)), name
         assert_close(F, dense_symbol_factor(a, p, psi))
         assert_close(_mihlin_rhs(a, p, psi), dense_mihlin_rhs(a, p, psi))
         for alpha in depths(n, 2):

@@ -26,6 +26,17 @@ def test_non_finite_symbol_rejected(grid):
         DiscreteSymbol(grid, 0.0, vals)
 
 
+def test_duplicate_xi_rejected(grid):
+    """xi points equal as given or once wrapped (8 and -8 at N = 64 are
+    not, 32 and -32 are) would be added by apply but overwritten by the
+    dense view."""
+    rows = np.ones((2,) + grid.shape)
+    DiscreteSymbol(grid, 0.0, xi=[[8], [-8]], rows=rows)
+    for xi in ([[3], [3]], [[32], [-32]]):
+        with pytest.raises(ValueError):
+            DiscreteSymbol(grid, 0.0, xi=xi, rows=rows)
+
+
 # -- seminorms ---------------------------------------------------------------
 
 
