@@ -1,7 +1,7 @@
 """Command-line experiment runner.
 
     paradiff-lab run <scenario> [--config PATH] [--seed S] [--out DIR]
-                                [--grid N]
+                                [--grid N] [--dim {1,2}]
 
 The config JSON mirrors ExperimentConfig; flags override config values.
 Outputs land under --out as results.json, tables/*.csv, and manifest.json.
@@ -44,6 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, help="master random seed")
     run.add_argument("--out", help="output directory (default: ./out/<scenario>)")
     run.add_argument("--grid", type=int, help="override: single grid size N")
+    run.add_argument("--dim", type=int, choices=(1, 2),
+                     help="override: grid dimension n")
     return parser
 
 
@@ -61,6 +63,8 @@ def config_from_args(args) -> ExperimentConfig:
         cfg.seed = args.seed
     if args.grid is not None:
         cfg.grid_sizes = (args.grid,)
+    if args.dim is not None:
+        cfg.grid_n = args.dim
     if args.out is not None:
         cfg.out_dir = args.out
     cfg.validate()

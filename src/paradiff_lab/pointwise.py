@@ -122,30 +122,46 @@ def ring_window(inner: float, plateau_lo: float, plateau_hi: float,
     return window
 
 
+_FACTOR_ENTRIES = 128   # symbol_factor's memo; one suite run stores < 64
+_factors: dict = {}
+
+
 def symbol_factor(a: DiscreteSymbol, p: MaxParams, psi,
                   allow_clipped: bool = False) -> np.ndarray:
     """F_a(N, R; x) = integral (1 + R|y|)^N |F^-1_{eta->y}(a(x,.) chi)| dy
-    with chi = psi(. / R); a nonnegative continuous field over x.
+    with chi = psi(. / R); a nonnegative continuous field over x, read-only.
 
     The window must fit inside the lattice unless ``allow_clipped`` is set;
     a clipped window still equals 1 on its plateau, so the factorization
     inequality remains exact, but the decay-scaling fidelity is reduced.
+    F_a is memoized on exactly what it reads: grid, N, R, the xi_k and the
+    live columns of rows * chi with their bytes (oldest entry out first).
     """
     grid = a.grid
     outer = getattr(psi, "R")
     if p.R * outer > grid.nyquist and not allow_clipped:
         raise LevelOutOfRange(
             f"R * supp(psi) = {p.R * outer} exceeds nyquist {grid.nyquist}")
-    chi = psi(grid.freq_norms() / p.R)
+    windowed = a.rows * psi(grid.freq_norms() / p.R)
+    flat = windowed.reshape(len(a.xi), grid.N**grid.n)
+    live = np.flatnonzero(np.any(flat != 0, axis=0))
+    key = (grid, p.N, p.R, a.xi.tobytes(), live.tobytes(),
+           flat[:, live].tobytes())
+    if key in _factors:
+        return _factors[key]
     # F^-1_{eta->y} of each row, with d eta the counting measure and the
     # 2*pi^-n factor; it commutes with the expansion over x
-    G = (np.fft.ifftn(a.rows * chi, axes=tuple(range(1, grid.n + 1)))
+    G = (np.fft.ifftn(windowed, axes=tuple(range(1, grid.n + 1)))
          * grid.N**grid.n / (2.0 * np.pi)**grid.n)
     w = ((1.0 + p.R * torus_offsets(grid)) ** p.N).ravel()
     total = np.zeros(grid.shape)
     for cols, mod in a.moduli(G):
         total += np.sum(mod * w[cols], axis=-1)
-    return total * grid.spacing**grid.n
+    if len(_factors) >= _FACTOR_ENTRIES:
+        del _factors[next(iter(_factors))]
+    _factors[key] = total = total * grid.spacing**grid.n
+    total.flags.writeable = False
+    return total
 
 
 def max_ratio(num, den, floor: float = 0.0) -> tuple:

@@ -193,15 +193,19 @@ class DiscreteSymbol:
 
     def _expand(self, rows, axes):
         """The blocks of :meth:`columns`, transformed back along ``axes``
-        only; the other x-axes have extent 1 (xi_k's phase there dropped)."""
+        only; the other x-axes have extent 1 (xi_k's phase there dropped).
+        Every block is one work array, zeroed and transformed in place."""
         grid = self.grid
         shape = tuple(grid.N if i in axes else 1 for i in range(grid.n))
         index = tuple(ix if i in axes else np.zeros_like(ix)
                       for i, ix in enumerate(self.xi_index()))
+        size = int(np.prod(shape))
+        work = np.empty(max(BLOCK_ENTRIES, size), dtype=np.complex128)
         for cols, sub in self._live_blocks(rows):
-            block = np.zeros(shape + cols.shape, dtype=np.complex128)
+            block = work[:size * len(cols)].reshape(shape + cols.shape)
+            block.fill(0)
             block[index] = sub
-            yield cols, np.fft.ifftn(block, axes=axes) * grid.N**len(axes)
+            yield cols, np.fft.ifftn(block, axes=axes, norm="forward", out=block)
 
     def columns(self, rows=None):
         """Yield ``(cols, block)``, ``block[..., j] = sum_k rows[k, cols[j]]
@@ -209,7 +213,9 @@ class DiscreteSymbol:
         columns where every row is zero are skipped): the rows scattered
         over xi and transformed back in x, ``BLOCK_ENTRIES`` entries per
         block.  ``rows`` defaults to the stored rows; a check linear in
-        a(x, .) until it takes a modulus runs on the K rows instead."""
+        a(x, .) until it takes a modulus runs on the K rows instead.  The
+        block is one work array that the next block overwrites: copy it to
+        keep it."""
         return self._expand(rows, tuple(range(self.grid.n)))
 
     def moduli(self, rows=None):

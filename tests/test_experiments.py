@@ -189,6 +189,14 @@ def test_inequality_suite_witnesses():
     assert type(para["vanishing_majorant_terms"]) is int
 
 
+def test_inequality_suite_2d_n64():
+    rec = run_scenario(small_cfg("inequality_suite", grid_n=2,
+                                 grid_sizes=(64,), corpus_size=1, seed=0))
+    checks = {k: v for k, v in rec.metrics.items() if k != "summary"}
+    assert rec.metrics["summary"]["all_pass"]
+    assert all("witness" in c for c in checks.values())
+
+
 def test_worst_record_keeps_nan_and_first_witness():
     w = experiments._Worst()
     w.see(0.0, at="zero")
@@ -275,6 +283,17 @@ def test_cli_smoke(tmp_path, capsys):
     assert (out / "results.json").exists()
     assert (out / "manifest.json").exists()
     assert list((out / "tables").glob("*.csv"))
+
+
+def test_cli_dim_sets_grid_dimension(tmp_path):
+    out = tmp_path / "o"
+    assert cli_main(["run", "modulation_study", "--dim", "2", "--grid", "16",
+                     "--out", str(out)]) == 0
+    params = json.loads((out / "results.json").read_text())["params"]
+    assert (params["grid_n"], params["grid_sizes"]) == (2, [16])
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["run", "modulation_study", "--dim", "3"])
+    assert exc.value.code == 2
 
 
 def test_cli_config_scenario_mismatch(tmp_path):

@@ -15,8 +15,9 @@ must reproduce their dense formulas on ``a.values``,
 must reproduce the conjugate transpose of the dense Fourier-basis matrix,
 the translate sweeps of ``peetre_max`` and ``hl_max`` must reproduce
 the index gather and the FFT ball-mask convolutions (the Peetre sweep
-exactly, though it stops once no offset can win), and the modulus view of
-a symbol must reproduce the modulus of its dense columns."""
+exactly, though it stops once no offset can win), the modulus view of
+a symbol must reproduce the modulus of its dense columns, and both must
+reproduce a direct sum over the symbol's rows."""
 
 import tracemalloc
 
@@ -598,6 +599,7 @@ def test_eta_side_checks_run_above_the_dense_cap(n, N, monkeypatch):
         return out
 
     want = run()
+    pointwise._factors.clear()   # so the second run computes every factor
     monkeypatch.setattr(symbols, "DENSE_ENTRY_CAP", N ** (2 * n) - 1)
     with pytest.raises(TooLarge):
         sparse_symbols(grid)["ching"].values  # noqa: B018
@@ -862,6 +864,69 @@ def test_moduli_match_dense_columns(n, N):
         for cols, mod in got:
             assert mod.shape == extent + cols.shape, name
             assert np.max(np.abs(mod - dense[..., cols])) <= 1e-13 * peak, name
+
+
+def unchecked_grid(n, N):
+    """A grid whose N the lattice rejects (not a power of two); the
+    x-expansion itself does not rely on that rule."""
+    grid = object.__new__(TorusGrid)
+    object.__setattr__(grid, "n", n)
+    object.__setattr__(grid, "N", N)
+    return grid
+
+
+def expansion_case(name):
+    """(symbol, number of column blocks) for the direct-sum oracle."""
+    rng = rng_for(91, 0)
+    grid, xis, live = {
+        "1d_512_four_blocks": (TorusGrid(1, 512), [-200, -3, 0, 7, 255], None),
+        "1d_512_partial_block": (TorusGrid(1, 512), [-256, 1, 9], 300),
+        "1d_48": (unchecked_grid(1, 48), [-24, -5, 1, 23], None),
+        "2d_32_shared_coordinate": (TorusGrid(2, 32),
+                                    [(j, 3) for j in (-16, -2, 0, 9)], None),
+        "2d_32": (TorusGrid(2, 32), [(1, 2), (-3, 5), (7, -16)], None),
+        "k0": (TorusGrid(1, 64), [], None),
+        "k1": (TorusGrid(1, 64), [5], None),
+    }[name]
+    xi = np.reshape(np.array(xis, dtype=np.int64), (-1, grid.n))
+    size = grid.N**grid.n
+    flat = rng.standard_normal((len(xi), size)) \
+        + 1j * rng.standard_normal((len(xi), size))
+    flat[:, size if live is None else live:] = 0.0
+    a = DiscreteSymbol(grid, 0.0, xi=xi, rows=flat.reshape((-1,) + grid.shape))
+    live = size if live is None else live
+    step = symbols.BLOCK_ENTRIES // size
+    return a, (-(-live // step) if len(xi) else 0)
+
+
+@pytest.mark.parametrize("name", ["1d_512_four_blocks", "1d_512_partial_block",
+                                  "1d_48", "2d_32_shared_coordinate", "2d_32",
+                                  "k0", "k1"])
+def test_expansion_matches_direct_sum(name):
+    """``values`` and ``moduli`` against sum_k rows_k(eta) e^{i x.xi_k},
+    summed term by term here rather than by the FFT kernel behind both."""
+    a, blocks = expansion_case(name)
+    grid = a.grid
+    x = np.meshgrid(*[grid.axis_points()] * grid.n, indexing="ij")
+    want = np.zeros(grid.shape + (grid.N**grid.n,), dtype=np.complex128)
+    for xi_k, row in zip(a.xi, a.rows):
+        phase = np.exp(1j * sum(c * xc for c, xc in zip(xi_k, x)))
+        want += phase[..., None] * row.ravel()
+    tol = 1e-12 * max(1.0, float(np.sum(np.max(np.abs(a.rows), axis=tuple(
+        range(1, grid.n + 1)), initial=0.0))))
+    assert np.max(np.abs(a.values.reshape(want.shape) - want),
+                  initial=0.0) <= tol
+    extent = tuple(1 if ax in shared_axes(a) else grid.N
+                   for ax in range(grid.n))
+    got = list(a.moduli())
+    assert len(got) == blocks
+    live = np.flatnonzero(np.any(np.abs(want) > 0, axis=tuple(range(grid.n))))
+    assert np.concatenate([c for c, _ in got] + [live[:0]]).tolist() == \
+        live.tolist()
+    for cols, mod in got:
+        assert mod.shape == extent + cols.shape
+        assert np.max(np.abs(np.broadcast_to(mod, want[..., cols].shape)
+                             - np.abs(want[..., cols]))) <= tol
 
 
 @pytest.mark.parametrize("n,N", GRIDS)

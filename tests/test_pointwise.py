@@ -363,6 +363,85 @@ def test_paraterm_nan_majorant_fails(grid, monkeypatch):
     assert set(rep.witness) == {"series", "level", "x"}
 
 
+# -- symbol-factor memo ----------------------------------------------------------
+
+
+@pytest.fixture
+def expansions(monkeypatch):
+    """Empties the symbol-factor memo and counts the x-expansions built."""
+    pointwise._factors.clear()
+    count = [0]
+    expand = DiscreteSymbol._expand
+
+    def counted(self, rows, axes):
+        count[0] += 1
+        return expand(self, rows, axes)
+    monkeypatch.setattr(DiscreteSymbol, "_expand", counted)
+    return count
+
+
+def test_second_input_reuses_symbol_factors(grid, expansions):
+    # the factors depend on the symbol's bands only, so a split of the same
+    # symbol against another input rebuilds none of them
+    part = make_partition(make_modulation(1.0, 2.0), grid)
+    a = random_sparse_symbol(grid, rng_for(46, 0), d=0.0, x_band=8.0)
+    p = MaxParams(2.0, 2.0)
+    first, second = (
+        para_split(a, random_band_limited_field(grid, rng_for(46, s), 14.0),
+                   part, part.J_max) for s in (1, 2))
+    paraterm_pointwise_check(first, p)
+    assert expansions[0] > 0
+    built = expansions[0]
+    rep = paraterm_pointwise_check(second, p)
+    assert expansions[0] == built
+    assert max(max(r) for r in rep.factorization_ratios.values()) > 0
+
+
+def test_memo_hit_is_exact_and_read_only(grid, expansions):
+    a = random_sparse_symbol(grid, rng_for(47, 0), d=0.0, x_band=8.0)
+    p, psi = MaxParams(2.0, 4.0), make_modulation(1.0, 2.0)
+    hit = symbol_factor(a, p, psi)
+    assert symbol_factor(a.with_rows(a.rows.copy()), p, psi) is hit
+    assert expansions[0] == 1
+    pointwise._factors.clear()
+    assert np.array_equal(hit, symbol_factor(a, p, psi))
+    with pytest.raises(ValueError):
+        hit[0] = 0.0
+
+
+def test_memo_keys_on_exact_content(grid, expansions):
+    # each variant changes F_a's content or parameters, so none may share
+    a = random_sparse_symbol(grid, rng_for(48, 0), d=0.0, x_band=8.0,
+                             eta_band=12.0)
+    rows = a.rows.copy()
+    rows[0, 1] += 1e-12
+    psi = make_modulation(1.0, 2.0)
+    variants = [(a, MaxParams(2.0, 4.0), psi),
+                (a.with_rows(rows), MaxParams(2.0, 4.0), psi),
+                (a, MaxParams(2.0, 5.0), psi),
+                (a, MaxParams(3.0, 4.0), psi),
+                (a, MaxParams(2.0, 4.0), make_modulation(1.5, 2.5)),
+                (DiscreteSymbol(TorusGrid(1, 128), 0.0, xi=a.xi,
+                                rows=np.tile(a.rows, 2)),
+                 MaxParams(2.0, 4.0), psi)]
+    results = [symbol_factor(*v) for v in variants]
+    assert expansions[0] == len(variants) == len(pointwise._factors)
+    assert len({id(F) for F in results}) == len(variants)
+
+
+def test_memo_stays_within_its_bound(grid, expansions, monkeypatch):
+    monkeypatch.setattr(pointwise, "_FACTOR_ENTRIES", 3)
+    ident = DiscreteSymbol.identity(grid)
+    psi = make_modulation(1.0, 2.0)
+    for R in (1.0, 2.0, 3.0, 4.0, 5.0):
+        F = symbol_factor(ident, MaxParams(2.0, R), psi)
+        assert len(pointwise._factors) <= 3
+        assert symbol_factor(ident, MaxParams(2.0, R), psi) is F
+    assert expansions[0] == 5
+    symbol_factor(ident, MaxParams(2.0, 1.0), psi)    # evicted, built again
+    assert expansions[0] == 6
+
+
 # -- cumulative-sum inequality ---------------------------------------------------
 
 
