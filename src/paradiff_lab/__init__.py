@@ -3,19 +3,18 @@ band-limited periodic grid: dyadic Littlewood-Paley analysis, frequency
 modulation limits, pointwise maximal-function inequalities, and Besov /
 Triebel-Lizorkin norm measurement."""
 
-from .errors import (AliasingRisk, AnnulusOutOfRange, BadExponent,
-                     BadExponents, BadRadii, ConfigError, DepthUnsupported,
-                     EmptyShell, GridMismatch, GridTooCoarse, LevelOutOfRange,
-                     NotAMultiplier, NotResolvable, ParadiffError,
-                     SupportViolation, TooLarge)
+from .errors import (AliasingRisk, AnnulusOutOfRange, BadExponent, BadRadii,
+                     ConfigError, DepthUnsupported, EmptyShell, GridMismatch,
+                     GridTooCoarse, LevelOutOfRange, NotAMultiplier,
+                     NotResolvable, ParadiffError, SupportViolation, TooLarge)
 from .torus import (FreqSet, SpectralField, TorusGrid, annulus_set,
                     band_project, sumset, transform)
 from .lp import (LPPartition, ModulationFunction, cumulative_block,
                  dyadic_block, make_modulation, make_partition, minimal_gap)
 from .symbols import (ChingProfile, DiscreteSymbol, LocalizationCutoff,
                       SymbolSeminorm, TDCSeminorm, ching_symbol,
-                      estimate_seminorm, localize, partial_ft, symbol_band,
-                      tdc_seminorm, twisted_diagonal_check)
+                      estimate_seminorm, localize, symbol_band, tdc_seminorm,
+                      twisted_diagonal_check)
 from .operators import (LimitReport, ParaSplit, SupportReport, apply,
                         compose_multiplier, discrete_adjoint_probe,
                         modulated_apply, modulation_limit, para_split,

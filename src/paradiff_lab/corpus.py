@@ -71,7 +71,7 @@ def random_sparse_symbol(grid: TorusGrid, rng, d: float = 0.0,
     for pair, v in zip(drawn, vals):
         rows[(at.index(pair[:n]),) + pair[n:]] = v
     xi = grid.axis_freqs()[np.array(at, dtype=np.int64).reshape(-1, n)]
-    return DiscreteSymbol(grid, d, class_tag="custom", xi=xi, rows=rows)
+    return DiscreteSymbol(grid, d, xi, rows)
 
 
 def lacunary_stack(grid: TorusGrid, theta, J: int, weights) -> SpectralField:

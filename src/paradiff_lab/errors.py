@@ -58,10 +58,6 @@ class BadExponent(ParadiffError):
     """Exponent parameters (s, p, q, t, ...) outside the admissible range."""
 
 
-# Alias used where several exponents are validated together.
-BadExponents = BadExponent
-
-
 class NotResolvable(ParadiffError):
     """No dyadic shell of the homogeneous partition meets the lattice."""
 

@@ -147,10 +147,13 @@ class ExperimentConfig:
         if self.symbol_family not in ("ching", "multiplier", "identity",
                                       "random", "custom"):
             raise ConfigError(f"unknown symbol family {self.symbol_family!r}")
-        if self.scenario in ("boundedness_sweep", "ching_study") \
+        if self.scenario != "modulation_study" \
                 and self.symbol_family != "ching":
-            raise ConfigError(f"{self.scenario} sweeps the lacunary family; "
-                              f"set symbol_family='ching'")
+            raise ConfigError(f"{self.scenario} builds its own symbols; only "
+                              f"modulation_study reads symbol_family")
+        if self.symbol_family == "custom" and "table" not in self.symbol_params:
+            raise ConfigError("symbol_family 'custom' needs symbol_params.table,"
+                              " the path of a {d, xi, rows} JSON table")
 
 
 @dataclass
@@ -397,8 +400,12 @@ def build_symbol(cfg: ExperimentConfig, grid: TorusGrid) -> DiscreteSymbol:
         return random_sparse_symbol(grid, rng_for(cfg.seed, 2), d=d,
                                     x_band=grid.nyquist / 8,
                                     eta_band=grid.nyquist / 4)
-    table = Path(params["table"]).read_text()
-    return DiscreteSymbol.from_json(grid, table)
+    try:
+        return DiscreteSymbol.from_json(grid, Path(params["table"]).read_text())
+    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"custom symbol table {params['table']!r} is not a "
+                          f"{{d, xi, rows}} table for {grid}: "
+                          f"{type(exc).__name__}: {exc}") from None
 
 
 def run_modulation_study(cfg: ExperimentConfig) -> ResultRecord:

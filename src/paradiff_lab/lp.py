@@ -128,10 +128,6 @@ class LPPartition:
         read-only)."""
         return self._level(1, k)
 
-    def params(self) -> dict:
-        """Reproducibility header used by experiment records."""
-        return {"r": self.r, "R": self.R, "h": self.h, "J_max": self.J_max}
-
 
 def make_partition(psi: ModulationFunction, grid: TorusGrid,
                    h: int | None = None) -> LPPartition:

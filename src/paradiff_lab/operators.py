@@ -64,12 +64,10 @@ def modulated_symbol(a: DiscreteSymbol, psi: ModulationFunction,
                      m: int) -> DiscreteSymbol:
     """psi(2^-m D_x) a(x, eta) psi(2^-m eta) as a symbol of fixed level m."""
     grid = a.grid
-    norms = grid.freq_norms()
-    xi_w = psi(norms / 2**m).reshape(grid.shape + (1,) * grid.n)
-    eta_w = psi(norms / 2**m).reshape((1,) * grid.n + grid.shape)
-    pft = a.partial_ft() * xi_w
-    vals = np.fft.ifftn(pft, axes=tuple(range(grid.n))) * grid.N**grid.n
-    return DiscreteSymbol(grid, a.d, vals * eta_w, class_tag=a.class_tag)
+    w = psi(grid.freq_norms() / 2**m)
+    pft = (a.partial_ft() * w.reshape(grid.shape + (1,) * grid.n)
+           * w.reshape((1,) * grid.n + grid.shape))
+    return DiscreteSymbol.from_partial_ft(grid, a.d, pft)
 
 
 def modulated_apply(a: DiscreteSymbol, u: SpectralField,
@@ -325,8 +323,7 @@ def adjoint_symbol(a: DiscreteSymbol) -> DiscreteSymbol:
     rows = np.empty_like(a.rows)
     for k, (xi, row) in enumerate(zip(a.xi, a.rows)):
         rows[k] = np.conj(np.roll(row, tuple(xi), axis=eta_axes))
-    return DiscreteSymbol(a.grid, a.d, class_tag="custom", xi=-a.xi,
-                          rows=rows)
+    return DiscreteSymbol(a.grid, a.d, -a.xi, rows)
 
 
 def discrete_adjoint_probe(a: DiscreteSymbol) -> dict:

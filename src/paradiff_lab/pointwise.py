@@ -22,17 +22,14 @@ from .torus import SpectralField, TorusGrid
 
 @dataclass(frozen=True)
 class MaxParams:
-    """Decay exponent N, spectral radius R, moment exponent t in (0, 1]."""
+    """Decay exponent N and spectral radius R."""
 
     N: float
     R: float
-    t: float = 1.0
 
     def __post_init__(self):
         if self.N <= 0 or self.R <= 0:
             raise ValueError("N and R must be positive")
-        if not (0.0 < self.t <= 1.0):
-            raise ValueError("t must lie in (0, 1]")
 
 
 def torus_offsets(grid: TorusGrid) -> np.ndarray:
@@ -256,9 +253,6 @@ class ParatermReport:
 
     def pointwise_ok(self) -> bool:
         return self.max_factorization_ratio <= 1.0 + 1e-6
-
-    def stable(self) -> bool:
-        return all(s <= 0.8 for s in self.growth_slopes.values())
 
 
 def _log_slope(values, resolved_from: int = 0) -> float:

@@ -40,12 +40,6 @@ def _eta_meshes(grid: TorusGrid) -> tuple:
                  for ax in range(grid.n))
 
 
-def _support_rows(grid: TorusGrid, pft: np.ndarray) -> tuple:
-    """(xi, rows) of a partial transform over the whole lattice."""
-    xi = grid.axis_freqs()[np.indices(grid.shape).reshape(grid.n, -1).T]
-    return xi, pft.reshape((-1,) + grid.shape)
-
-
 def _check_dense(grid: TorusGrid):
     if grid.N ** (2 * grid.n) > DENSE_ENTRY_CAP:
         raise TooLarge(f"{grid.N ** (2 * grid.n)} dense entries exceed cap "
@@ -53,8 +47,8 @@ def _check_dense(grid: TorusGrid):
 
 
 class DiscreteSymbol:
-    """A symbol a(x, eta) with declared order d and class metadata, stored
-    as its partial transform on an explicit xi-support:
+    """A symbol a(x, eta) with declared order d, stored as its partial
+    transform on an explicit xi-support:
 
         ahat(xi_k, eta) = rows[k, eta],
         a(x, eta) = sum_k rows[k, eta] e^{i x.xi_k}.
@@ -69,37 +63,19 @@ class DiscreteSymbol:
     rows : complex ndarray of shape (K,) + grid.shape (eta in FFT order).
     values : ndarray of shape grid.shape + grid.shape (x first, eta last);
         a dense view, computed on first use and cached.
-    class_tag : str
-        One of {"S11", "S10", "smoothed_multiplier", "ching", "custom"}.
 
     The constructor alone decides the support: it rejects xi points that
-    coincide once wrapped and drops the rows with no nonzero entry.  Given
-    ``values`` instead of ``xi`` and ``rows``, the rows are the whole
-    partial transform and ``values`` is kept as the cached view.  The dense
-    views are capped at ``DENSE_ENTRY_CAP`` entries; the stored rows are not.
+    coincide once wrapped and drops the rows with no nonzero entry.  The
+    dense views are capped at ``DENSE_ENTRY_CAP`` entries; the stored rows
+    are not.
     """
 
-    __slots__ = ("grid", "d", "class_tag", "xi", "rows", "_values", "_pft")
+    __slots__ = ("grid", "d", "xi", "rows", "_values", "_pft")
 
-    def __init__(self, grid, d, values=None, class_tag="custom", *,
-                 xi=None, rows=None):
-        if (values is None) == (rows is None):
-            raise ValueError("give either values or xi and rows")
+    def __init__(self, grid, d, xi, rows):
         self.grid = grid
         self.d = float(d)
-        self.class_tag = class_tag
         self._values = self._pft = None
-        if values is not None:
-            if np.size(values) > DENSE_ENTRY_CAP:
-                raise TooLarge(f"{np.size(values)} dense entries exceed cap "
-                               f"{DENSE_ENTRY_CAP}")
-            values = np.array(values, dtype=np.complex128)
-            if not np.isfinite(values).all():
-                raise ValueError("symbol values must be finite")
-            values.flags.writeable = False
-            self._values = values
-            xi, rows = _support_rows(grid, np.fft.fftn(
-                values, axes=tuple(range(grid.n))) / grid.N**grid.n)
         # wrapped into the lattice box [-N/2, N/2)^n
         self.xi = (np.asarray(xi, dtype=np.int64).reshape(-1, grid.n)
                    + grid.nyquist) % grid.N - grid.nyquist
@@ -121,7 +97,8 @@ class DiscreteSymbol:
 
         ``fn`` receives two tuples of broadcastable arrays: per-axis x
         coordinates shaped to the leading axes and per-axis integer
-        frequencies shaped to the trailing axes.
+        frequencies shaped to the trailing axes.  The samples' transform in
+        x becomes the rows (:meth:`from_partial_ft`).
         """
         _check_dense(grid)
         n, N = grid.n, grid.N
@@ -138,43 +115,39 @@ class DiscreteSymbol:
         vals = np.broadcast_to(np.asarray(fn(tuple(xs), tuple(ks)),
                                           dtype=np.complex128),
                                grid.shape + grid.shape)
-        return cls(grid, d, vals)
+        return cls.from_partial_ft(
+            grid, d, np.fft.fftn(vals, axes=tuple(range(n))) / N**n)
 
     @classmethod
-    def multiplier(cls, grid: TorusGrid, b, d: float = 0.0,
-                   class_tag="smoothed_multiplier"):
+    def multiplier(cls, grid: TorusGrid, b, d: float = 0.0):
         """x-independent symbol b(eta): one xi-row at xi = 0.  ``b`` is an
         array over the lattice or a callable on the per-axis frequencies."""
         row = b(*_eta_meshes(grid)) if callable(b) else b
         row = np.broadcast_to(np.asarray(row, dtype=np.complex128), grid.shape)
-        return cls(grid, d, class_tag=class_tag,
-                   xi=np.zeros((1, grid.n)), rows=row[None])
+        return cls(grid, d, np.zeros((1, grid.n)), row[None])
 
     @classmethod
     def identity(cls, grid: TorusGrid):
-        return cls.multiplier(grid, np.ones(grid.shape), 0.0, class_tag="S10")
+        return cls.multiplier(grid, np.ones(grid.shape), 0.0)
 
     @classmethod
     def zero(cls, grid: TorusGrid, d: float = 0.0):
-        return cls(grid, d, xi=np.zeros((0, grid.n)),
-                   rows=np.zeros((0,) + grid.shape))
+        return cls(grid, d, np.zeros((0, grid.n)), np.zeros((0,) + grid.shape))
 
     @classmethod
     def from_json(cls, grid: TorusGrid, text: str):
-        """Load a custom symbol from a JSON table {d, values} (re/im
-        interleaved, row-major over x-grid then eta-lattice)."""
+        """Load a symbol from a JSON table {d, xi, rows}: the K lattice points
+        xi_k, and per point its row over the eta lattice (FFT order,
+        row-major) with re/im interleaved."""
         doc = json.loads(text)
-        inter = np.asarray(doc["values"], dtype=float)
-        flat = inter[0::2] + 1j * inter[1::2]
-        return cls(grid, float(doc["d"]),
-                   flat.reshape(grid.shape + grid.shape), class_tag="custom")
+        xi = np.asarray(doc["xi"], dtype=np.int64).reshape(-1, grid.n)
+        pairs = np.asarray(doc["rows"], dtype=float).reshape(
+            (len(xi),) + grid.shape + (2,))
+        return cls(grid, doc["d"], xi, pairs[..., 0] + 1j * pairs[..., 1])
 
     def to_json(self) -> str:
-        flat = self.values.ravel()
-        inter = np.empty(2 * flat.size)
-        inter[0::2] = flat.real
-        inter[1::2] = flat.imag
-        return json.dumps({"d": self.d, "values": inter.tolist()})
+        return json.dumps({"d": self.d, "xi": self.xi.tolist(),
+                           "rows": self.rows.view(np.float64).tolist()})
 
     # -- dense views -----------------------------------------------------------
 
@@ -253,13 +226,13 @@ class DiscreteSymbol:
     @classmethod
     def from_partial_ft(cls, grid, d, pft):
         """The symbol with partial transform ``pft`` (xi axes first)."""
-        xi, rows = _support_rows(grid, np.asarray(pft, dtype=np.complex128))
-        return cls(grid, d, xi=xi, rows=rows)
+        xi = grid.axis_freqs()[np.indices(grid.shape).reshape(grid.n, -1).T]
+        return cls(grid, d, xi, np.reshape(pft, (-1,) + grid.shape))
 
     def with_rows(self, rows, d=None) -> "DiscreteSymbol":
         """This symbol's xi-support with new rows."""
-        return DiscreteSymbol(self.grid, self.d if d is None else d,
-                              class_tag=self.class_tag, xi=self.xi, rows=rows)
+        return DiscreteSymbol(self.grid, self.d if d is None else d, self.xi,
+                              rows)
 
     def xi_support(self) -> FreqSet:
         """Frequencies xi carrying partial-transform mass above
@@ -291,8 +264,7 @@ class DiscreteSymbol:
                                     return_inverse=True)
         rows = np.zeros((len(first),) + grid.shape, dtype=np.complex128)
         np.add.at(rows, where, np.concatenate([self.rows, sign * other.rows]))
-        return DiscreteSymbol(grid, max(self.d, other.d),
-                              class_tag=self.class_tag, xi=xi[first], rows=rows)
+        return DiscreteSymbol(grid, max(self.d, other.d), xi[first], rows)
 
     def __add__(self, other):
         return self._combine(other, 1.0)
@@ -441,12 +413,7 @@ def ching_symbol(grid: TorusGrid, d: float, theta, A, J: int) -> DiscreteSymbol:
                                              grid.shape)
             for j in range(J + 1)]
     xi = [[-(2**j) * t for t in theta] for j in range(J + 1)]
-    return DiscreteSymbol(grid, d, class_tag="ching", xi=xi, rows=rows)
-
-
-def partial_ft(a: DiscreteSymbol) -> np.ndarray:
-    """Column-wise discrete Fourier transform in x for each eta."""
-    return a.partial_ft()
+    return DiscreteSymbol(grid, d, xi, rows)
 
 
 # -- twisted diagonal ------------------------------------------------------

@@ -103,8 +103,9 @@ def test_config_json_round_trip(tmp_path):
     {"norm_specs": [["B", 1.0, 2.0]]},
     {"norm_specs": [["B", 1.0, 2.0, 2.0, 1.0]]},
     {"max_matrix_dim": 256},
+    {"symbol_family": "random"},
 ], ids=["empty_grids", "scalar_grid", "short_pair", "scalar_pair",
-        "short_spec", "long_spec", "stale_max_matrix_dim"])
+        "short_spec", "long_spec", "stale_max_matrix_dim", "unread_family"])
 def test_malformed_config_exits_2(doc, tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"scenario": "inequality_suite", **doc}))
@@ -306,7 +307,7 @@ def test_cli_config_scenario_mismatch(tmp_path):
 
 
 def test_custom_symbol_from_json_table(tmp_path):
-    # a symbol serialized to the {d, values} table drives a scenario
+    # a symbol serialized to the {d, xi, rows} table drives a scenario
     from paradiff_lab.experiments import build_symbol
     g = TorusGrid(1, 64)
     sym = random_sparse_symbol(g, rng_for(9, 8), d=0.25, x_band=6,
@@ -317,9 +318,43 @@ def test_custom_symbol_from_json_table(tmp_path):
                     symbol_params={"table": str(table)}, seed=4)
     loaded = build_symbol(cfg, g)
     assert loaded.d == 0.25
-    assert np.max(np.abs(loaded.values - sym.values)) < 1e-12
+    assert np.array_equal(loaded.xi, sym.xi)
+    assert np.array_equal(loaded.rows, sym.rows)
     rec = run_scenario(cfg)
     assert CLAIM_REGISTRY["modulation_study"] <= rec.covered_claims()
+
+
+ROW = [1.0, 0.0] * 64   # one row over the 1-D N=64 lattice, re/im interleaved
+
+
+@pytest.mark.parametrize("params,text", [
+    ({}, None),
+    ({"table": "absent.json"}, None),
+    ({"table": "t.json"}, "{not json"),
+    ({"table": "t.json"}, json.dumps({"d": 0.0, "values": ROW * 64})),
+    ({"table": "t.json"}, json.dumps({"d": 0.0, "xi": [[0]]})),
+    ({"table": "t.json"}, json.dumps({"d": 0.0, "xi": [[0]],
+                                      "rows": [ROW[:64]]})),
+    ({"table": "t.json"}, json.dumps({"d": 0.0, "xi": [[0]],
+                                      "rows": [ROW[:-1] + [np.nan]]})),
+    ({"table": "t.json"}, json.dumps({"d": 0.0, "xi": [[3], [3]],
+                                      "rows": [ROW, ROW]})),
+], ids=["no_table", "missing_file", "not_json", "old_values_layout",
+        "missing_rows", "row_shape", "non_finite", "coinciding_xi"])
+def test_bad_custom_table_exits_2(params, text, tmp_path, capsys):
+    """Every bad custom table is a config error naming the table layout."""
+    params = {key: str(tmp_path / name) for key, name in params.items()}
+    if text is not None:
+        (tmp_path / "t.json").write_text(text)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"scenario": "modulation_study",
+                                "grid_sizes": [64], "corpus_size": 1,
+                                "symbol_family": "custom",
+                                "symbol_params": params}))
+    assert cli_main(["run", "modulation_study", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "{d, xi, rows}" in err
 
 
 def test_symbol_family_restriction():

@@ -55,7 +55,6 @@ def test_minimal_gap():
 def test_partition_parameters(grid, part):
     assert part.h == 3
     assert part.J_max == 4  # 2 * 2^4 = 32 = nyquist
-    assert part.params() == {"r": 1.0, "R": 2.0, "h": 3, "J_max": 4}
 
 
 def test_partition_grid_too_coarse():

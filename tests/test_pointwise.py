@@ -11,6 +11,7 @@ from paradiff_lab import (BadExponent, DepthUnsupported, DiscreteSymbol,
 from paradiff_lab.corpus import (random_band_limited_field,
                                  random_sparse_symbol, rng_for, standard_ching)
 from paradiff_lab import pointwise
+from paradiff_lab.experiments import FROZEN_THRESHOLDS
 from paradiff_lab.pointwise import torus_offsets
 
 
@@ -323,7 +324,8 @@ def test_paraterm_identity(grid):
     assert rep.pointwise_ok()
     # x-independent symbol: the high-low series vanishes identically
     assert all(r == 0.0 for r in rep.factorization_ratios["high_low"])
-    assert rep.stable()
+    assert all(s <= FROZEN_THRESHOLDS["paraterm_slope"]
+               for s in rep.growth_slopes.values())
 
 
 def test_paraterm_multiplier_high_low_vacuous(grid):

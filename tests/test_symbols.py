@@ -3,10 +3,11 @@ import pytest
 
 from paradiff_lab import (ChingProfile, DepthUnsupported, DiscreteSymbol,
                           GridTooCoarse, LevelOutOfRange, LocalizationCutoff,
-                          TorusGrid, ching_symbol, estimate_seminorm, localize,
-                          make_modulation, make_partition, partial_ft,
+                          TorusGrid, apply, ching_symbol, estimate_seminorm,
+                          localize, make_modulation, make_partition,
                           symbol_band, tdc_seminorm, twisted_diagonal_check)
-from paradiff_lab.corpus import random_sparse_symbol, rng_for, standard_ching
+from paradiff_lab.corpus import (lacunary_stack, random_sparse_symbol, rng_for,
+                                 standard_ching)
 
 
 @pytest.fixture
@@ -23,7 +24,9 @@ def test_non_finite_symbol_rejected(grid):
     vals = np.ones(grid.shape + grid.shape, dtype=complex)
     vals[3, 7] = np.nan
     with pytest.raises(ValueError):
-        DiscreteSymbol(grid, 0.0, vals)
+        DiscreteSymbol.from_function(grid, lambda xs, ks: vals, 0.0)
+    with pytest.raises(ValueError):
+        DiscreteSymbol(grid, 0.0, [[0]], vals[3:4])
 
 
 def test_duplicate_xi_rejected(grid):
@@ -137,7 +140,7 @@ def test_one_sided_profile():
 
 def test_partial_ft_constant(grid):
     a = DiscreteSymbol.identity(grid)
-    pft = partial_ft(a)
+    pft = a.partial_ft()
     assert np.max(np.abs(pft[0] - 1.0)) < 1e-14
     assert np.max(np.abs(pft[1:])) < 1e-14
 
@@ -145,7 +148,7 @@ def test_partial_ft_constant(grid):
 def test_partial_ft_ching_term_single_phase(grid):
     prof = ChingProfile()
     a = ching_symbol(grid, 0.0, (1,), prof, 2)
-    pft = partial_ft(a)
+    pft = a.partial_ft()
     k = grid.axis_freqs().astype(float)
     for j in range(3):
         row = grid.index_of((-(2**j),))
@@ -159,7 +162,7 @@ def test_partial_ft_ching_term_single_phase(grid):
 
 def test_partial_ft_multiplier_zero_column(grid):
     b = DiscreteSymbol.multiplier(grid, lambda k: 1.0 / (1.0 + k**2), d=-2.0)
-    pft = partial_ft(b)
+    pft = b.partial_ft()
     k = grid.axis_freqs().astype(float)
     assert np.max(np.abs(pft[0] - 1.0 / (1.0 + k**2))) < 1e-14
 
@@ -177,7 +180,7 @@ def test_tdc_ching_fails_oracle(grid):
     res = twisted_diagonal_check(a, 2.0)
     assert not res["holds"]
     # oracle: scan the sparse partial transform directly
-    pft = partial_ft(a)
+    pft = a.partial_ft()
     k = grid.axis_freqs().astype(float)
     worst = 0.0
     peak = np.max(np.abs(pft))
@@ -313,8 +316,19 @@ def test_symbol_band_level_conventions(grid, part):
 
 
 def test_symbol_json_round_trip(grid):
-    rng = rng_for(23, 0)
-    a = random_sparse_symbol(grid, rng, d=0.5, x_band=6, eta_band=6)
-    b = DiscreteSymbol.from_json(grid, a.to_json())
-    assert b.d == a.d
-    assert np.max(np.abs(b.values - a.values)) < 1e-12
+    """The {d, xi, rows} table gives back the same xi and rows, exactly, on
+    1-D and 2-D grids and above the dense cap."""
+    big = TorusGrid(1, 8192)
+    J = 10
+    grid2 = TorusGrid(2, 16)
+    cases = [(grid, random_sparse_symbol(grid, rng_for(23, 0), d=0.5,
+                                         x_band=6, eta_band=6)),
+             (big, standard_ching(big, 0.0, J)),
+             (grid2, random_sparse_symbol(grid2, rng_for(23, 1), d=-0.5))]
+    loaded = [DiscreteSymbol.from_json(g, a.to_json()) for g, a in cases]
+    for (_, a), b in zip(cases, loaded):
+        assert b.d == a.d
+        assert np.array_equal(b.xi, a.xi) and np.array_equal(b.rows, a.rows)
+    # the loaded Ching symbol on the uniform lacunary stack gives J + 1
+    v = apply(loaded[1], lacunary_stack(big, (1,), J, np.ones(J + 1)))
+    assert np.max(np.abs(v.values - (J + 1))) <= 1e-12 * (J + 1)
