@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .corpus import (boundedness_corpus, rng_for, random_band_limited_field,
                      random_sparse_symbol, lacunary_stack, standard_ching)
-from .errors import ConfigError
+from .errors import BadExponent, ConfigError
 from .lp import dyadic_block, make_modulation, make_partition
 from .operators import (apply, compose_multiplier, discrete_adjoint_probe,
                         modulated_apply, modulation_limit, para_split,
@@ -151,6 +151,14 @@ class ExperimentConfig:
                 and self.symbol_family != "ching":
             raise ConfigError(f"{self.scenario} builds its own symbols; only "
                               f"modulation_study reads symbol_family")
+        for spec in self.norm_specs:
+            try:
+                NormSpec(*spec)
+            except BadExponent as exc:
+                raise ConfigError(f"norm spec {list(spec)}: {exc}") from None
+        if self.norm_specs and self.scenario != "boundedness_sweep":
+            raise ConfigError(f"{self.scenario} fixes its own norms; only "
+                              f"boundedness_sweep reads norm_specs")
         if self.symbol_family == "custom" and "table" not in self.symbol_params:
             raise ConfigError("symbol_family 'custom' needs symbol_params.table,"
                               " the path of a {d, xi, rows} JSON table")

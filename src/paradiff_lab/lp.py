@@ -104,14 +104,17 @@ class LPPartition:
 
     @cached_property
     def _weights(self) -> tuple:
-        """(level, cumulative) weights of levels 0..J_max, read-only."""
+        """(level, cumulative, level stack): the per-level views of the
+        read-only level and cumulative stacks over 0..J_max, then the level
+        stack itself."""
         norms = self.grid.freq_norms()
-        levels = [self.psi(norms)] + [self.phi(norms / 2**k)
-                                      for k in range(1, self.J_max + 1)]
-        cumulative = [self.psi(norms / 2**k) for k in range(self.J_max + 1)]
-        for w in levels + cumulative:
+        levels = np.stack([self.psi(norms)] + [self.phi(norms / 2**k)
+                                               for k in range(1, self.J_max + 1)])
+        cumulative = np.stack([self.psi(norms / 2**k)
+                               for k in range(self.J_max + 1)])
+        for w in (levels, cumulative):
             w.flags.writeable = False
-        return levels, cumulative
+        return list(levels), list(cumulative), levels
 
     def _level(self, table: int, k: int) -> np.ndarray:
         if not 0 <= k <= self.J_max:
@@ -127,6 +130,11 @@ class LPPartition:
         """psi(2^-k eta) on the lattice (computed once per partition;
         read-only)."""
         return self._level(1, k)
+
+    def level_stack(self) -> np.ndarray:
+        """Level weights of k = 0..J_max stacked along a first axis, the
+        array that ``level_weights(k)`` views (read-only)."""
+        return self._weights[2]
 
 
 def make_partition(psi: ModulationFunction, grid: TorusGrid,

@@ -33,7 +33,7 @@ class NormSpec:
     def __post_init__(self):
         if self.scale not in ("B", "F"):
             raise BadExponent("scale must be 'B' or 'F'")
-        if self.p <= 0 or self.q <= 0:
+        if not (self.p > 0 and self.q > 0):  # NaN fails too
             raise BadExponent("p and q must be positive")
         if self.scale == "F" and np.isinf(self.p):
             raise BadExponent("the F scale requires p < inf")
@@ -81,23 +81,30 @@ def _dyadic_norm(scale: str, levels: np.ndarray, weights, p: float,
 
 
 def space_norm(u: SpectralField, spec: NormSpec, part: LPPartition) -> float:
-    """Quasi-norm from the dyadic blocks u_j, j = 0..J_max, all taken by one
-    inverse FFT of the stacked level-weighted coefficients.
+    """Quasi-norm from the dyadic blocks u_j, j = 0..J_max.
 
     B scale:  || {2^{sj} ||u_j||_p} ||_{l_q}
     F scale:  || || {2^{sj} u_j} ||_{l_q}(x) ||_p
+
+    At p = 2 every B norm, and F_{2,2} = B_{2,2}, comes from the coefficients
+    by Parseval: ||u_j||_2^2 = sum_eta |phi_j(eta) c_eta|^2, summed over u's
+    nonzero modes.  Every other (p, q) takes all blocks from one inverse FFT
+    of the stacked level-weighted coefficients.
     """
     check_grid(part, u.grid)
     grid = u.grid
-    levels = range(part.J_max + 1)
-    # filled and transformed in place: no second stack-sized transient
-    blocks = np.empty((len(levels),) + grid.shape, dtype=np.complex128)
-    for j in levels:
-        np.multiply(u.coeffs, part.level_weights(j), out=blocks[j])
+    weights = [2.0 ** (spec.s * j) for j in range(part.J_max + 1)]
+    if spec.p == 2 and (spec.scale == "B" or spec.q == 2):
+        modes = np.nonzero(u.coeffs)
+        power = part.level_stack()[(slice(None),) + modes] ** 2 \
+            * np.abs(u.coeffs[modes]) ** 2
+        return float(_lq(np.array(weights) * np.sqrt(np.sum(power, axis=1)),
+                         spec.q))
+    # one stack-sized array, transformed in place
+    blocks = u.coeffs * part.level_stack()
     np.fft.ifftn(blocks, axes=tuple(range(1, grid.n + 1)), out=blocks)
     blocks *= grid.N**grid.n
-    return _dyadic_norm(spec.scale, blocks,
-                        [2.0 ** (spec.s * j) for j in levels], spec.p, spec.q)
+    return _dyadic_norm(spec.scale, blocks, weights, spec.p, spec.q)
 
 
 def dyadic_dilate(u: SpectralField, k: int) -> SpectralField:

@@ -76,8 +76,12 @@ class DiscreteSymbol:
         self.grid = grid
         self.d = float(d)
         self._values = self._pft = None
+        xi = np.asarray(xi)
+        # integral floats pass (the builders' zeros); a cast would truncate
+        if not (np.isfinite(xi).all() and (xi == np.round(xi)).all()):
+            raise ValueError("xi points must be integral lattice points")
         # wrapped into the lattice box [-N/2, N/2)^n
-        self.xi = (np.asarray(xi, dtype=np.int64).reshape(-1, grid.n)
+        self.xi = (xi.astype(np.int64).reshape(-1, grid.n)
                    + grid.nyquist) % grid.N - grid.nyquist
         self.rows = np.ascontiguousarray(rows, dtype=np.complex128)
         if self.rows.shape != (len(self.xi),) + grid.shape:
@@ -140,7 +144,7 @@ class DiscreteSymbol:
         xi_k, and per point its row over the eta lattice (FFT order,
         row-major) with re/im interleaved."""
         doc = json.loads(text)
-        xi = np.asarray(doc["xi"], dtype=np.int64).reshape(-1, grid.n)
+        xi = np.asarray(doc["xi"], dtype=float).reshape(-1, grid.n)
         pairs = np.asarray(doc["rows"], dtype=float).reshape(
             (len(xi),) + grid.shape + (2,))
         return cls(grid, doc["d"], xi, pairs[..., 0] + 1j * pairs[..., 1])

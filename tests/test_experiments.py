@@ -104,14 +104,25 @@ def test_config_json_round_trip(tmp_path):
     {"norm_specs": [["B", 1.0, 2.0, 2.0, 1.0]]},
     {"max_matrix_dim": 256},
     {"symbol_family": "random"},
+    {"norm_specs": [["F", 0.0, 2.0, 2.0]]},
 ], ids=["empty_grids", "scalar_grid", "short_pair", "scalar_pair",
-        "short_spec", "long_spec", "stale_max_matrix_dim", "unread_family"])
+        "short_spec", "long_spec", "stale_max_matrix_dim", "unread_family",
+        "unread_specs"])
 def test_malformed_config_exits_2(doc, tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"scenario": "inequality_suite", **doc}))
     assert cli_main(["run", "inequality_suite", "--config", str(path),
                      "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("spec", [["X", 0.0, 2.0, 2.0],
+                                  ["F", 0.0, "Infinity", 2.0],
+                                  ["B", 0.0, 2.0, "NaN"]],
+                         ids=["bad_scale", "f_at_p_inf", "nan_q"])
+def test_sweep_bad_norm_spec_rejected_at_load(spec):
+    with pytest.raises(ConfigError, match="norm spec"):
+        small_cfg("boundedness_sweep", norm_specs=[spec])
 
 
 def test_removed_flag_exits_2(tmp_path):
@@ -145,7 +156,8 @@ def test_metrics_payload_deterministic(scenario):
 BLAS_PAYLOADS = """
 from paradiff_lab.experiments import ExperimentConfig, run_scenario
 for kw in (dict(scenario="inequality_suite", grid_n=1, grid_sizes=(128,)),
-           dict(scenario="modulation_study", grid_n=2, grid_sizes=(16,))):
+           dict(scenario="modulation_study", grid_n=2, grid_sizes=(16,)),
+           dict(scenario="boundedness_sweep", grid_n=1, grid_sizes=(256,))):
     cfg = ExperimentConfig(corpus_size=2, seed=7, **kw).normalized()
     print(run_scenario(cfg).metrics_payload().decode())
 """
@@ -162,7 +174,7 @@ def test_metrics_payload_independent_of_blas_threads():
                               env=env, capture_output=True, text=True,
                               timeout=600, check=True)
         payloads.append(proc.stdout.splitlines())
-    assert len(payloads[0]) == 2
+    assert len(payloads[0]) == 3
     assert payloads[0] == payloads[1]
 
 
@@ -339,8 +351,11 @@ ROW = [1.0, 0.0] * 64   # one row over the 1-D N=64 lattice, re/im interleaved
                                       "rows": [ROW[:-1] + [np.nan]]})),
     ({"table": "t.json"}, json.dumps({"d": 0.0, "xi": [[3], [3]],
                                       "rows": [ROW, ROW]})),
+    ({"table": "t.json"}, json.dumps({"d": 0.0, "xi": [[1.5]],
+                                      "rows": [ROW]})),
 ], ids=["no_table", "missing_file", "not_json", "old_values_layout",
-        "missing_rows", "row_shape", "non_finite", "coinciding_xi"])
+        "missing_rows", "row_shape", "non_finite", "coinciding_xi",
+        "fractional_xi"])
 def test_bad_custom_table_exits_2(params, text, tmp_path, capsys):
     """Every bad custom table is a config error naming the table layout."""
     params = {key: str(tmp_path / name) for key, name in params.items()}

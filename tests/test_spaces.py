@@ -8,8 +8,10 @@ from paradiff_lab import (AliasingRisk, BadExponent, CoronaSpec,
                           embedding_constant, fefferman_stein_check, hl_max,
                           homog_besov_norm, make_modulation, make_partition,
                           marschall_check, space_norm, weierstrass_signal)
-from paradiff_lab.corpus import (random_band_limited_field, rng_for)
-from paradiff_lab.spaces import lp_norm
+from paradiff_lab.corpus import (lacunary_stack, random_band_limited_field,
+                                 rng_for)
+from paradiff_lab.lp import dyadic_block
+from paradiff_lab.spaces import _dyadic_norm, lp_norm
 
 
 @pytest.fixture
@@ -65,6 +67,48 @@ def test_zygmund_norm_single_mode(grid, part):
 def test_zero_field_norm(grid, part):
     assert space_norm(SpectralField.zero(grid),
                       NormSpec("F", 1.0, 2.0, 2.0), part) == 0.0
+
+
+P2_SPECS = [NormSpec("B", s, 2.0, q) for s in (-1.0, 0.5)
+            for q in (0.5, 1.0, 2.0, np.inf)] + \
+    [NormSpec("F", s, 2.0, 2.0) for s in (-1.0, 0.0, 1.5)]
+
+
+@pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
+def test_parseval_route_matches_block_oracle(n, N):
+    """At p = 2 the norm comes from the coefficients; the oracle takes the
+    blocks u_j to x one at a time and reduces their grid samples."""
+    g = TorusGrid(n, N)
+    pt = make_partition(make_modulation(1.0, 2.0), g)
+    theta = (1,) + (0,) * (n - 1)
+    fields = [random_band_limited_field(g, rng_for(seed, 5), N / 4)
+              for seed in range(3)]
+    fields += [lacunary_stack(g, theta, J, 2.0 ** -np.arange(J + 1))
+               for J in range(1, int(np.log2(N)) - 1)]
+    levels = range(pt.J_max + 1)
+    for u in fields:
+        blocks = [dyadic_block(u, j, pt).values for j in levels]
+        for spec in P2_SPECS:
+            want = _dyadic_norm(spec.scale, blocks,
+                                [2.0 ** (spec.s * j) for j in levels],
+                                spec.p, spec.q)
+            assert space_norm(u, spec, pt) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("spec,transforms", [
+    *[(spec, 0) for spec in P2_SPECS],
+    (NormSpec("F", 0.5, 2.0, 1.0), 1), (NormSpec("F", 0.5, 1.0, 2.0), 1),
+    (NormSpec("B", 0.5, np.inf, np.inf), 1),
+])
+def test_space_norm_inverse_transforms(grid, part, monkeypatch, spec,
+                                       transforms):
+    u = random_band_limited_field(grid, rng_for(4, 5), 16.0)
+    calls = []
+    ifftn = np.fft.ifftn
+    monkeypatch.setattr(np.fft, "ifftn",
+                        lambda *a, **k: calls.append(1) or ifftn(*a, **k))
+    space_norm(u, spec, part)
+    assert len(calls) == transforms
 
 
 def test_f_scale_requires_finite_p():

@@ -40,6 +40,17 @@ def test_duplicate_xi_rejected(grid):
             DiscreteSymbol(grid, 0.0, xi=xi, rows=rows)
 
 
+def test_fractional_xi_rejected(grid):
+    """A cast to int64 would truncate xi = 1.5 to 1; integral floats, as
+    the builders pass them, are lattice points."""
+    row = np.ones((1,) + grid.shape)
+    sym = DiscreteSymbol(grid, 0.0, [[3.0]], row)
+    assert sym.xi.dtype == np.int64 and sym.xi.tolist() == [[3]]
+    for xi in ([[1.5]], [[np.nan]], [[np.inf]]):
+        with pytest.raises(ValueError, match="integral"):
+            DiscreteSymbol(grid, 0.0, xi, row)
+
+
 # -- seminorms ---------------------------------------------------------------
 
 
