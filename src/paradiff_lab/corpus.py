@@ -119,37 +119,38 @@ def offset_stack(grid: TorusGrid, theta, J: int, weights, delta: int = 1,
     return SpectralField.from_coeffs(grid, coeffs)
 
 
-def boundedness_corpus(grid: TorusGrid, theta, J: int, source_s: float,
-                       seed: int, profile=None, n_random: int = 3) -> list:
-    """Inputs probing the operator norm of a lacunary symbol truncated at J:
-    coherent stacks on and off the lacunary ray, single bands, and seeded
-    random fields band-limited to |eta| <= 10, below the first unresolved
-    annulus.
+def corpus_members(grid: TorusGrid, theta, J: int, seed: int, profile=None,
+                   n_random: int = 3) -> list:
+    """Inputs probing the operator norm of a lacunary symbol truncated at J,
+    as (name, member) pairs: coherent stacks on and off the lacunary ray,
+    single bands, and seeded random fields band-limited to |eta| <= 10,
+    below the first unresolved annulus.  A member is a field or, for the
+    two stacks weighted by the source smoothness s, a function of s giving
+    the field (None when no weight is nonzero).
 
     With the symbol's annular ``profile`` given, the off-ray stack is
     amplitude-adapted: weights b_j 2^{-2 j s} with b_j the profile value at
     the shifted point, which maximizes the coherent output per unit of
     source norm."""
+    th = tuple(int(t) for t in (theta if hasattr(theta, "__len__") else (theta,)))
     items = [
-        ("optimal_stack", lacunary_stack(grid, theta, J,
-                                         optimal_stack_weights(J, source_s))),
-        ("uniform_stack", lacunary_stack(grid, theta, J, np.ones(J + 1))),
-        ("single_low", single_band_input(grid, theta, 0)),
-        ("single_mid", single_band_input(grid, theta, max(1, J // 2))),
-        ("single_top", single_band_input(grid, theta, J)),
+        ("optimal_stack", lambda s: lacunary_stack(
+            grid, th, J, optimal_stack_weights(J, s))),
+        ("uniform_stack", lacunary_stack(grid, th, J, np.ones(J + 1))),
+        ("single_low", single_band_input(grid, th, 0)),
+        ("single_mid", single_band_input(grid, th, max(1, J // 2))),
+        ("single_top", single_band_input(grid, th, J)),
     ]
     j_start = 2
     if profile is not None and J >= j_start:
-        th = tuple(int(t) for t in (theta if hasattr(theta, "__len__") else (theta,)))
         b = []
         for j in range(j_start, J + 1):
             shifted = tuple((2**j * t + (1 if ax == 0 else 0)) / 2**j
                             for ax, t in enumerate(th))
             b.append(abs(complex(np.asarray(profile(*shifted)))))
-        w = np.array(b) * 2.0 ** (-2.0 * source_s * np.arange(j_start, J + 1))
-        off = offset_stack(grid, th, J, w, delta=1, j_start=j_start)
-        if off is not None:
-            items.append(("adapted_offset_stack", off))
+        items.append(("adapted_offset_stack", lambda s: offset_stack(
+            grid, th, J, np.array(b) * 2.0 ** (-2.0 * s * np.arange(
+                j_start, J + 1)), delta=1, j_start=j_start)))
     for i in range(n_random):
         rng = rng_for(seed, 7, i)
         items.append((f"random_{i}",

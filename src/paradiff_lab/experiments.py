@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .corpus import (boundedness_corpus, rng_for, random_band_limited_field,
+from .corpus import (corpus_members, rng_for, random_band_limited_field,
                      random_sparse_symbol, lacunary_stack, standard_ching)
 from .errors import BadExponent, ConfigError
 from .lp import dyadic_block, make_modulation, make_partition
@@ -80,6 +80,12 @@ FROZEN_THRESHOLDS = {
     "composition_rel": 1e-10,
     "adjoint_growth": 2.0,
 }
+
+#: The lists boundedness_sweep and ching_study read from symbol_params,
+#: with their defaults.
+_LIST_PARAMS = {"boundedness_sweep": {"J_values": (3, 4, 5, 6, 7, 8)},
+                "ching_study": {"J_values": (3, 5, 6), "zero_orders": (0, 1, 2),
+                                "s_values": (-2, -1.5, -1, -0.5, 0, 0.5, 1)}}
 
 
 @dataclass
@@ -162,6 +168,21 @@ class ExperimentConfig:
         if self.symbol_family == "custom" and "table" not in self.symbol_params:
             raise ConfigError("symbol_family 'custom' needs symbol_params.table,"
                               " the path of a {d, xi, rows} JSON table")
+        lists = {key: self.symbol_params.get(key, default) for key, default
+                 in _LIST_PARAMS.get(self.scenario, {}).items()}
+        for key, vals in lists.items():
+            real = key == "s_values"
+            if not (isinstance(vals, (list, tuple)) and vals and all(
+                    (type(v) in (int, float) and np.isfinite(v)) if real
+                    else (type(v) is int and v >= 0) for v in vals)):
+                what = "finite numbers" if real else "integers >= 0"
+                raise ConfigError(f"symbol_params.{key} must be a non-empty "
+                                  f"list of {what}")
+        N = max(self.grid_sizes)
+        if lists and len({J for J in lists["J_values"]
+                          if 5 * 2 ** (J - 2) < N // 2}) < 2:
+            raise ConfigError(f"fewer than two J_values fit the grid N = {N} "
+                              "(5 * 2^(J-2) < N/2); a gain curve needs two")
 
 
 @dataclass
@@ -203,18 +224,35 @@ class _Worst:
         return self
 
 
-def _grid_gain(a: DiscreteSymbol, items, spec_src: NormSpec,
-               spec_dst: NormSpec, part) -> dict:
-    """Squared quasi-norm amplification sup_u ||a#u||^2 / ||u||^2 over the
-    corpus (the energy gain; the plain ratio is its square root)."""
-    best = _Worst()
-    for name, u in items:
-        src = space_norm(u, spec_src, part)
-        if src == 0.0:
-            continue
-        best.see((space_norm(apply(a, u), spec_dst, part) / src) ** 2,
-                 argmax=name)
-    return {"gain": _f(best.value), "argmax": best.where.get("argmax")}
+def _grid_gain(a: DiscreteSymbol, members, cases, part) -> list:
+    """Energy gains sup_u ||a#u||^2 / ||u||^2 (squared quasi-norm ratios)
+    over :func:`corpus_members`, one per (source, target) spec pair in
+    ``cases``: a#u once per fixed member, and once per case for each stack
+    weighted by the source smoothness."""
+    applied = {name: apply(a, u) for name, u in members if not callable(u)}
+    out = []
+    for spec_src, spec_dst in cases:
+        best = _Worst()
+        for name, u in members:
+            u = u(spec_src.s) if callable(u) else u
+            if u is None or (src := space_norm(u, spec_src, part)) == 0.0:
+                continue
+            au = applied[name] if name in applied else apply(a, u)
+            best.see((space_norm(au, spec_dst, part) / src) ** 2, argmax=name)
+        out.append({"gain": _f(best.value), "argmax": best.where.get("argmax")})
+    return out
+
+
+def _ching_ladder(grid: TorusGrid, d: float, J_values, zero_order: int) -> list:
+    """(J, standard_ching(grid, d, J, zero_order)) for each J in ``J_values``
+    that fits the grid: the symbol at the largest such J, cut to its first
+    J + 1 rows (row j, at xi = -2^j theta, does not depend on J)."""
+    fits = [J for J in J_values if 5 * 2 ** (J - 2) < grid.nyquist]
+    if not fits:
+        return []
+    top = standard_ching(grid, d, max(fits), zero_order)
+    return [(J, DiscreteSymbol(grid, d, top.xi[:J + 1], top.rows[:J + 1]))
+            for J in fits]
 
 
 def run_boundedness_sweep(cfg: ExperimentConfig) -> ResultRecord:
@@ -229,8 +267,10 @@ def run_boundedness_sweep(cfg: ExperimentConfig) -> ResultRecord:
     params = cfg.symbol_params
     d = float(params.get("d", 0.0))
     zero_order = int(params.get("zero_order", 0))
-    J_values = tuple(int(j) for j in params.get("J_values", (3, 4, 5, 6, 7, 8)))
+    J_values = params.get("J_values", _LIST_PARAMS[cfg.scenario]["J_values"])
     specs = cfg.norm_specs or (("F", 0.0, 2.0, 2.0), ("F", 1.0, 2.0, 2.0))
+    cases = [(NormSpec(scale, s + d, p, q), NormSpec(scale, s, p, q))
+             for scale, s, p, q in specs]
     theta = (1,) + (0,) * (cfg.grid_n - 1)
     profile = ChingProfile(zero_order=zero_order,
                            theta_hat=tuple(float(t) for t in theta))
@@ -246,16 +286,11 @@ def run_boundedness_sweep(cfg: ExperimentConfig) -> ResultRecord:
                               "q": _f(q), "N": N,
                               "value": _f(space_norm(
                                   ref, NormSpec(scale, s, p, q), part))})
-        for J in J_values:
-            if 5 * 2 ** (J - 2) >= grid.nyquist:
-                continue  # lacunary truncation not representable on this grid
-            a = standard_ching(grid, d, J, zero_order)
-            for scale, s, p, q in specs:
-                corp = boundedness_corpus(grid, theta, J, s + d, cfg.seed,
-                                          profile=profile,
-                                          n_random=cfg.corpus_size)
-                res = _grid_gain(a, corp, NormSpec(scale, s + d, p, q),
-                                 NormSpec(scale, s, p, q), part)
+        for J, a in _ching_ladder(grid, d, J_values, zero_order):
+            members = corpus_members(grid, theta, J, cfg.seed, profile=profile,
+                                     n_random=cfg.corpus_size)
+            for (scale, s, p, q), res in zip(
+                    specs, _grid_gain(a, members, cases, part)):
                 rows.append({"N": N, "J": J, "scale": scale, "s": _f(s),
                              "p": _f(p), "q": _f(q), "gain": res["gain"],
                              "argmax": res["argmax"]})
@@ -314,10 +349,10 @@ def run_ching_study(cfg: ExperimentConfig) -> ResultRecord:
     t0 = time.monotonic()
     params = cfg.symbol_params
     d = float(params.get("d", 0.0))
-    J_values = tuple(int(j) for j in params.get("J_values", (3, 5, 6)))
-    s_values = tuple(float(s) for s in params.get(
-        "s_values", (-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0)))
-    zero_orders = tuple(int(z) for z in params.get("zero_orders", (0, 1, 2)))
+    J_values, s_values, zero_orders = (
+        params.get(key, _LIST_PARAMS[cfg.scenario][key])
+        for key in ("J_values", "s_values", "zero_orders"))
+    s_values = tuple(float(s) for s in s_values)
     # off-ray coherent probes sharpen the threshold location for zero
     # orders >= 1 but deliberately chase the slowly-converging extremal
     # direction; off by default so stability verdicts reflect the
@@ -328,23 +363,20 @@ def run_ching_study(cfg: ExperimentConfig) -> ResultRecord:
     part = make_partition(make_modulation(cfg.partition_r, cfg.partition_R),
                           grid)
     theta = (1,) + (0,) * (cfg.grid_n - 1)
+    cases = [(NormSpec("F", s + d, 2.0, 2.0), NormSpec("F", s, 2.0, 2.0))
+             for s in s_values]
     curves, thresholds = {}, {}
     for rho in zero_orders:
         profile = ChingProfile(zero_order=rho,
                                theta_hat=tuple(float(t) for t in theta))
+        by_J = [(J, _grid_gain(a, corpus_members(
+                    grid, theta, J, cfg.seed,
+                    profile=profile if probe_offsets else None,
+                    n_random=cfg.corpus_size), cases, part))
+                for J, a in _ching_ladder(grid, d, J_values, rho)]
         per_s = {}
-        for s in s_values:
-            gains = []
-            for J in J_values:
-                if 5 * 2 ** (J - 2) >= grid.nyquist:
-                    continue
-                a = standard_ching(grid, d, J, rho)
-                corp = boundedness_corpus(grid, theta, J, s + d, cfg.seed,
-                                          profile=profile if probe_offsets else None,
-                                          n_random=cfg.corpus_size)
-                res = _grid_gain(a, corp, NormSpec("F", s + d, 2.0, 2.0),
-                                 NormSpec("F", s, 2.0, 2.0), part)
-                gains.append({"J": J, "gain": res["gain"]})
+        for i, s in enumerate(s_values):
+            gains = [{"J": J, "gain": res[i]["gain"]} for J, res in by_J]
             pos = [g["gain"] for g in gains if g["gain"] > 0]
             variation = _f(max(pos) / min(pos) - 1.0) if pos else 0.0
             verdict = "stable" if variation < 0.2 else (

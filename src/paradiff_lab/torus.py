@@ -89,19 +89,26 @@ class SpectralField:
     Attributes
     ----------
     grid : TorusGrid
-    values : complex ndarray over grid points
+    values : complex ndarray over grid points (computed on first read if None)
     coeffs : complex ndarray over the frequency lattice (FFT order);
         coeffs[0...] is the mean value of the field.
     """
 
-    __slots__ = ("grid", "values", "coeffs")
+    __slots__ = ("grid", "_values", "coeffs")
 
     def __init__(self, grid, values, coeffs):
-        if not (np.isfinite(values).all() and np.isfinite(coeffs).all()):
+        if not (np.isfinite(coeffs).all()
+                and (values is None or np.isfinite(values).all())):
             raise ValueError("field values and coefficients must be finite")
         self.grid = grid
-        self.values = values
+        self._values = values
         self.coeffs = coeffs
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            self._values = np.fft.ifftn(self.coeffs) * self.grid.N**self.grid.n
+        return self._values
 
     @classmethod
     def from_values(cls, grid: TorusGrid, values):
@@ -112,8 +119,7 @@ class SpectralField:
     @classmethod
     def from_coeffs(cls, grid: TorusGrid, coeffs):
         coeffs = np.asarray(coeffs, dtype=np.complex128).reshape(grid.shape)
-        values = np.fft.ifftn(coeffs) * grid.N**grid.n
-        return cls(grid, values, coeffs)
+        return cls(grid, None, coeffs)
 
     @classmethod
     def zero(cls, grid: TorusGrid):

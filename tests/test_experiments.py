@@ -9,11 +9,18 @@ import pytest
 
 from paradiff_lab import experiments
 from paradiff_lab.cli import main as cli_main
-from paradiff_lab.corpus import (boundedness_corpus, random_band_limited_field,
-                                 random_sparse_symbol, rng_for)
+from paradiff_lab.corpus import (corpus_members, lacunary_stack,
+                                 offset_stack, optimal_stack_weights,
+                                 random_band_limited_field,
+                                 random_sparse_symbol, rng_for,
+                                 single_band_input, standard_ching)
 from paradiff_lab.errors import ConfigError
 from paradiff_lab.experiments import (CLAIM_REGISTRY, ExperimentConfig,
                                       run_scenario, write_outputs)
+from paradiff_lab.lp import make_modulation, make_partition
+from paradiff_lab.operators import apply
+from paradiff_lab.spaces import NormSpec, space_norm
+from paradiff_lab.symbols import ChingProfile
 from paradiff_lab.torus import TorusGrid
 
 
@@ -52,12 +59,64 @@ def test_corpus_sparse_supports_exact():
     assert u.band_limit() <= 9.0
 
 
+def boundedness_corpus(grid, theta, J, source_s, seed, profile=None,
+                       n_random=3):
+    """The corpus at one source smoothness, built whole the way the sweeps
+    built it for every spec and s: the reference for corpus_members."""
+    items = [
+        ("optimal_stack", lacunary_stack(grid, theta, J,
+                                         optimal_stack_weights(J, source_s))),
+        ("uniform_stack", lacunary_stack(grid, theta, J, np.ones(J + 1))),
+        ("single_low", single_band_input(grid, theta, 0)),
+        ("single_mid", single_band_input(grid, theta, max(1, J // 2))),
+        ("single_top", single_band_input(grid, theta, J)),
+    ]
+    j_start = 2
+    if profile is not None and J >= j_start:
+        th = tuple(int(t) for t in theta)
+        b = []
+        for j in range(j_start, J + 1):
+            shifted = tuple((2**j * t + (1 if ax == 0 else 0)) / 2**j
+                            for ax, t in enumerate(th))
+            b.append(abs(complex(np.asarray(profile(*shifted)))))
+        w = np.array(b) * 2.0 ** (-2.0 * source_s * np.arange(j_start, J + 1))
+        off = offset_stack(grid, th, J, w, delta=1, j_start=j_start)
+        if off is not None:
+            items.append(("adapted_offset_stack", off))
+    for i in range(n_random):
+        items.append((f"random_{i}", random_band_limited_field(
+            grid, rng_for(seed, 7, i), 10.0)))
+    return items
+
+
+def per_spec_gain(a, items, spec_src, spec_dst, part):
+    """The energy gain at one spec pair, with a#u for every member: the
+    reference for experiments._grid_gain."""
+    best = experiments._Worst()
+    for name, u in items:
+        src = space_norm(u, spec_src, part)
+        if src == 0.0:
+            continue
+        best.see((space_norm(apply(a, u), spec_dst, part) / src) ** 2,
+                 argmax=name)
+    return {"gain": float(best.value), "argmax": best.where.get("argmax")}
+
+
 def test_boundedness_corpus_members():
     g = TorusGrid(1, 256)
-    items = dict(boundedness_corpus(g, (1,), 5, 0.0, seed=7))
+    items = dict(corpus_members(g, (1,), 5, seed=7))
     assert {"optimal_stack", "uniform_stack", "single_low",
             "single_top"} <= set(items)
     assert items["uniform_stack"].support().points >= {(1,), (32,)}
+    # at every s the members are the reference corpus, in its order
+    for profile in (None, ChingProfile(zero_order=1)):
+        members = corpus_members(g, (1,), 5, 7, profile, n_random=2)
+        for s in (-1.0, 0.5):
+            ref = boundedness_corpus(g, (1,), 5, s, 7, profile, n_random=2)
+            got = [(name, u(s) if callable(u) else u) for name, u in members]
+            assert [name for name, _ in got] == [name for name, _ in ref]
+            assert all(np.array_equal(u.coeffs, v.coeffs)
+                       for (_, u), (_, v) in zip(got, ref))
 
 
 # -- config --------------------------------------------------------------------
@@ -271,6 +330,112 @@ def test_ching_study_probe_offsets():
     assert probed["rho1"]["-1.0"]["verdict"] == "growth"
 
 
+def test_sweep_gains_match_per_spec_loop():
+    # the shared gain path gives every row of the per-spec loop exactly
+    d, specs = 0.25, ((0.0, 2.0, 2.0), (1.0, 2.0, 2.0))
+    cfg = small_cfg("boundedness_sweep", grid_sizes=(64, 128), seed=5,
+                    symbol_params={"d": d, "zero_order": 1,
+                                   "J_values": [3, 5, 4]})
+    rows = run_scenario(cfg).metrics["gain_table"]["rows"]
+    profile = ChingProfile(zero_order=1, theta_hat=(1.0,))
+    expect = []
+    for N in (64, 128):
+        grid = TorusGrid(1, N)
+        part = make_partition(make_modulation(1.0, 2.0), grid)
+        for J in (3, 5, 4):
+            if 5 * 2 ** (J - 2) >= grid.nyquist:
+                continue
+            a = standard_ching(grid, d, J, 1)
+            for s, p, q in specs:
+                corp = boundedness_corpus(grid, (1,), J, s + d, 5, profile,
+                                          n_random=2)
+                res = per_spec_gain(a, corp, NormSpec("F", s + d, p, q),
+                                    NormSpec("F", s, p, q), part)
+                expect.append({"N": N, "J": J, "scale": "F", "s": s, "p": p,
+                               "q": q, **res})
+    assert len(rows) == 10
+    assert rows == expect
+
+
+@pytest.mark.parametrize("probe", [False, True], ids=["plain", "probed"])
+def test_ching_gains_match_per_s_loop(probe):
+    d, s_values, J_values = 0.5, (-1.0, 0.0, 0.5), (3, 5, 4)
+    cfg = small_cfg("ching_study", grid_sizes=(128,), seed=2, symbol_params={
+        "d": d, "J_values": list(J_values), "s_values": list(s_values),
+        "zero_orders": [0, 2], "probe_offsets": probe})
+    curves = run_scenario(cfg).metrics["gain_curves"]["curves"]
+    grid = TorusGrid(1, 128)
+    part = make_partition(make_modulation(1.0, 2.0), grid)
+    for rho in (0, 2):
+        profile = ChingProfile(zero_order=rho, theta_hat=(1.0,))
+        for s in s_values:
+            gains = []
+            for J in J_values:
+                corp = boundedness_corpus(grid, (1,), J, s + d, 2,
+                                          profile if probe else None,
+                                          n_random=2)
+                res = per_spec_gain(standard_ching(grid, d, J, rho), corp,
+                                    NormSpec("F", s + d, 2.0, 2.0),
+                                    NormSpec("F", s, 2.0, 2.0), part)
+                gains.append({"J": J, "gain": res["gain"]})
+            assert curves[f"rho{rho}"][f"{s}"]["gains"] == gains
+
+
+def test_sweep_shares_symbols_and_applies(monkeypatch):
+    """One Ching ladder per grid, one a#u per fixed corpus member per
+    (grid, J), and per spec only the two s-weighted stacks applied."""
+    count = {"apply": 0, "rows": 0}
+
+    def counted_apply(a, u):
+        count["apply"] += 1
+        return apply(a, u)
+
+    def counted_ching(grid, d, J, zero_order):
+        count["rows"] += J + 1
+        return standard_ching(grid, d, J, zero_order)
+
+    monkeypatch.setattr(experiments, "apply", counted_apply)
+    monkeypatch.setattr(experiments, "standard_ching", counted_ching)
+    specs = [["F", 0.0, 2.0, 2.0], ["B", 1.0, 2.0, 1.0], ["F", 0.5, 1.0, 2.0]]
+    cfg = small_cfg("boundedness_sweep", grid_sizes=(64, 128),
+                    norm_specs=specs, symbol_params={"J_values": [3, 4, 5]})
+    run_scenario(cfg)
+    cells = 2 + 3                     # (grid, J) that fit: J <= 4, J <= 5
+    fixed = 4 + cfg.corpus_size       # uniform stack, 3 single bands, randoms
+    weighted = 2                      # optimal and adapted offset stacks
+    assert count["apply"] == cells * (fixed + len(specs) * weighted)
+    assert count["rows"] == (4 + 1) + (5 + 1)
+
+
+@pytest.mark.parametrize("scenario,params", [
+    ("boundedness_sweep", {"J_values": []}),
+    ("boundedness_sweep", {"J_values": [-1, 3]}),
+    ("boundedness_sweep", {"J_values": ["a"]}),
+    ("boundedness_sweep", {"J_values": [12]}),
+    ("boundedness_sweep", {"J_values": [3, 3]}),
+    ("ching_study", {"J_values": [3]}),
+    ("ching_study", {"J_values": []}),
+    ("ching_study", {"J_values": [3.0, 4.0]}),
+    ("ching_study", {"s_values": []}),
+    ("ching_study", {"s_values": [float("nan")]}),
+    ("ching_study", {"s_values": ["0.5"]}),
+    ("ching_study", {"zero_orders": []}),
+    ("ching_study", {"zero_orders": [-1]}),
+], ids=["sweep_no_J", "sweep_negative_J", "sweep_string_J",
+        "sweep_J_too_large", "sweep_one_distinct_J", "ching_one_J",
+        "ching_no_J", "ching_float_J", "no_s", "nan_s", "string_s",
+        "no_zero_orders", "negative_zero_order"])
+def test_bad_sweep_lists_exit_2(scenario, params, tmp_path, capsys):
+    """A list that crashes a sweep or leaves its verdict vacuous (no gain
+    curve of two J) is a config error."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"scenario": scenario, "grid_sizes": [256],
+                                "corpus_size": 1, "symbol_params": params}))
+    assert cli_main(["run", scenario, "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_outputs_layout(tmp_path):
     rec = run_scenario(small_cfg("inequality_suite", seed=3))
     paths = write_outputs(rec, tmp_path / "run")
@@ -389,6 +554,6 @@ def test_identity_gain_is_one():
              for i in range(4)]
     for s, p, q in ((0.0, 2.0, 2.0), (1.0, 2.0, 1.0), (-0.5, 1.0, np.inf)):
         spec = NormSpec("F" if p != np.inf else "B", s, p, q)
-        res = _grid_gain(a, items, spec, spec, part)
+        [res] = _grid_gain(a, items, [(spec, spec)], part)
         assert res["gain"] <= (1.0 + 1e-6) ** 2
         assert res["gain"] >= (1.0 - 1e-6) ** 2

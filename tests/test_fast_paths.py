@@ -806,6 +806,7 @@ def test_maximal_function_memory(fn, arg):
     """No N x N transient and nothing held after the call (1-D N=4096)."""
     grid = TorusGrid(1, 4096)
     u = random_band_limited_field(grid, rng_for(85, 1), grid.nyquist / 2)
+    u.values    # computed on first read: the field's own, not the call's
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

@@ -156,3 +156,24 @@ def test_annulus_set_2d():
     for pt in ring:
         assert 1.0 <= np.hypot(*pt) <= 2.0
     assert (1, 1) in ring.points and (2, 0) in ring.points
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_from_coeffs_values_on_first_read(n, monkeypatch):
+    grid = TorusGrid(n, 16)
+    rng = np.random.default_rng(n)
+    coeffs = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(
+        grid.shape)
+    ifftn, calls = np.fft.ifftn, []
+    monkeypatch.setattr(np.fft, "ifftn",
+                        lambda *args, **kw: calls.append(1) or ifftn(*args, **kw))
+    u = SpectralField.from_coeffs(grid, coeffs)
+    assert calls == []
+    values = u.values
+    assert np.array_equal(values, ifftn(coeffs) * grid.N**n)
+    assert u.values is values and len(calls) == 1
+    for bad in (np.nan, np.inf):
+        c = coeffs.copy()
+        c[(3,) * n] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SpectralField.from_coeffs(grid, c)
