@@ -180,7 +180,7 @@ class ExperimentConfig:
                                   f"list of {what}")
         N = max(self.grid_sizes)
         if lists and len({J for J in lists["J_values"]
-                          if 5 * 2 ** (J - 2) < N // 2}) < 2:
+                          if _ching_fits(J, N)}) < 2:
             raise ConfigError(f"fewer than two J_values fit the grid N = {N} "
                               "(5 * 2^(J-2) < N/2); a gain curve needs two")
 
@@ -243,11 +243,17 @@ def _grid_gain(a: DiscreteSymbol, members, cases, part) -> list:
     return out
 
 
+def _ching_fits(J: int, N: int) -> bool:
+    """Whether Ching J fits the grid size N: 5 * 2^(J-2) < N/2.  A J >= the
+    bit length of N never fits, and is rejected before the power is formed."""
+    return J < N.bit_length() and 5 * 2 ** (J - 2) < N // 2
+
+
 def _ching_ladder(grid: TorusGrid, d: float, J_values, zero_order: int) -> list:
     """(J, standard_ching(grid, d, J, zero_order)) for each J in ``J_values``
     that fits the grid: the symbol at the largest such J, cut to its first
     J + 1 rows (row j, at xi = -2^j theta, does not depend on J)."""
-    fits = [J for J in J_values if 5 * 2 ** (J - 2) < grid.nyquist]
+    fits = [J for J in J_values if _ching_fits(J, grid.N)]
     if not fits:
         return []
     top = standard_ching(grid, d, max(fits), zero_order)
@@ -393,10 +399,8 @@ def run_ching_study(cfg: ExperimentConfig) -> ResultRecord:
     # the adjoint symbol on the study grid: its seminorms grow with the
     # truncation when the profile does not vanish on the ray
     probe = {}
-    for J in (2, 4):
-        if 5 * 2 ** (J - 2) >= grid.nyquist:
-            continue
-        rep = discrete_adjoint_probe(standard_ching(grid, d, J))
+    for J, a in _ching_ladder(grid, d, (2, 4), 0):
+        rep = discrete_adjoint_probe(a)
         probe[f"J{J}"] = {k: v["adjoint"]
                           for k, v in rep["seminorms"].items()}
     # the J=4 / J=2 ratio of the first eta-derivative; NaN (a fail) when

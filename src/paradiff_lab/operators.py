@@ -33,23 +33,28 @@ def apply(a: DiscreteSymbol, u: SpectralField) -> SpectralField:
     if a.grid != u.grid:
         raise GridMismatch("symbol and field live on different grids")
     idx = np.nonzero(u.coeffs)
-    return _scatter(u.grid, a.xi, a.rows[(slice(None),) + idx], idx,
-                    u.coeffs[idx])
+    return SpectralField.from_coeffs(u.grid, _scatter(
+        u.grid, a.xi, a.rows[(slice(None),) + idx], idx, u.coeffs[idx][None]))
 
 
-def _scatter(grid: TorusGrid, xi, cols, idx, c) -> SpectralField:
-    """The field whose coefficient at zeta sums cols[k, j] c_j over the
-    pairs with xi_k + eta_j = zeta (mod N), eta_j the mode at ``idx``:
-    a scatter-add on flat indices, a block of rows at a time, then one
-    inverse FFT."""
-    coeffs = np.zeros(grid.N**grid.n, dtype=np.complex128)
-    step = max(1, BLOCK_ENTRIES // max(1, len(c)))
+def _scatter(grid: TorusGrid, xi, cols, idx, c, row_w=None) -> np.ndarray:
+    """The coefficient stack whose level l sums (cols[k, j] row_w[l, k])
+    c[l, j] at zeta over the pairs with xi_k + eta_j = zeta (mod N), eta_j
+    the mode at ``idx`` (no row weight if ``row_w`` is None): a scatter-add
+    on flat indices, a block of rows at a time, in (k, j) order per level."""
+    shape = (len(c),) + grid.shape
+    coeffs = np.zeros(np.prod(shape), dtype=np.complex128)
+    step = max(1, BLOCK_ENTRIES // max(1, c.size))
     for lo in range(0, len(xi), step):
-        target = [(xi[lo:lo + step, ax, None] + i) % grid.N
-                  for ax, i in enumerate(idx)]
-        np.add.at(coeffs, np.ravel_multi_index(target, grid.shape).ravel(),
-                  (cols[lo:lo + step] * c).ravel())
-    return SpectralField.from_coeffs(grid, coeffs)
+        target = [np.arange(len(c))[:, None, None]] + [
+            (xi[lo:lo + step, ax, None] + i) % grid.N
+            for ax, i in enumerate(idx)]
+        sub = cols[lo:lo + step]
+        if row_w is not None:
+            sub = sub * row_w[:, lo:lo + step, None]
+        np.add.at(coeffs, np.ravel_multi_index(target, shape).ravel(),
+                  (sub * c[:, None, :]).ravel())
+    return coeffs.reshape(shape)
 
 
 def saturation_level(psi: ModulationFunction, grid: TorusGrid) -> int:
@@ -70,27 +75,40 @@ def modulated_symbol(a: DiscreteSymbol, psi: ModulationFunction,
     return DiscreteSymbol.from_partial_ft(grid, a.d, pft)
 
 
+def _modulated_coeffs(a: DiscreteSymbol, u: SpectralField,
+                      psi: ModulationFunction, levels) -> np.ndarray:
+    """The stacked coefficients of the level-m modulated operator applied
+    to u, m in ``levels``: one psi call over the radii |eta| / 2^m at the
+    input's modes and the xi_k (m clamped to saturation, where psi is
+    exactly 1), then one scatter."""
+    grid = u.grid
+    if a.grid != grid:
+        raise GridMismatch("symbol and field live on different grids")
+    idx = np.nonzero(u.coeffs)
+    at = tuple(np.concatenate(pair) for pair in zip(idx, a.xi_index()))
+    w = psi(grid.freq_norms()[at] / 2.0 ** np.minimum(
+        levels, saturation_level(psi, grid))[:, None])
+    c = w[:, :len(idx[0])] * u.coeffs[idx]
+    keep = c.any(axis=0)
+    idx = tuple(i[keep] for i in idx)
+    return _scatter(grid, a.xi, a.rows[(slice(None),) + idx], idx,
+                    c[:, keep], w[:, len(keep):])
+
+
 def modulated_apply(a: DiscreteSymbol, u: SpectralField,
                     psi: ModulationFunction, m: int) -> SpectralField:
     """Apply the level-m frequency-modulated operator.
 
     Equals ``apply(modulated_symbol(a, psi, m), u)`` without building that
     symbol: psi(2^-m eta) cuts off the input and psi(2^-m xi_k) the rows,
-    in the same scatter as :func:`apply`.  Both cutoffs are identically 1
-    on the lattice once m reaches the saturation level, so larger m are
-    clamped there and the unmodulated operator is applied directly
-    (bit-stable tail for limit detection).
+    in the scatter of :func:`apply`.  Both cutoffs are identically 1 on the
+    lattice once m reaches the saturation level, so larger m give the
+    unmodulated operator bit for bit (a stable tail for limit detection).
     """
     if m < 0:
         raise LevelOutOfRange("modulation level must be >= 0")
-    grid = u.grid
-    if m >= saturation_level(psi, grid) or a.grid != grid:
-        return apply(a, u)          # (raises GridMismatch on a grid clash)
-    w = psi(grid.freq_norms() / 2**m)
-    c = w * u.coeffs
-    idx = np.nonzero(c)
-    cols = a.rows[(slice(None),) + idx] * w[a.xi_index()][:, None]
-    return _scatter(grid, a.xi, cols, idx, c[idx])
+    return SpectralField.from_coeffs(
+        u.grid, _modulated_coeffs(a, u, psi, np.array([m]))[0])
 
 
 @dataclass
@@ -109,7 +127,8 @@ class LimitReport:
 
 def modulation_limit(a: DiscreteSymbol, u: SpectralField, psis,
                      tol: float = 1e-10) -> LimitReport:
-    """Run the modulation sweep m = 0..saturation for each cutoff.
+    """Run the modulation sweep m = 0..saturation for each cutoff, one
+    scatter and inverse FFT per block of levels (``BLOCK_ENTRIES`` entries).
 
     Converged means: for every psi the successive differences fall (and
     stay) below tol, and the final values across the cutoffs agree to tol.
@@ -119,23 +138,24 @@ def modulation_limit(a: DiscreteSymbol, u: SpectralField, psis,
     psis = list(psis)
     if len(psis) < 2:
         raise ValueError("need at least two modulation functions")
+    grid, size = u.grid, u.grid.N**u.grid.n
+    per_block = max(1, BLOCK_ENTRIES // size)
+    axes = tuple(range(1, grid.n + 1))
     finals, profiles, stabilizations = [], [], []
     for psi in psis:
-        m_sat = saturation_level(psi, a.grid)
-        prev = modulated_apply(a, u, psi, 0)
-        diffs = []
-        for m in range(1, m_sat + 1):
-            cur = modulated_apply(a, u, psi, m)
-            diffs.append(float(np.max(np.abs(cur.values - prev.values))))
-            prev = cur
+        levels = np.arange(saturation_level(psi, grid) + 1)
+        diffs, prev = [], None
+        for lo in range(0, len(levels), per_block):
+            coeffs = _modulated_coeffs(a, u, psi, levels[lo:lo + per_block])
+            values = np.fft.ifftn(coeffs, axes=axes) * size
+            if prev is not None:
+                diffs.append(float(np.max(np.abs(values[0] - prev))))
+            diffs += np.abs(np.diff(values, axis=0)).max(axis=axes).tolist()
+            prev = values[-1]
         profiles.append(diffs)
-        finals.append(prev)
-        stab = None
-        for m in range(len(diffs) + 1):
-            if all(d <= tol for d in diffs[m:]):
-                stab = m
-                break
-        stabilizations.append(stab)
+        finals.append(SpectralField(grid, prev, coeffs[-1]))
+        stabilizations.append(next((m for m in range(len(diffs) + 1) if all(
+            d <= tol for d in diffs[m:])), None))
     disc = 0.0
     for i in range(len(finals)):
         for j in range(i + 1, len(finals)):

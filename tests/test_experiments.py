@@ -436,6 +436,20 @@ def test_bad_sweep_lists_exit_2(scenario, params, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_ching_fit_rule_matches_formula():
+    """Ching J fits the grid size N when 5 * 2^(J-2) < N/2; a J at or above
+    the bit length of N is answered without forming the power."""
+    for N in [2**k + off for k in range(4, 21) for off in (-1, 0, 1)]:
+        for J in range(41):
+            assert experiments._ching_fits(J, N) == \
+                (5 * 2 ** (J - 2) < N // 2), (J, N)
+    assert experiments._ching_fits(10**8, 256) is False
+    ladder = experiments._ching_ladder(TorusGrid(1, 64), 0.0, (3, 10**8, 4), 0)
+    assert [J for J, _ in ladder] == [3, 4]
+    ExperimentConfig(scenario="boundedness_sweep", grid_sizes=(256,),
+                     symbol_params={"J_values": [3, 4, 10**8]}).normalized()
+
+
 def test_outputs_layout(tmp_path):
     rec = run_scenario(small_cfg("inequality_suite", seed=3))
     paths = write_outputs(rec, tmp_path / "run")

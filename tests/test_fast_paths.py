@@ -8,6 +8,8 @@ the batched Marschall row norms must reproduce a per-row
 ``homog_besov_norm`` loop,
 ``apply`` must reproduce the dense sum over the whole lattice,
 ``modulated_apply`` must reproduce ``apply`` of ``modulated_symbol``,
+``modulation_limit``, a block of levels per scatter and inverse FFT, must
+reproduce one scatter and one field per (cutoff, level) bit for bit,
 every operation on a xi-sparse symbol must reproduce the same operation on
 its twin built from the dense array, the eta-side checks on the stored rows
 must reproduce their dense formulas on ``a.values``,
@@ -32,10 +34,11 @@ from paradiff_lab import (CoronaSpec, DiscreteSymbol, GridMismatch,
                           fefferman_stein_check, hl_max, homog_besov_norm,
                           localize, make_modulation, make_partition,
                           marschall_check, mihlin_bound, modulated_apply,
-                          para_split, peetre_max, saturation_level,
-                          space_norm, spectral_support_bound, symbol_band,
+                          modulation_limit, para_split, peetre_max,
+                          saturation_level, space_norm,
+                          spectral_support_bound, symbol_band,
                           symbol_factor, symbols, tdc_seminorm)
-from paradiff_lab.corpus import (random_band_limited_field,
+from paradiff_lab.corpus import (lacunary_stack, random_band_limited_field,
                                  random_sparse_symbol, rng_for,
                                  standard_ching)
 from paradiff_lab.operators import adjoint_symbol, modulated_symbol
@@ -140,6 +143,112 @@ def test_modulated_apply_matches_modulated_symbol(n, N):
     other = SpectralField.zero(TorusGrid(n, 2 * N))
     with pytest.raises(GridMismatch):
         modulated_apply(dense_symbol(grid), other, psi, 0)
+
+
+# -- the modulation sweep, a block of levels at a time ------------------------
+
+
+def level_apply(a, u, psi, m):
+    """The level-m modulated operator as a scatter and a field of its own:
+    ``apply`` from saturation on, else the rows weighted by psi(2^-m xi_k)
+    and the input by psi(2^-m eta), added in (k, j) order."""
+    grid = u.grid
+    if m >= saturation_level(psi, grid):
+        return apply(a, u)
+    w = psi(grid.freq_norms() / 2**m)
+    c = w * u.coeffs
+    idx = np.nonzero(c)
+    cols = a.rows[(slice(None),) + idx] * w[a.xi_index()][:, None]
+    target = tuple((a.xi[:, ax, None] + i) % grid.N
+                   for ax, i in enumerate(idx))
+    coeffs = np.zeros(grid.shape, dtype=np.complex128)
+    np.add.at(coeffs, target, cols * c[idx])
+    return SpectralField.from_coeffs(grid, coeffs)
+
+
+def per_level_limit(a, u, psis, tol=1e-10):
+    """modulation_limit as one level_apply per (cutoff, level)."""
+    profiles, finals, stabilizations = [], [], []
+    for psi in psis:
+        fields = [level_apply(a, u, psi, m)
+                  for m in range(saturation_level(psi, u.grid) + 1)]
+        diffs = [float(np.max(np.abs(g.values - f.values)))
+                 for f, g in zip(fields, fields[1:])]
+        profiles.append(diffs)
+        finals.append(fields[-1])
+        stabilizations.append(min(m for m in range(len(diffs) + 1)
+                                  if all(d <= tol for d in diffs[m:])))
+    disc = max(float(np.max(np.abs(f.values - g.values)))
+               for i, f in enumerate(finals) for g in finals[i + 1:])
+    return dict(cauchy_profile=profiles, stabilization_m=max(stabilizations),
+                psi_discrepancy=disc, converged=disc <= tol, value=finals[0])
+
+
+def limit_cases(grid):
+    """Ching, identity and random symbols against a band-limited input and
+    a lacunary stack, as ``modulation_study`` builds them."""
+    J = int(np.floor(np.log2(grid.nyquist / 1.25))) - 1
+    theta = (1,) + (0,) * (grid.n - 1)
+    symbols_ = {"ching": standard_ching(grid, 0.0, J, one_sided=True),
+                "identity": DiscreteSymbol.identity(grid),
+                "random": random_sparse_symbol(
+                    grid, rng_for(79, grid.n), x_band=grid.nyquist / 8,
+                    eta_band=grid.nyquist / 4)}
+    inputs = {"band_limited": random_band_limited_field(
+                  grid, rng_for(80, grid.n), 10.0),
+              "lacunary": lacunary_stack(grid, theta, J, np.ones(J + 1))}
+    return [(sn, a, un, u) for sn, a in symbols_.items()
+            for un, u in inputs.items()]
+
+
+LIMIT_PSIS = [make_modulation(1.0, 2.0), make_modulation(1.5, 2.5),
+              make_modulation(0.75, 1.75)]
+
+
+@pytest.mark.parametrize("n,N", [(1, 64), (1, 16384), (2, 16), (2, 32)])
+def test_modulation_limit_matches_per_level_loop(n, N):
+    grid = TorusGrid(n, N)
+    if N == 16384:      # the levels span several blocks
+        assert symbols.BLOCK_ENTRIES // N**n < saturation_level(
+            LIMIT_PSIS[2], grid)
+    for sn, a, un, u in limit_cases(grid):
+        rep = modulation_limit(a, u, LIMIT_PSIS)
+        want = per_level_limit(a, u, LIMIT_PSIS)
+        for key in ("cauchy_profile", "stabilization_m", "psi_discrepancy",
+                    "converged"):
+            assert getattr(rep, key) == want[key], (sn, un, key)
+        assert np.array_equal(rep.value.coeffs, want["value"].coeffs)
+        assert np.array_equal(rep.value.values, want["value"].values)
+
+
+def test_modulation_limit_of_zero_is_zero():
+    grid = TorusGrid(2, 16)
+    u = random_band_limited_field(grid, rng_for(80, 2), 10.0)
+    ching = standard_ching(grid, 0.0, 1, one_sided=True)
+    for a, v in ((ching, SpectralField.zero(grid)),
+                 (DiscreteSymbol.zero(grid), u)):
+        rep = modulation_limit(a, v, LIMIT_PSIS)
+        assert all(d == 0.0 for prof in rep.cauchy_profile for d in prof)
+        assert all(len(prof) > 0 for prof in rep.cauchy_profile)
+        assert not np.any(rep.value.values)
+    with pytest.raises(GridMismatch):
+        modulation_limit(ching, SpectralField.zero(TorusGrid(2, 32)),
+                         LIMIT_PSIS)
+
+
+def test_modulation_limit_memory():
+    """One block per level at 1-D N = 65536: a few grid arrays at a time."""
+    grid = TorusGrid(1, 65536)
+    a = standard_ching(grid, 0.0, 13, one_sided=True)
+    for v in (random_band_limited_field(grid, rng_for(80, 1), 10.0),
+              lacunary_stack(grid, (1,), 13, np.ones(14))):
+        tracemalloc.start()
+        try:
+            modulation_limit(a, v, LIMIT_PSIS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 def dense_twin(a):
