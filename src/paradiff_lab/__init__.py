@@ -3,12 +3,11 @@ band-limited periodic grid: dyadic Littlewood-Paley analysis, frequency
 modulation limits, pointwise maximal-function inequalities, and Besov /
 Triebel-Lizorkin norm measurement."""
 
-from .errors import (AliasingRisk, AnnulusOutOfRange, BadExponent, BadRadii,
-                     ConfigError, DepthUnsupported, EmptyShell, GridMismatch,
-                     GridTooCoarse, LevelOutOfRange, NotAMultiplier,
-                     NotResolvable, ParadiffError, SupportViolation, TooLarge)
-from .torus import (FreqSet, SpectralField, TorusGrid, annulus_set,
-                    band_project, sumset, transform)
+from .errors import (AliasingRisk, BadExponent, BadRadii, ConfigError,
+                     DepthUnsupported, EmptyShell, GridMismatch, GridTooCoarse,
+                     LevelOutOfRange, NotAMultiplier, NotResolvable,
+                     ParadiffError, SupportViolation, TooLarge)
+from .torus import FreqSet, SpectralField, TorusGrid, sumset
 from .lp import (LPPartition, ModulationFunction, cumulative_block,
                  dyadic_block, make_modulation, make_partition, minimal_gap)
 from .symbols import (ChingProfile, DiscreteSymbol, LocalizationCutoff,

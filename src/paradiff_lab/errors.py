@@ -5,10 +5,6 @@ class ParadiffError(Exception):
     """Base class for all errors raised by paradiff_lab."""
 
 
-class AnnulusOutOfRange(ParadiffError):
-    """Requested frequency annulus extends beyond the grid's Nyquist radius."""
-
-
 class AliasingRisk(ParadiffError):
     """A frequency-set operation could wrap around the lattice; the grid is
     too small for the support statement to be meaningful."""

@@ -107,9 +107,15 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        doc = json.loads(Path(path).read_text())
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(doc) - known
+        try:
+            doc = json.loads(Path(path).read_text())
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read config {str(path)!r}: "
+                              f"{type(exc).__name__}: {exc}") from None
+        if not isinstance(doc, dict) or "scenario" not in doc:
+            raise ConfigError(f"config {str(path)!r} must be a JSON object "
+                              "with a scenario")
+        extra = set(doc) - set(cls.__dataclass_fields__)
         if extra:
             raise ConfigError(f"unknown config keys: {sorted(extra)}")
         cfg = cls(**{k: v for k, v in doc.items()})
@@ -133,8 +139,11 @@ class ExperimentConfig:
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}; "
                               f"choose one of {SCENARIOS}")
-        if self.grid_n not in (1, 2):
+        if type(self.grid_n) is not int or self.grid_n not in (1, 2):
             raise ConfigError("grid_n must be 1 or 2")
+        for key in ("seed", "corpus_size"):
+            if type(getattr(self, key)) is not int or getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be an integer >= 0")
         if not self.grid_sizes:
             raise ConfigError("grid_sizes must list at least one size")
         for N in self.grid_sizes:
@@ -165,10 +174,21 @@ class ExperimentConfig:
         if self.norm_specs and self.scenario != "boundedness_sweep":
             raise ConfigError(f"{self.scenario} fixes its own norms; only "
                               f"boundedness_sweep reads norm_specs")
-        if self.symbol_family == "custom" and "table" not in self.symbol_params:
+        params = self.symbol_params
+        if not isinstance(params, dict):
+            raise ConfigError("symbol_params must be a JSON object")
+        if self.symbol_family == "custom" and "table" not in params:
             raise ConfigError("symbol_family 'custom' needs symbol_params.table,"
                               " the path of a {d, xi, rows} JSON table")
-        lists = {key: self.symbol_params.get(key, default) for key, default
+        if "d" in params and not (type(params["d"]) in (int, float)
+                                  and np.isfinite(params["d"])):
+            raise ConfigError("symbol_params.d must be a finite number")
+        for key in ("zero_order", "J"):
+            if key in params and not (type(params[key]) is int
+                                      and params[key] >= 0):
+                raise ConfigError(f"symbol_params.{key} must be an integer "
+                                  ">= 0")
+        lists = {key: params.get(key, default) for key, default
                  in _LIST_PARAMS.get(self.scenario, {}).items()}
         for key, vals in lists.items():
             real = key == "s_values"

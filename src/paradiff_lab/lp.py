@@ -183,10 +183,3 @@ def cumulative_block(u: SpectralField, k: int, part: LPPartition) -> SpectralFie
         return SpectralField.zero(u.grid)
     return SpectralField.from_coeffs(u.grid,
                                      u.coeffs * part.cumulative_weights(k))
-
-
-def block_corona(part: LPPartition, k: int) -> tuple:
-    """(inner, outer) radii of the support annulus of level k."""
-    if k == 0:
-        return (0.0, part.R)
-    return (part.r * 2 ** (k - 1), part.R * 2**k)

@@ -153,7 +153,7 @@ def modulation_limit(a: DiscreteSymbol, u: SpectralField, psis,
             diffs += np.abs(np.diff(values, axis=0)).max(axis=axes).tolist()
             prev = values[-1]
         profiles.append(diffs)
-        finals.append(SpectralField(grid, prev, coeffs[-1]))
+        finals.append(SpectralField(grid, coeffs[-1], prev))
         stabilizations.append(next((m for m in range(len(diffs) + 1) if all(
             d <= tol for d in diffs[m:])), None))
     disc = 0.0
@@ -204,16 +204,16 @@ class ParaSplit:
     zero field as its term.  ``u`` is the input the split decomposes.
     """
 
-    a1u: SpectralField
-    a2u: SpectralField
-    a3u: SpectralField
     series: dict
     partition: LPPartition
     m: int
     u: SpectralField
 
     def total(self) -> SpectralField:
-        return self.a1u + self.a2u + self.a3u
+        """The sum of every series term: the level-m modulated operator
+        applied to ``u``."""
+        return sum((term for triples in self.series.values()
+                    for _, _, term in triples), SpectralField.zero(self.u.grid))
 
 
 def para_split(a: DiscreteSymbol, u: SpectralField, part: LPPartition,
@@ -245,15 +245,7 @@ def para_split(a: DiscreteSymbol, u: SpectralField, part: LPPartition,
         series["diagonal_b"].append(triple(a_k, lagged(k - 1) - lagged(k - h)))
         series["high_low"].append(triple(a_k if k >= h else None,
                                          lagged(k - h)))
-
-    def terms(name):
-        return [term for _, _, term in series[name]]
-
-    a1u = sum(terms("low_high"), zero)
-    a2u = sum([ta + tb for ta, tb in zip(terms("diagonal_a"),
-                                         terms("diagonal_b"))], zero)
-    a3u = sum(terms("high_low"), zero)
-    return ParaSplit(a1u, a2u, a3u, series, part, m, u)
+    return ParaSplit(series, part, m, u)
 
 
 @dataclass

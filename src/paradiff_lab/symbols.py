@@ -439,17 +439,6 @@ class LocalizationCutoff:
         ratio = xi_norm / np.maximum(eta_norm, 1.0)
         return self.rho(ratio) * sigma
 
-    def homogeneity_witness(self) -> float:
-        """Max |chi(t xi, t eta) - chi(xi, eta)| over sample pairs with
-        |eta| >= 2 and t in [1, 4]; zero up to roundoff by construction."""
-        worst = 0.0
-        for xi, eta in ((0.5, 3.0), (1.0, 4.0), (2.0, 8.0)):
-            base = float(self(np.array([xi]), np.array([eta]))[0])
-            for t in (1.0, 1.5, 2.0, 4.0):
-                val = float(self(np.array([t * xi]), np.array([t * eta]))[0])
-                worst = max(worst, abs(val - base))
-        return worst
-
 
 def _pair_norms(a: DiscreteSymbol):
     """(|xi_k+eta|, |eta|) over the stored rows, shape (K,) + grid.shape."""

@@ -13,12 +13,11 @@ quadrature factor of the continuous operator convention once and for all.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AliasingRisk, AnnulusOutOfRange, GridMismatch
+from .errors import AliasingRisk, GridMismatch
 
 #: Relative coefficient threshold below which a frequency does not count as
 #: part of the spectral support.
@@ -84,25 +83,26 @@ class TorusGrid:
 
 
 class SpectralField:
-    """Complex grid function kept consistent with its Fourier coefficients.
+    """Complex grid function stored as its Fourier coefficients.
 
     Attributes
     ----------
     grid : TorusGrid
-    values : complex ndarray over grid points (computed on first read if None)
     coeffs : complex ndarray over the frequency lattice (FFT order);
         coeffs[0...] is the mean value of the field.
+    values : complex ndarray over grid points, a view computed on first
+        read as the inverse transform of ``coeffs`` and cached; a caller
+        that already holds that transform may pass it to the constructor.
     """
 
-    __slots__ = ("grid", "_values", "coeffs")
+    __slots__ = ("grid", "coeffs", "_values")
 
-    def __init__(self, grid, values, coeffs):
-        if not (np.isfinite(coeffs).all()
-                and (values is None or np.isfinite(values).all())):
+    def __init__(self, grid, coeffs, values=None):
+        if not np.isfinite(coeffs).all():
             raise ValueError("field values and coefficients must be finite")
         self.grid = grid
-        self._values = values
         self.coeffs = coeffs
+        self._values = values
 
     @property
     def values(self) -> np.ndarray:
@@ -113,21 +113,16 @@ class SpectralField:
     @classmethod
     def from_values(cls, grid: TorusGrid, values):
         values = np.asarray(values, dtype=np.complex128).reshape(grid.shape)
-        coeffs = np.fft.fftn(values) / grid.N**grid.n
-        return cls(grid, values, coeffs)
+        return cls(grid, np.fft.fftn(values) / grid.N**grid.n, values)
 
     @classmethod
     def from_coeffs(cls, grid: TorusGrid, coeffs):
-        coeffs = np.asarray(coeffs, dtype=np.complex128).reshape(grid.shape)
-        return cls(grid, None, coeffs)
+        return cls(grid, np.asarray(coeffs, dtype=np.complex128).reshape(
+            grid.shape))
 
     @classmethod
     def zero(cls, grid: TorusGrid):
-        z = np.zeros(grid.shape, dtype=np.complex128)
-        return cls(grid, z, z.copy())
-
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.values.copy(), self.coeffs.copy())
+        return cls(grid, np.zeros(grid.shape, dtype=np.complex128))
 
     def support(self, threshold=None) -> "FreqSet":
         """Frequencies whose coefficient modulus exceeds ``threshold``, by
@@ -155,71 +150,21 @@ class SpectralField:
 
     def __add__(self, other):
         _check_same_grid(self, other)
-        return SpectralField(self.grid, self.values + other.values,
-                             self.coeffs + other.coeffs)
+        return SpectralField(self.grid, self.coeffs + other.coeffs)
 
     def __sub__(self, other):
         _check_same_grid(self, other)
-        return SpectralField(self.grid, self.values - other.values,
-                             self.coeffs - other.coeffs)
+        return SpectralField(self.grid, self.coeffs - other.coeffs)
 
     def __mul__(self, scalar):
-        return SpectralField(self.grid, self.values * scalar, self.coeffs * scalar)
+        return SpectralField(self.grid, self.coeffs * scalar)
 
     __rmul__ = __mul__
-
-    def to_json(self) -> str:
-        """Serialize as {n, N, values: interleaved re/im row-major}."""
-        flat = self.values.ravel()
-        inter = np.empty(2 * flat.size)
-        inter[0::2] = flat.real
-        inter[1::2] = flat.imag
-        return json.dumps({"n": self.grid.n, "N": self.grid.N,
-                           "values": inter.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "SpectralField":
-        doc = json.loads(text)
-        grid = TorusGrid(int(doc["n"]), int(doc["N"]))
-        inter = np.asarray(doc["values"], dtype=float)
-        values = inter[0::2] + 1j * inter[1::2]
-        return cls.from_values(grid, values.reshape(grid.shape))
 
 
 def _check_same_grid(a, b):
     if a.grid != b.grid:
         raise GridMismatch(f"grids differ: {a.grid} vs {b.grid}")
-
-
-def transform(fld: SpectralField, direction: str = "forward") -> SpectralField:
-    """Resynchronize one side of a field from the other.
-
-    ``forward`` recomputes coefficients from values, ``inverse`` recomputes
-    values from coefficients.  Normalization keeps the zero-frequency
-    coefficient equal to the mean value.
-    """
-    if direction == "forward":
-        return SpectralField.from_values(fld.grid, fld.values)
-    if direction == "inverse":
-        return SpectralField.from_coeffs(fld.grid, fld.coeffs)
-    raise ValueError("direction must be 'forward' or 'inverse'")
-
-
-def band_project(u: SpectralField, inner: float, outer: float) -> SpectralField:
-    """Zero all coefficients outside the annulus inner <= |eta| <= outer.
-
-    The projection is exact in the coefficient domain: retained coefficients
-    are copied unchanged, all others become exactly zero.
-    """
-    if inner < 0 or outer < inner:
-        raise ValueError("need 0 <= inner <= outer")
-    if outer > u.grid.nyquist:
-        raise AnnulusOutOfRange(
-            f"outer radius {outer} exceeds nyquist {u.grid.nyquist}")
-    norms = u.grid.freq_norms()
-    mask = (norms >= inner) & (norms <= outer)
-    coeffs = np.where(mask, u.coeffs, 0.0 + 0.0j)
-    return SpectralField.from_coeffs(u.grid, coeffs)
 
 
 @dataclass(frozen=True)
@@ -247,9 +192,6 @@ class FreqSet:
     def sorted_points(self) -> list:
         return sorted(self.points)
 
-    def to_json(self) -> str:
-        return json.dumps([list(p) for p in self.sorted_points()])
-
     @classmethod
     def from_points(cls, grid: TorusGrid, pts) -> "FreqSet":
         return cls(frozenset(tuple(int(c) for c in p) for p in pts), grid)
@@ -259,15 +201,6 @@ class FreqSet:
 
     def __iter__(self):
         return iter(self.sorted_points())
-
-
-def annulus_set(grid: TorusGrid, inner: float, outer: float) -> FreqSet:
-    """All lattice points with inner <= |eta| <= outer."""
-    norms = grid.freq_norms()
-    mask = (norms >= inner) & (norms <= outer)
-    k = grid.axis_freqs()
-    idx = np.argwhere(mask)
-    return FreqSet(frozenset(tuple(int(k[i]) for i in row) for row in idx), grid)
 
 
 def sumset(A: FreqSet, B: FreqSet) -> FreqSet:

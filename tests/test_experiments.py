@@ -164,15 +164,42 @@ def test_config_json_round_trip(tmp_path):
     {"max_matrix_dim": 256},
     {"symbol_family": "random"},
     {"norm_specs": [["F", 0.0, 2.0, 2.0]]},
+    {"seed": -1},
+    {"seed": 1.5},
+    {"corpus_size": 2.5},
+    {"grid_n": True},
+    {"scenario": "modulation_study", "symbol_params": {"d": "x"}},
+    {"scenario": "modulation_study", "symbol_params": {"zero_order": "one"}},
+    {"scenario": "modulation_study", "symbol_params": {"J": "four"}},
+    None,
+    "{not json",
+    "42",
 ], ids=["empty_grids", "scalar_grid", "short_pair", "scalar_pair",
         "short_spec", "long_spec", "stale_max_matrix_dim", "unread_family",
-        "unread_specs"])
+        "unread_specs", "negative_seed", "fractional_seed",
+        "fractional_corpus_size", "bool_grid_n", "string_d",
+        "string_zero_order", "string_J", "missing_file", "not_json",
+        "not_an_object"])
 def test_malformed_config_exits_2(doc, tmp_path, capsys):
+    """A config file that is absent, not a JSON object, or holds a value
+    that would crash the run is a config error (exit 2, no traceback)."""
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"scenario": "inequality_suite", **doc}))
-    assert cli_main(["run", "inequality_suite", "--config", str(path),
+    scenario = "inequality_suite"
+    if isinstance(doc, dict):
+        doc = {"scenario": scenario, **doc}
+        scenario = doc["scenario"]
+        doc = json.dumps(doc)
+    if doc is not None:
+        path.write_text(doc)
+    assert cli_main(["run", scenario, "--config", str(path),
                      "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_negative_seed_flag_exits_2(tmp_path, capsys):
+    assert cli_main(["run", "boundedness_sweep", "--seed", "-1",
+                     "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: seed")
 
 
 @pytest.mark.parametrize("spec", [["X", 0.0, 2.0, 2.0],

@@ -251,14 +251,23 @@ def test_compose_matched_cauchy_profiles(grid, psi):
 # -- paradifferential splitting ----------------------------------------------
 
 
-def test_para_split_reconstruction(grid, psi, part):
-    rng = rng_for(35, 0)
+def test_para_split_reconstruction(grid, psi, part, monkeypatch):
+    ifftn, calls = np.fft.ifftn, []
+    monkeypatch.setattr(np.fft, "ifftn",
+                        lambda *args, **kw: calls.append(1) or ifftn(*args, **kw))
     for i in range(3):
         a = random_sparse_symbol(grid, rng_for(35, 1, i), d=0.0,
                                  x_band=8, eta_band=10)
         u = random_band_limited_field(grid, rng_for(35, 2, i), 12.0)
         for m in (2, part.J_max):
+            # the split and its support checks read coefficients only
+            calls.clear()
             sp = para_split(a, u, part, m)
+            support_inclusions(sp, tdc_B=2.0)
+            assert calls == []
+            terms = [t for triples in sp.series.values() for _, _, t in triples]
+            assert np.array_equal(sp.total().coeffs,
+                                  sum(t.coeffs for t in terms))
             ref = modulated_apply(a, u, psi, m)
             err = np.max(np.abs(sp.total().values - ref.values))
             assert err <= 1e-10 * max(ref.norm_inf(), 1.0)
@@ -301,9 +310,14 @@ def test_para_split_ching_diagonal_series(grid, part):
     a = standard_ching(grid, 0.0, 4)
     u = lacunary_stack(grid, (1,), 4, np.ones(5))
     sp = para_split(a, u, part, part.J_max)
-    assert sp.a1u.norm_inf() < 1e-12
-    assert sp.a3u.norm_inf() < 1e-12
-    out = sp.a2u
+
+    def series_sum(*names):
+        return sum((t for name in names for _, _, t in sp.series[name]),
+                   SpectralField.zero(grid))
+
+    assert series_sum("low_high").norm_inf() < 1e-12
+    assert series_sum("high_low").norm_inf() < 1e-12
+    out = series_sum("diagonal_a", "diagonal_b")
     assert out.norm_inf() > 0.5
     prof = ChingProfile()
     expected_at_zero = sum(prof(np.array([1.0]))[0] for _ in range(5))

@@ -250,7 +250,10 @@ def test_tdc_symbol_localizes_to_zero(grid):
 
 def test_cutoff_homogeneity_witness():
     chi = LocalizationCutoff()
-    assert chi.homogeneity_witness() < 1e-12
+    # chi(t xi, t eta) = chi(xi, eta) for t >= 1 once |eta| >= 2
+    for xi, eta in ((0.5, 3.0), (1.0, 4.0), (2.0, 8.0)):
+        t = np.array([1.0, 1.5, 2.0, 4.0])
+        assert np.max(np.abs(chi(t * xi, t * eta) - chi(xi, eta))) < 1e-12
     # support and plateau constraints
     assert chi(np.array([3.0]), np.array([2.9]))[0] == 0.0  # |xi| > |eta|
     assert chi(np.array([0.5]), np.array([0.9]))[0] == 0.0  # |eta| < 1
