@@ -119,10 +119,11 @@ def offset_stack(grid: TorusGrid, theta, J: int, weights, delta: int = 1,
     return SpectralField.from_coeffs(grid, coeffs)
 
 
-def corpus_members(grid: TorusGrid, theta, J: int, seed: int, profile=None,
-                   n_random: int = 3) -> list:
-    """Inputs probing the operator norm of a lacunary symbol truncated at J,
-    as (name, member) pairs: coherent stacks on and off the lacunary ray,
+def corpus_members(grid: TorusGrid, theta, J_values, seed: int, profile=None,
+                   n_random: int = 3):
+    """Yield (J, members) for each J in ``J_values``, in order: the inputs
+    probing the operator norm of a lacunary symbol truncated at J, as
+    (name, member) pairs: coherent stacks on and off the lacunary ray,
     single bands, and seeded random fields band-limited to |eta| <= 10,
     below the first unresolved annulus.  A member is a field or, for the
     two stacks weighted by the source smoothness s, a function of s giving
@@ -131,31 +132,33 @@ def corpus_members(grid: TorusGrid, theta, J: int, seed: int, profile=None,
     With the symbol's annular ``profile`` given, the off-ray stack is
     amplitude-adapted: weights b_j 2^{-2 j s} with b_j the profile value at
     the shifted point, which maximizes the coherent output per unit of
-    source norm."""
+    source norm.  The random fields and the b_j, which do not depend on J,
+    are built once; a J's stacks and bands when that J is reached."""
     th = tuple(int(t) for t in (theta if hasattr(theta, "__len__") else (theta,)))
-    items = [
-        ("optimal_stack", lambda s: lacunary_stack(
-            grid, th, J, optimal_stack_weights(J, s))),
-        ("uniform_stack", lacunary_stack(grid, th, J, np.ones(J + 1))),
-        ("single_low", single_band_input(grid, th, 0)),
-        ("single_mid", single_band_input(grid, th, max(1, J // 2))),
-        ("single_top", single_band_input(grid, th, J)),
-    ]
     j_start = 2
-    if profile is not None and J >= j_start:
-        b = []
-        for j in range(j_start, J + 1):
+    b = []
+    if profile is not None:
+        for j in range(j_start, max(J_values, default=0) + 1):
             shifted = tuple((2**j * t + (1 if ax == 0 else 0)) / 2**j
                             for ax, t in enumerate(th))
             b.append(abs(complex(np.asarray(profile(*shifted)))))
-        items.append(("adapted_offset_stack", lambda s: offset_stack(
-            grid, th, J, np.array(b) * 2.0 ** (-2.0 * s * np.arange(
-                j_start, J + 1)), delta=1, j_start=j_start)))
-    for i in range(n_random):
-        rng = rng_for(seed, 7, i)
-        items.append((f"random_{i}",
-                      random_band_limited_field(grid, rng, 10.0)))
-    return items
+    randoms = [(f"random_{i}", random_band_limited_field(
+        grid, rng_for(seed, 7, i), 10.0)) for i in range(n_random)]
+    for J in J_values:
+        items = [
+            ("optimal_stack", lambda s, J=J: lacunary_stack(
+                grid, th, J, optimal_stack_weights(J, s))),
+            ("uniform_stack", lacunary_stack(grid, th, J, np.ones(J + 1))),
+            ("single_low", single_band_input(grid, th, 0)),
+            ("single_mid", single_band_input(grid, th, max(1, J // 2))),
+            ("single_top", single_band_input(grid, th, J)),
+        ]
+        if profile is not None and J >= j_start:
+            items.append(("adapted_offset_stack", lambda s, J=J: offset_stack(
+                grid, th, J, np.array(b[:J - 1]) * 2.0 ** (
+                    -2.0 * s * np.arange(j_start, J + 1)),
+                delta=1, j_start=j_start)))
+        yield J, items + randoms
 
 
 def standard_ching(grid: TorusGrid, d: float = 0.0, J: int = 4,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 import platform
 import time
 from dataclasses import asdict, dataclass, field
@@ -88,6 +89,13 @@ _LIST_PARAMS = {"boundedness_sweep": {"J_values": (3, 4, 5, 6, 7, 8)},
                                 "s_values": (-2, -1.5, -1, -0.5, 0, 0.5, 1)}}
 
 
+def _real(x) -> float:
+    """A JSON number as a float; a string or a boolean raises TypeError."""
+    if type(x) not in (int, float):
+        raise TypeError(f"{x!r} is not a number")
+    return float(x)
+
+
 @dataclass
 class ExperimentConfig:
     """Validated description of one scenario run."""
@@ -123,15 +131,15 @@ class ExperimentConfig:
 
     def normalized(self) -> "ExperimentConfig":
         try:
-            self.grid_sizes = tuple(int(N) for N in self.grid_sizes)
-            self.modulations = tuple((float(r), float(R))
+            self.grid_sizes = tuple(operator.index(N) for N in self.grid_sizes)
+            self.modulations = tuple((_real(r), _real(R))
                                      for r, R in self.modulations)
             self.norm_specs = tuple((str(c), float(s), float(p), float(q))
                                     for c, s, p, q in self.norm_specs)
         except (TypeError, ValueError) as exc:
             raise ConfigError("grid_sizes, modulations and norm_specs must be "
-                              "lists of sizes, (r, R) pairs and (scale, s, p, "
-                              f"q) tuples: {exc}") from None
+                              "lists of integer sizes, numeric (r, R) pairs "
+                              f"and (scale, s, p, q) tuples: {exc}") from None
         self.validate()
         return self
 
@@ -149,8 +157,11 @@ class ExperimentConfig:
         for N in self.grid_sizes:
             if N < 16 or (N & (N - 1)) != 0:
                 raise ConfigError(f"grid size {N} must be a power of two >= 16")
-        if not (0 < self.partition_r < self.partition_R):
-            raise ConfigError("partition radii must satisfy 0 < r < R")
+        if any(type(r) not in (int, float) for r in (
+                self.partition_r, self.partition_R)) \
+                or not (0 < self.partition_r < self.partition_R):
+            raise ConfigError("partition radii must be numbers with "
+                              "0 < r < R")
         if self.partition_R >= min(self.grid_sizes) / 2:
             raise ConfigError("partition support exceeds the smallest nyquist")
         if self.scenario == "inequality_suite" and max(self.grid_sizes) < 64:
@@ -188,6 +199,10 @@ class ExperimentConfig:
                                       and params[key] >= 0):
                 raise ConfigError(f"symbol_params.{key} must be an integer "
                                   ">= 0")
+        for key in ("one_sided", "probe_offsets"):
+            if key in params and type(params[key]) is not bool:
+                raise ConfigError(f"symbol_params.{key} must be true or "
+                                  "false")
         lists = {key: params.get(key, default) for key, default
                  in _LIST_PARAMS.get(self.scenario, {}).items()}
         for key, vals in lists.items():
@@ -246,21 +261,29 @@ class _Worst:
 
 def _grid_gain(a: DiscreteSymbol, members, cases, part) -> list:
     """Energy gains sup_u ||a#u||^2 / ||u||^2 (squared quasi-norm ratios)
-    over :func:`corpus_members`, one per (source, target) spec pair in
-    ``cases``: a#u once per fixed member, and once per case for each stack
-    weighted by the source smoothness."""
-    applied = {name: apply(a, u) for name, u in members if not callable(u)}
-    out = []
-    for spec_src, spec_dst in cases:
+    over one J's :func:`corpus_members`, one per (source, target) spec pair
+    in ``cases``: the fixed members' a#u from one apply, and per case one
+    apply of the stacks weighted by the source smoothness and one source
+    and one target norm call over every member."""
+    fixed = {name: u for name, u in members if not callable(u)}
+    applied = dict(zip(fixed, apply(a, list(fixed.values()))))
+
+    def gain(spec_src, spec_dst):
+        inputs = {name: u(spec_src.s) if callable(u) else u
+                  for name, u in members}
+        inputs = {name: u for name, u in inputs.items() if u is not None}
+        weighted = [name for name in inputs if name not in applied]
+        images = {**applied, **dict(zip(weighted, apply(
+            a, [inputs[name] for name in weighted])))}
+        src = space_norm(list(inputs.values()), spec_src, part)
+        dst = space_norm([images[name] for name in inputs], spec_dst, part)
         best = _Worst()
-        for name, u in members:
-            u = u(spec_src.s) if callable(u) else u
-            if u is None or (src := space_norm(u, spec_src, part)) == 0.0:
-                continue
-            au = applied[name] if name in applied else apply(a, u)
-            best.see((space_norm(au, spec_dst, part) / src) ** 2, argmax=name)
-        out.append({"gain": _f(best.value), "argmax": best.where.get("argmax")})
-    return out
+        for name, u_norm, au_norm in zip(inputs, src, dst):
+            if u_norm != 0.0:
+                best.see((au_norm / u_norm) ** 2, argmax=name)
+        return {"gain": _f(best.value), "argmax": best.where.get("argmax")}
+    # one case's weighted stacks and images are freed before the next's
+    return [gain(*case) for case in cases]
 
 
 def _ching_fits(J: int, N: int) -> bool:
@@ -312,9 +335,11 @@ def run_boundedness_sweep(cfg: ExperimentConfig) -> ResultRecord:
                               "q": _f(q), "N": N,
                               "value": _f(space_norm(
                                   ref, NormSpec(scale, s, p, q), part))})
-        for J, a in _ching_ladder(grid, d, J_values, zero_order):
-            members = corpus_members(grid, theta, J, cfg.seed, profile=profile,
-                                     n_random=cfg.corpus_size)
+        fits = [J for J in J_values if _ching_fits(J, N)]
+        for (J, a), (_, members) in zip(
+                _ching_ladder(grid, d, fits, zero_order),
+                corpus_members(grid, theta, fits, cfg.seed, profile=profile,
+                               n_random=cfg.corpus_size)):
             for (scale, s, p, q), res in zip(
                     specs, _grid_gain(a, members, cases, part)):
                 rows.append({"N": N, "J": J, "scale": scale, "s": _f(s),
@@ -383,23 +408,25 @@ def run_ching_study(cfg: ExperimentConfig) -> ResultRecord:
     # orders >= 1 but deliberately chase the slowly-converging extremal
     # direction; off by default so stability verdicts reflect the
     # grid-stable corpus
-    probe_offsets = bool(params.get("probe_offsets", False))
+    probe_offsets = params.get("probe_offsets", False)
     N = max(cfg.grid_sizes)
     grid = TorusGrid(cfg.grid_n, N)
     part = make_partition(make_modulation(cfg.partition_r, cfg.partition_R),
                           grid)
     theta = (1,) + (0,) * (cfg.grid_n - 1)
+    fits = [J for J in J_values if _ching_fits(J, N)]
     cases = [(NormSpec("F", s + d, 2.0, 2.0), NormSpec("F", s, 2.0, 2.0))
              for s in s_values]
     curves, thresholds = {}, {}
     for rho in zero_orders:
         profile = ChingProfile(zero_order=rho,
                                theta_hat=tuple(float(t) for t in theta))
-        by_J = [(J, _grid_gain(a, corpus_members(
-                    grid, theta, J, cfg.seed,
-                    profile=profile if probe_offsets else None,
-                    n_random=cfg.corpus_size), cases, part))
-                for J, a in _ching_ladder(grid, d, J_values, rho)]
+        by_J = [(J, _grid_gain(a, members, cases, part))
+                for (J, a), (_, members) in zip(
+                    _ching_ladder(grid, d, fits, rho),
+                    corpus_members(grid, theta, fits, cfg.seed,
+                                   profile=profile if probe_offsets else None,
+                                   n_random=cfg.corpus_size))]
         per_s = {}
         for i, s in enumerate(s_values):
             gains = [{"J": J, "gain": res[i]["gain"]} for J, res in by_J]
@@ -454,7 +481,7 @@ def build_symbol(cfg: ExperimentConfig, grid: TorusGrid) -> DiscreteSymbol:
             J = int(np.floor(np.log2(grid.nyquist / 1.25))) - 1
         return standard_ching(grid, d, int(J),
                               int(params.get("zero_order", 0)),
-                              one_sided=bool(params.get("one_sided", True)))
+                              one_sided=params.get("one_sided", True))
     if family == "identity":
         return DiscreteSymbol.identity(grid)
     if family == "multiplier":

@@ -23,18 +23,34 @@ from .torus import (SUPPORT_REL_THRESHOLD, FreqSet, SpectralField, TorusGrid,
                     sumset)
 
 
-def apply(a: DiscreteSymbol, u: SpectralField) -> SpectralField:
+def apply(a: DiscreteSymbol, u):
     """v(x) = sum_eta a(x, eta) c_eta e^{i x.eta} on the shared grid.
 
     Since a(x, eta) = sum_k ahat(xi_k, eta) e^{i x.xi_k} on the grid, the
     output coefficient at zeta is the sum of ahat(xi_k, eta_j) c_j over the
     pairs with xi_k + eta_j = zeta (mod N), eta_j the input's modes: one
-    scatter in coefficient space."""
-    if a.grid != u.grid:
+    scatter in coefficient space.
+
+    ``u`` may also be a sequence of fields, which gives their images: one
+    scatter over the union of their modes (where a field's zeros add exact
+    zeros) per block of max(1, ``BLOCK_ENTRIES`` // N^n) fields, so no
+    stack outgrows one field or ``BLOCK_ENTRIES`` entries."""
+    fields = [u] if isinstance(u, SpectralField) else list(u)
+    grid = a.grid
+    if any(grid != f.grid for f in fields):
         raise GridMismatch("symbol and field live on different grids")
-    idx = np.nonzero(u.coeffs)
-    return SpectralField.from_coeffs(u.grid, _scatter(
-        u.grid, a.xi, a.rows[(slice(None),) + idx], idx, u.coeffs[idx][None]))
+    per_block = max(1, BLOCK_ENTRIES // grid.N**grid.n)
+    out = []
+    for lo in range(0, len(fields), per_block):
+        block = fields[lo:lo + per_block]
+        modes = block[0].coeffs != 0
+        for f in block[1:]:
+            modes |= f.coeffs != 0
+        idx = np.nonzero(modes)
+        out += [SpectralField.from_coeffs(grid, v) for v in _scatter(
+            grid, a.xi, a.rows[(slice(None),) + idx], idx,
+            np.array([f.coeffs[idx] for f in block]))]
+    return out[0] if isinstance(u, SpectralField) else out
 
 
 def _scatter(grid: TorusGrid, xi, cols, idx, c, row_w=None) -> np.ndarray:

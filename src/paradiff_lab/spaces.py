@@ -80,7 +80,7 @@ def _dyadic_norm(scale: str, levels: np.ndarray, weights, p: float,
     return lp_norm(_lq(a, q, axis=0), p)
 
 
-def space_norm(u: SpectralField, spec: NormSpec, part: LPPartition) -> float:
+def space_norm(u, spec: NormSpec, part: LPPartition):
     """Quasi-norm from the dyadic blocks u_j, j = 0..J_max.
 
     B scale:  || {2^{sj} ||u_j||_p} ||_{l_q}
@@ -90,21 +90,39 @@ def space_norm(u: SpectralField, spec: NormSpec, part: LPPartition) -> float:
     by Parseval: ||u_j||_2^2 = sum_eta |phi_j(eta) c_eta|^2, summed over u's
     nonzero modes.  Every other (p, q) takes all blocks from one inverse FFT
     of the stacked level-weighted coefficients.
+
+    ``u`` may also be a sequence of fields, which gives the list of their
+    norms; at p = 2 from one gather at their concatenated modes.
     """
-    check_grid(part, u.grid)
-    grid = u.grid
-    weights = [2.0 ** (spec.s * j) for j in range(part.J_max + 1)]
+    fields = [u] if isinstance(u, SpectralField) else list(u)
+    for f in fields:
+        check_grid(part, f.grid)
+    grid = part.grid
+    weights = np.array([2.0 ** (spec.s * j) for j in range(part.J_max + 1)])
     if spec.p == 2 and (spec.scale == "B" or spec.q == 2):
-        modes = np.nonzero(u.coeffs)
-        power = part.level_stack()[(slice(None),) + modes] ** 2 \
-            * np.abs(u.coeffs[modes]) ** 2
-        return float(_lq(np.array(weights) * np.sqrt(np.sum(power, axis=1)),
-                         spec.q))
-    # one stack-sized array, transformed in place
-    blocks = u.coeffs * part.level_stack()
-    np.fft.ifftn(blocks, axes=tuple(range(1, grid.n + 1)), out=blocks)
-    blocks *= grid.N**grid.n
-    return _dyadic_norm(spec.scale, blocks, weights, spec.p, spec.q)
+        modes = [np.flatnonzero(f.coeffs != 0) for f in fields]
+        at = np.concatenate([np.empty(0, np.intp)] + modes)
+        c = np.concatenate([np.empty(0, complex)] + [
+            f.coeffs.ravel()[m] for f, m in zip(fields, modes)])
+        power = part.level_stack().reshape(len(weights), -1)[:, at] ** 2 \
+            * np.abs(c) ** 2
+        # a field's level energies: the pairwise np.sum of its own columns,
+        # so each norm is the one-field norm bit for bit
+        ends = np.cumsum([0] + [len(m) for m in modes])
+        energy = np.array([np.sum(power[:, lo:hi], axis=1)
+                           for lo, hi in zip(ends, ends[1:])])
+        norms = _lq(weights * np.sqrt(energy.reshape(-1, len(weights))),
+                    spec.q, axis=1).tolist()
+    else:
+        norms = []
+        for f in fields:
+            # one stack-sized array, transformed in place
+            blocks = f.coeffs * part.level_stack()
+            np.fft.ifftn(blocks, axes=tuple(range(1, grid.n + 1)), out=blocks)
+            blocks *= grid.N**grid.n
+            norms.append(_dyadic_norm(spec.scale, blocks, weights, spec.p,
+                                      spec.q))
+    return norms[0] if isinstance(u, SpectralField) else norms
 
 
 def dyadic_dilate(u: SpectralField, k: int) -> SpectralField:

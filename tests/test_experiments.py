@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from paradiff_lab import experiments
+from paradiff_lab import corpus, experiments, operators
 from paradiff_lab.cli import main as cli_main
 from paradiff_lab.corpus import (corpus_members, lacunary_stack,
                                  offset_stack, optimal_stack_weights,
@@ -104,19 +104,29 @@ def per_spec_gain(a, items, spec_src, spec_dst, part):
 
 def test_boundedness_corpus_members():
     g = TorusGrid(1, 256)
-    items = dict(corpus_members(g, (1,), 5, seed=7))
+    [(J, members)] = corpus_members(g, (1,), [5], seed=7)
+    items = dict(members)
+    assert J == 5
     assert {"optimal_stack", "uniform_stack", "single_low",
             "single_top"} <= set(items)
     assert items["uniform_stack"].support().points >= {(1,), (32,)}
-    # at every s the members are the reference corpus, in its order
+    # every J, in the order given, and at every s the members are the
+    # reference corpus, in its order
+    J_values = [5, 3, 1, 4, 5]
     for profile in (None, ChingProfile(zero_order=1)):
-        members = corpus_members(g, (1,), 5, 7, profile, n_random=2)
-        for s in (-1.0, 0.5):
-            ref = boundedness_corpus(g, (1,), 5, s, 7, profile, n_random=2)
-            got = [(name, u(s) if callable(u) else u) for name, u in members]
-            assert [name for name, _ in got] == [name for name, _ in ref]
-            assert all(np.array_equal(u.coeffs, v.coeffs)
-                       for (_, u), (_, v) in zip(got, ref))
+        corpus = corpus_members(g, (1,), J_values, 7, profile, n_random=2)
+        seen = []
+        for J, members in corpus:
+            seen.append(J)
+            for s in (-1.0, 0.5):
+                ref = boundedness_corpus(g, (1,), J, s, 7, profile, n_random=2)
+                got = [(name, u(s) if callable(u) else u)
+                       for name, u in members]
+                got = [(name, u) for name, u in got if u is not None]
+                assert [name for name, _ in got] == [name for name, _ in ref]
+                assert all(np.array_equal(u.coeffs, v.coeffs)
+                           for (_, u), (_, v) in zip(got, ref))
+        assert seen == J_values
 
 
 # -- config --------------------------------------------------------------------
@@ -171,6 +181,12 @@ def test_config_json_round_trip(tmp_path):
     {"scenario": "modulation_study", "symbol_params": {"d": "x"}},
     {"scenario": "modulation_study", "symbol_params": {"zero_order": "one"}},
     {"scenario": "modulation_study", "symbol_params": {"J": "four"}},
+    {"partition_r": "1"},
+    {"partition_r": True},
+    {"grid_sizes": [64.9]},
+    {"modulations": [[1, "2"]]},
+    {"scenario": "modulation_study", "symbol_params": {"one_sided": "no"}},
+    {"scenario": "ching_study", "symbol_params": {"probe_offsets": 1}},
     None,
     "{not json",
     "42",
@@ -178,7 +194,9 @@ def test_config_json_round_trip(tmp_path):
         "short_spec", "long_spec", "stale_max_matrix_dim", "unread_family",
         "unread_specs", "negative_seed", "fractional_seed",
         "fractional_corpus_size", "bool_grid_n", "string_d",
-        "string_zero_order", "string_J", "missing_file", "not_json",
+        "string_zero_order", "string_J", "string_partition_r",
+        "bool_partition_r", "fractional_grid_size", "string_modulation",
+        "string_one_sided", "int_probe_offsets", "missing_file", "not_json",
         "not_an_object"])
 def test_malformed_config_exits_2(doc, tmp_path, capsys):
     """A config file that is absent, not a JSON object, or holds a value
@@ -408,21 +426,42 @@ def test_ching_gains_match_per_s_loop(probe):
             assert curves[f"rho{rho}"][f"{s}"]["gains"] == gains
 
 
-def test_sweep_shares_symbols_and_applies(monkeypatch):
-    """One Ching ladder per grid, one a#u per fixed corpus member per
-    (grid, J), and per spec only the two s-weighted stacks applied."""
-    count = {"apply": 0, "rows": 0}
-
-    def counted_apply(a, u):
-        count["apply"] += 1
-        return apply(a, u)
+def count_shared_work(monkeypatch):
+    """Counters of the Ching rows built, random fields built, apply calls,
+    the fields they map and the scatters they run, during one run."""
+    count = {"rows": 0, "random": 0, "apply": 0, "images": 0, "scatter": 0}
 
     def counted_ching(grid, d, J, zero_order):
         count["rows"] += J + 1
         return standard_ching(grid, d, J, zero_order)
 
-    monkeypatch.setattr(experiments, "apply", counted_apply)
+    def counted_random(*args, **kwargs):
+        count["random"] += 1
+        return random_band_limited_field(*args, **kwargs)
+
+    def counted_apply(a, u):
+        count["apply"] += 1
+        out = apply(a, u)
+        count["images"] += len(out)
+        return out
+
+    def counted_scatter(*args, **kwargs):
+        count["scatter"] += 1
+        return scatter(*args, **kwargs)
+
+    scatter = operators._scatter
     monkeypatch.setattr(experiments, "standard_ching", counted_ching)
+    monkeypatch.setattr(corpus, "random_band_limited_field", counted_random)
+    monkeypatch.setattr(experiments, "apply", counted_apply)
+    monkeypatch.setattr(operators, "_scatter", counted_scatter)
+    return count
+
+
+def test_sweep_shares_symbols_and_applies(monkeypatch):
+    """One Ching ladder and one build of each random field per grid; per
+    (grid, J) one scatter for the fixed corpus members, and per (grid, J,
+    spec) one for the two s-weighted stacks."""
+    count = count_shared_work(monkeypatch)
     specs = [["F", 0.0, 2.0, 2.0], ["B", 1.0, 2.0, 1.0], ["F", 0.5, 1.0, 2.0]]
     cfg = small_cfg("boundedness_sweep", grid_sizes=(64, 128),
                     norm_specs=specs, symbol_params={"J_values": [3, 4, 5]})
@@ -430,8 +469,32 @@ def test_sweep_shares_symbols_and_applies(monkeypatch):
     cells = 2 + 3                     # (grid, J) that fit: J <= 4, J <= 5
     fixed = 4 + cfg.corpus_size       # uniform stack, 3 single bands, randoms
     weighted = 2                      # optimal and adapted offset stacks
-    assert count["apply"] == cells * (fixed + len(specs) * weighted)
+    assert count["apply"] == count["scatter"] == cells * (1 + len(specs))
+    assert count["images"] == cells * (fixed + len(specs) * weighted)
+    assert count["random"] == len(cfg.grid_sizes) * cfg.corpus_size
     assert count["rows"] == (4 + 1) + (5 + 1)
+
+
+@pytest.mark.parametrize("probe", [False, True], ids=["plain", "probed"])
+def test_ching_study_shares_symbols_and_applies(probe, monkeypatch):
+    """Per zero order one Ching ladder and one build of each random field
+    (the adapted stack reads the zero order's profile); per (zero order, J)
+    one scatter for the fixed members, and per s one for the s-weighted
+    stacks."""
+    count = count_shared_work(monkeypatch)
+    s_values, zero_orders = [-1.0, 0.0, 0.5], [0, 1, 2]
+    cfg = small_cfg("ching_study", grid_sizes=(128,), symbol_params={
+        "J_values": [3, 4, 6], "s_values": s_values,
+        "zero_orders": zero_orders, "probe_offsets": probe})
+    run_scenario(cfg)
+    cells = len(zero_orders) * 2      # J = 6 does not fit N = 128
+    fixed = 4 + cfg.corpus_size
+    weighted = 2 if probe else 1      # the adapted stack only when probing
+    assert count["apply"] == count["scatter"] == cells * (1 + len(s_values))
+    assert count["images"] == cells * (fixed + len(s_values) * weighted)
+    assert count["random"] == len(zero_orders) * cfg.corpus_size
+    # one ladder per zero order, and the adjoint probe's J = 2, 4 ladder
+    assert count["rows"] == len(zero_orders) * (4 + 1) + (4 + 1)
 
 
 @pytest.mark.parametrize("scenario,params", [

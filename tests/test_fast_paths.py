@@ -6,7 +6,9 @@ The (symbol, input, term) series of ``para_split`` must reproduce
 ``corona_sum_check`` must reproduce their one-field-per-level list forms,
 the batched Marschall row norms must reproduce a per-row
 ``homog_besov_norm`` loop,
-``apply`` must reproduce the dense sum over the whole lattice,
+``apply`` must reproduce the dense sum over the whole lattice, and over
+a list of fields each field's own ``apply``, as ``space_norm`` over a list
+must each field's own norm,
 ``modulated_apply`` must reproduce ``apply`` of ``modulated_symbol``,
 ``modulation_limit``, a block of levels per scatter and inverse FFT, must
 reproduce one scatter and one field per (cutoff, level) bit for bit,
@@ -42,7 +44,7 @@ from paradiff_lab.corpus import (lacunary_stack, random_band_limited_field,
                                  random_sparse_symbol, rng_for,
                                  standard_ching)
 from paradiff_lab.operators import adjoint_symbol, modulated_symbol
-from paradiff_lab import pointwise
+from paradiff_lab import operators, pointwise
 from paradiff_lab.pointwise import _mihlin_rhs, torus_offsets
 from paradiff_lab.spaces import lp_norm
 
@@ -129,6 +131,45 @@ def test_apply_matches_dense_sum(n, N):
             got = apply(a, u)
             assert got.grid == grid
             assert_close(got.values, dense_apply(a, u))
+
+
+def input_lists(grid):
+    """Input lists for the many-input apply: one field, two with disjoint
+    modes, two with shared modes, a zero field among others, and none."""
+    inputs = apply_inputs(grid)
+    other = random_band_limited_field(grid, rng_for(79, grid.n),
+                                      grid.nyquist / 2)
+    top = np.zeros(grid.shape, dtype=complex)
+    top[grid.index_of((-grid.nyquist,) * grid.n)] = 0.5j
+    top = SpectralField.from_coeffs(grid, top)
+    shared = (set(inputs["sparse"].support().points)
+              & set(other.support().points))
+    assert shared and not top.support().points & shared
+    return {"one": [inputs["sparse"]],
+            "disjoint": [inputs["one_mode"], top],
+            "shared": [inputs["sparse"], other],
+            "with_zero": [inputs["zero"], other, inputs["dense"], top],
+            "none": []}
+
+
+@pytest.mark.parametrize("n,N", GRIDS)
+@pytest.mark.parametrize("per_block", [None, 2], ids=["one_block", "pairs"])
+def test_apply_many_matches_one_at_a_time(n, N, per_block, monkeypatch):
+    """apply over a list of fields, one scatter over the union of their
+    modes per block of fields, gives each field's own apply bit for bit."""
+    grid = TorusGrid(n, N)
+    if per_block is not None:
+        monkeypatch.setattr(operators, "BLOCK_ENTRIES", per_block * N**n)
+    for a in all_symbols(grid).values():           # "zero" has K = 0 rows
+        for fields in input_lists(grid).values():
+            got = apply(a, fields)
+            assert isinstance(got, list) and len(got) == len(fields)
+            for v, u in zip(got, fields):
+                assert v.grid == grid
+                assert np.array_equal(v.coeffs, apply(a, u).coeffs)
+    with pytest.raises(GridMismatch):
+        apply(DiscreteSymbol.identity(grid), [
+            SpectralField.zero(grid), SpectralField.zero(TorusGrid(n, 2 * N))])
 
 
 @pytest.mark.parametrize("n,N", GRIDS)
@@ -507,6 +548,34 @@ def test_level_norms_match_list_forms(n, N):
             mixed_f_reference(blocks, 0.5, p, q), rel=1e-13)
         assert res["norm_of_sum"] == pytest.approx(space_norm_reference(
             total, NormSpec("F", 0.5, p, q), part), rel=1e-13)
+
+
+@pytest.mark.parametrize("n,N", NORM_GRIDS)
+def test_space_norm_many_matches_one_at_a_time(n, N):
+    """space_norm over a list of fields equals the per-field norms: within
+    1e-15 relative at p = 2 (one gather for all fields), bit for bit at
+    every other p (the per-field inverse FFT)."""
+    grid = TorusGrid(n, N)
+    part = make_partition(make_modulation(1.0, 2.0), grid)
+    other = random_band_limited_field(grid, rng_for(79, grid.n),
+                                      grid.nyquist / 2)
+    stack = lacunary_stack(grid, (1,) * n, part.J_max, np.ones(part.J_max + 1))
+    fields = [*norm_fields(grid).values(), other, stack]
+    for scale in ("B", "F"):
+        for p in EXPONENTS:
+            if scale == "F" and np.isinf(p):
+                continue
+            for q, s in zip(EXPONENTS, (-1.0, 0.0, 0.7, 1.5)):
+                spec = NormSpec(scale, s, p, q)
+                want = [space_norm(u, spec, part) for u in fields]
+                order = list(range(len(fields)))
+                for sub in (order, order[:1], order[::-1], []):
+                    got = space_norm([fields[i] for i in sub], spec, part)
+                    ref = [want[i] for i in sub]
+                    if p == 2:
+                        assert got == pytest.approx(ref, rel=1e-15, abs=0.0)
+                    else:
+                        assert got == ref
 
 
 def marschall_loop(b, u, k, t, vals=None):
