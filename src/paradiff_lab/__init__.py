@@ -7,7 +7,7 @@ from .errors import (AliasingRisk, BadExponent, BadRadii, ConfigError,
                      DepthUnsupported, EmptyShell, GridMismatch, GridTooCoarse,
                      LevelOutOfRange, NotAMultiplier, NotResolvable,
                      ParadiffError, SupportViolation, TooLarge)
-from .torus import FreqSet, SpectralField, TorusGrid, sumset
+from .torus import SpectralField, TorusGrid
 from .lp import (LPPartition, ModulationFunction, cumulative_block,
                  dyadic_block, make_modulation, make_partition, minimal_gap)
 from .symbols import (ChingProfile, DiscreteSymbol, LocalizationCutoff,

@@ -53,12 +53,11 @@ def random_sparse_symbol(grid: TorusGrid, rng, d: float = 0.0,
     norms = grid.freq_norms()
     xi_ok = np.argwhere(norms <= x_band)
     eta_ok = np.argwhere((norms <= eta_band) & (norms >= eta_min))
-    k = grid.axis_freqs().astype(float)
     drawn = {}
     for _ in range(entries):
         xi = tuple(xi_ok[rng.integers(len(xi_ok))])
         eta = tuple(eta_ok[rng.integers(len(eta_ok))])
-        eta_norm = float(np.sqrt(sum(k[i] ** 2 for i in eta)))
+        eta_norm = float(norms[eta])
         amp = rng.standard_normal() + 1j * rng.standard_normal()
         drawn[xi + eta] = amp * (1.0 + eta_norm) ** d   # later draws win
     vals = np.array(list(drawn.values()), dtype=np.complex128)

@@ -14,13 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridMismatch, LevelOutOfRange, NotAMultiplier
+from .errors import (AliasingRisk, GridMismatch, LevelOutOfRange,
+                     NotAMultiplier)
 from .lp import (LPPartition, ModulationFunction, cumulative_block,
                  dyadic_block)
 from .symbols import (BLOCK_ENTRIES, DiscreteSymbol, estimate_seminorm,
                       symbol_band)
-from .torus import (SUPPORT_REL_THRESHOLD, FreqSet, SpectralField, TorusGrid,
-                    sumset)
+from .torus import SUPPORT_REL_THRESHOLD, SpectralField, TorusGrid
 
 
 def apply(a: DiscreteSymbol, u):
@@ -279,7 +279,7 @@ class SupportReport:
 
 
 def support_inclusions(split: ParaSplit, tdc_B: float | None = None) -> SupportReport:
-    """Exact FreqSet inclusion checks for all retained terms.
+    """Exact support inclusion checks for all retained terms.
 
     The corona for the low-high and high-low terms at level k is
     [R_h 2^k, (5R/4) 2^k] with R_h = r/2 - R 2^-h; near-diagonal terms must
@@ -290,15 +290,15 @@ def support_inclusions(split: ParaSplit, tdc_B: float | None = None) -> SupportR
     part = split.partition
     r, R, h = part.r, part.R, part.h
     R_h = r / 2.0 - R * 2.0 ** (-h)
+    norms = part.grid.freq_norms()
     violations = []
     corona_bounds, ball_bounds = {}, {}
 
     def check(series, k, fld, inner, outer):
-        sup = fld.support()
-        bad = [p for p in sup
-               if not (inner - 1e-12 <= _norm(p) <= outer + 1e-12)]
-        if bad:
-            violations.append((series, k, bad))
+        bad = fld.support() & ~((inner - 1e-12 <= norms)
+                                & (norms <= outer + 1e-12))
+        if bad.any():
+            violations.append((series, k, part.grid.points(bad)))
 
     for k in range(split.m + 1):
         corona_bounds[k] = (R_h * 2**k, 1.25 * R * 2**k)
@@ -319,26 +319,36 @@ def support_inclusions(split: ParaSplit, tdc_B: float | None = None) -> SupportR
                          tdc_corona_checked=tdc_B is not None)
 
 
-def _norm(pt) -> float:
-    return float(np.sqrt(sum(c * c for c in pt)))
+def spectral_support_bound(a: DiscreteSymbol, u: SpectralField) -> np.ndarray:
+    """Lattice mask of {xi + eta | xi in supp_xi ahat(., eta), eta in supp Fu},
+    exactly; empty when either support is.
 
-
-def spectral_support_bound(a: DiscreteSymbol, u: SpectralField) -> FreqSet:
-    """{xi + eta | xi in supp_xi ahat(., eta), eta in supp Fu}, exactly.
-
-    Guaranteed superset of the output support whenever the aliasing
-    precondition of :func:`sumset` holds for the two supports.
+    Guaranteed superset of the output support.  Raises AliasingRisk when
+    max|xi| + max|eta| >= N/2 over the two supports in the per-axis (sup)
+    norm: the sum could then wrap around the lattice, and the grid is too
+    small for a valid support statement.
     """
+    if a.grid != u.grid:
+        raise GridMismatch("symbol and field live on different grids")
     grid = u.grid
+    out = np.zeros(grid.shape, dtype=bool)
+    xi_sup, u_sup = a.xi_support(), u.support()
+    if not xi_sup.any() or not u_sup.any():
+        return out
+    k_abs = np.abs(grid.axis_freqs())
+    xi_max, eta_max = (int(np.max(k_abs[np.concatenate(np.nonzero(m))]))
+                       for m in (xi_sup, u_sup))
+    if xi_max + eta_max >= grid.nyquist:
+        raise AliasingRisk(f"max|xi| + max|eta| = {xi_max}+{eta_max} >= "
+                           f"{grid.nyquist}; the sum may wrap around the "
+                           "lattice")
     mag = np.abs(a.rows)
-    tau = (float(np.max(mag, initial=0.0)) or 1.0) * SUPPORT_REL_THRESHOLD
-    u_sup = u.support()
-    # enforce the no-wraparound precondition via the sumset guard
-    sumset(a.xi_support(), u_sup)
-    eta = np.array(u_sup.sorted_points(), dtype=np.int64).reshape(-1, grid.n)
-    cols = mag[(slice(None),) + tuple((eta % grid.N).T)]
-    k, j = np.nonzero(cols > tau)
-    return FreqSet.from_points(grid, a.xi[k] + eta[j])
+    tau = float(np.max(mag)) * SUPPORT_REL_THRESHOLD
+    eta = np.nonzero(u_sup)
+    k, j = np.nonzero(mag[(slice(None),) + eta] > tau)
+    out[tuple((a.xi[k, ax] + eta[ax][j]) % grid.N
+              for ax in range(grid.n))] = True
+    return out
 
 
 def adjoint_symbol(a: DiscreteSymbol) -> DiscreteSymbol:

@@ -187,15 +187,14 @@ def check_factorization(a: DiscreteSymbol, u: SpectralField,
     psi = make_modulation(1.0, 2.0)
     grid = u.grid
     sup = u.support()
-    bad = [pt for pt in sup
-           if np.sqrt(sum(c * c for c in pt)) > p.R + 1e-12]
-    if bad:
-        raise SupportViolation("spectrum escapes B(0, R)", bad)
     norms = grid.freq_norms()
-    chi = psi(norms / p.R)
-    for pt in sup:
-        if chi[grid.index_of(pt)] != 1.0:
-            raise SupportViolation("cutoff not identically 1 on supp(u^)", [pt])
+    far = sup & (norms > p.R + 1e-12)
+    if far.any():
+        raise SupportViolation("spectrum escapes B(0, R)", grid.points(far))
+    cut = sup & (psi(norms / p.R) != 1.0)
+    if cut.any():
+        raise SupportViolation("cutoff not identically 1 on supp(u^)",
+                               grid.points(cut)[:1])
     ratio, x = max_ratio(np.abs(apply(a, u).values),
                          symbol_factor(a, p, psi) * peetre_max(u, p))
     return {"max_ratio": ratio, "x": x, "holds": bool(ratio <= 1.0 + 1e-6)}

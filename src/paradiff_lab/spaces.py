@@ -136,14 +136,14 @@ def dyadic_dilate(u: SpectralField, k: int) -> SpectralField:
         raise ValueError("k must be >= 0")
     grid = u.grid
     out = np.zeros_like(u.coeffs)
-    scale = 2.0 ** (-k * grid.n)
-    k2 = 2**k
-    ny = grid.nyquist
-    for pt in u.support(threshold=0.0):
-        target = tuple(c * k2 for c in pt)
-        if any(t < -ny or t >= ny for t in target):
-            raise AliasingRisk(f"dilated frequency {target} leaves the lattice")
-        out[grid.index_of(target)] = u.coeffs[grid.index_of(pt)] * scale
+    idx = np.nonzero(u.coeffs)
+    # in floats, exact for powers of two, where int64 would wrap
+    target = [grid.axis_freqs()[i] * 2.0**k for i in idx]
+    if any(((t < -grid.nyquist) | (t >= grid.nyquist)).any() for t in target):
+        raise AliasingRisk(f"dilation by 2^{k} moves frequencies off the "
+                           "lattice")
+    out[tuple(t.astype(np.int64) % grid.N for t in target)] = (
+        u.coeffs[idx] * 2.0 ** (-k * grid.n))
     return SpectralField.from_coeffs(grid, out)
 
 
@@ -276,15 +276,15 @@ def corona_sum_check(terms, spec: CoronaSpec, part: LPPartition) -> dict:
     with j >= J must also stay inside the corona A^-1 2^{theta j} <= |xi|.
     Returns {norm_of_sum, F_bound, ratio}.
     """
+    grid = part.grid
+    norms = grid.freq_norms()
     offenders = []
     for j, term in enumerate(terms):
-        sup = term.support()
         outer = spec.A * 2.0**j
         inner = (2.0 ** (spec.theta * j) / spec.A) if j >= spec.J else 0.0
-        for pt in sup:
-            nrm = float(np.sqrt(sum(c * c for c in pt)))
-            if nrm > outer + 1e-12 or nrm < inner - 1e-12:
-                offenders.append((j, pt))
+        bad = term.support() & ((norms > outer + 1e-12)
+                                | (norms < inner - 1e-12))
+        offenders += [(j, pt) for pt in grid.points(bad)]
     if offenders:
         raise SupportViolation("corona/ball condition violated", offenders)
     F = _dyadic_norm("F", [term.values for term in terms],

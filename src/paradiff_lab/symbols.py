@@ -21,7 +21,7 @@ import numpy as np
 from .errors import (DepthUnsupported, EmptyShell, GridMismatch,
                      GridTooCoarse, LevelOutOfRange, TooLarge)
 from .lp import LPPartition, ModulationFunction, check_grid
-from .torus import SUPPORT_REL_THRESHOLD, FreqSet, TorusGrid
+from .torus import SUPPORT_REL_THRESHOLD, TorusGrid
 
 #: Largest number of dense symbol entries we are willing to materialize.
 DENSE_ENTRY_CAP = 2**24
@@ -238,22 +238,15 @@ class DiscreteSymbol:
         return DiscreteSymbol(self.grid, self.d if d is None else d, self.xi,
                               rows)
 
-    def xi_support(self) -> FreqSet:
-        """Frequencies xi carrying partial-transform mass above
+    def xi_support(self) -> np.ndarray:
+        """xi-lattice mask of the frequencies xi_k whose row peaks above
         ``SUPPORT_REL_THRESHOLD`` of the largest."""
         mag = np.max(np.abs(self.rows), axis=tuple(range(1, self.grid.n + 1)),
                      initial=0.0)
         threshold = SUPPORT_REL_THRESHOLD * float(np.max(mag, initial=0.0))
-        pts = frozenset(tuple(int(c) for c in p)
-                        for p in self.xi[mag > threshold])
-        return FreqSet(pts, self.grid)
-
-    def x_band(self) -> float:
-        """Support radius of the partial transform in xi (Euclidean)."""
-        sup = self.xi_support()
-        if not sup.points:
-            return 0.0
-        return max(float(np.sqrt(sum(c * c for c in p))) for p in sup.points)
+        mask = np.zeros(self.grid.shape, dtype=bool)
+        mask[tuple(ix[mag > threshold] for ix in self.xi_index())] = True
+        return mask
 
     # -- algebra -------------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Discrete periodic domain, spectral transforms, and frequency-set algebra.
+"""Discrete periodic domain and spectral transforms.
 
 The computational domain is the torus [0, 2*pi)^n sampled on N points per
 axis (N a power of two), with the integer frequency lattice [-N/2, N/2)^n.
@@ -9,15 +9,18 @@ frequency 0 equals the mean of the field, so that
 
 holds exactly on the grid.  This normalization absorbs the (2*pi)^(-n)
 quadrature factor of the continuous operator convention once and for all.
+
+A frequency set is a boolean mask over the lattice (grid shape, FFT order);
+``TorusGrid.points`` lists its signed lattice points.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AliasingRisk, GridMismatch
+from .errors import GridMismatch
 
 #: Relative coefficient threshold below which a frequency does not count as
 #: part of the spectral support.
@@ -73,6 +76,11 @@ class TorusGrid:
         kx, ky = np.meshgrid(k, k, indexing="ij")
         return np.sqrt(kx**2 + ky**2)
 
+    def points(self, mask) -> list:
+        """Sorted signed lattice points (integer tuples) of a lattice mask."""
+        k = self.axis_freqs()
+        return sorted(tuple(int(k[i]) for i in row) for row in np.argwhere(mask))
+
     def index_of(self, eta) -> tuple:
         """Array index of the lattice point ``eta`` (integer tuple)."""
         return tuple(int(e) % self.N for e in eta)
@@ -124,26 +132,19 @@ class SpectralField:
     def zero(cls, grid: TorusGrid):
         return cls(grid, np.zeros(grid.shape, dtype=np.complex128))
 
-    def support(self, threshold=None) -> "FreqSet":
-        """Frequencies whose coefficient modulus exceeds ``threshold``, by
-        default ``SUPPORT_REL_THRESHOLD`` of the largest modulus."""
+    def support(self, threshold=None) -> np.ndarray:
+        """Lattice mask of the frequencies whose coefficient modulus exceeds
+        ``threshold``, by default ``SUPPORT_REL_THRESHOLD`` of the largest
+        modulus."""
         mag = np.abs(self.coeffs)
         if threshold is None:
             threshold = SUPPORT_REL_THRESHOLD * float(np.max(mag, initial=0.0))
-        mask = mag > threshold
-        if not mask.any():
-            return FreqSet(frozenset(), self.grid)
-        k = self.grid.axis_freqs()
-        idx = np.argwhere(mask)
-        pts = frozenset(tuple(int(k[i]) for i in row) for row in idx)
-        return FreqSet(pts, self.grid)
+        return mag > threshold
 
     def band_limit(self) -> float:
         """Largest |eta| in the spectral support (0.0 for the zero field)."""
-        sup = self.support()
-        if not sup.points:
-            return 0.0
-        return max(float(np.sqrt(sum(c * c for c in p))) for p in sup.points)
+        return float(np.max(self.grid.freq_norms()[self.support()],
+                            initial=0.0))
 
     def norm_inf(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -165,59 +166,3 @@ class SpectralField:
 def _check_same_grid(a, b):
     if a.grid != b.grid:
         raise GridMismatch(f"grids differ: {a.grid} vs {b.grid}")
-
-
-@dataclass(frozen=True)
-class FreqSet:
-    """A finite set of integer lattice frequencies on a given grid."""
-
-    points: frozenset
-    grid: TorusGrid = field(compare=False)
-
-    def __post_init__(self):
-        ny = self.grid.nyquist
-        for p in self.points:
-            if len(p) != self.grid.n or any(c < -ny or c >= ny for c in p):
-                raise ValueError(f"{p} outside the lattice [-{ny}, {ny})^n")
-
-    def issubset(self, other: "FreqSet") -> bool:
-        return self.points <= other.points
-
-    def max_abs(self) -> int:
-        """Largest coordinate magnitude (the aliasing-relevant size)."""
-        if not self.points:
-            return 0
-        return max(abs(c) for p in self.points for c in p)
-
-    def sorted_points(self) -> list:
-        return sorted(self.points)
-
-    @classmethod
-    def from_points(cls, grid: TorusGrid, pts) -> "FreqSet":
-        return cls(frozenset(tuple(int(c) for c in p) for p in pts), grid)
-
-    def __len__(self):
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.sorted_points())
-
-
-def sumset(A: FreqSet, B: FreqSet) -> FreqSet:
-    """Exact Minkowski sum of two frequency sets on a shared lattice.
-
-    Raises AliasingRisk when the sum could leave the lattice box, i.e. when
-    max|a| + max|b| >= N/2 in the per-axis (sup) norm; in that case the grid
-    is too small for a valid support statement.
-    """
-    if A.grid != B.grid:
-        raise GridMismatch("sumset operands on different grids")
-    if not A.points or not B.points:
-        return FreqSet(frozenset(), A.grid)
-    if A.max_abs() + B.max_abs() >= A.grid.nyquist:
-        raise AliasingRisk(
-            f"max|a| + max|b| = {A.max_abs()}+{B.max_abs()} >= "
-            f"{A.grid.nyquist}; sumset may wrap around the lattice")
-    pts = frozenset(tuple(a + b for a, b in zip(pa, pb))
-                    for pa in A.points for pb in B.points)
-    return FreqSet(pts, A.grid)

@@ -44,7 +44,7 @@ def test_acceptance_01_spectral_support_rule():
     for a, u in pair_corpus(grid, 50, grid.nyquist / 8, seed_tag=1):
         bound = spectral_support_bound(a, u)
         out = apply(a, u).support()   # 1e-10-relative threshold
-        failures += int(not out.issubset(bound))
+        failures += int((out & ~bound).any())
     elapsed = time.monotonic() - t0
     assert failures == 0
     assert elapsed < 30.0
@@ -120,7 +120,7 @@ def test_acceptance_05_modulation_independence():
         rep = modulation_limit(a, u, psis, tol=1e-10)
         assert rep.converged
         worst_disc = max(worst_disc, rep.psi_discrepancy)
-        bw = max(u.band_limit(), a.x_band())
+        bw = max(u.band_limit(), np.max(grid.freq_norms()[a.xi_support()]))
         predicted = max(int(np.ceil(np.log2(bw / p.r))) for p in psis)
         assert rep.stabilization_m == predicted
     assert worst_disc <= 1e-10

@@ -55,7 +55,7 @@ def test_rng_streams_deterministic():
 def test_corpus_sparse_supports_exact():
     g = TorusGrid(1, 64)
     u = random_band_limited_field(g, rng_for(9, 4), 9.0, modes=8)
-    assert len(u.support(threshold=0.0)) <= 8
+    assert np.count_nonzero(u.support(threshold=0.0)) <= 8
     assert u.band_limit() <= 9.0
 
 
@@ -109,7 +109,7 @@ def test_boundedness_corpus_members():
     assert J == 5
     assert {"optimal_stack", "uniform_stack", "single_low",
             "single_top"} <= set(items)
-    assert items["uniform_stack"].support().points >= {(1,), (32,)}
+    assert {(1,), (32,)} <= set(g.points(items["uniform_stack"].support()))
     # every J, in the order given, and at every s the members are the
     # reference corpus, in its order
     J_values = [5, 3, 1, 4, 5]

@@ -149,7 +149,7 @@ def test_block_support_inside_corona(grid, part):
                                   + 1j * rng.standard_normal(64))
     for k in range(1, part.J_max + 1):
         inner, outer = part.r * 2 ** (k - 1), part.R * 2**k
-        for pt in dyadic_block(u, k, part).support():
+        for pt in grid.points(dyadic_block(u, k, part).support()):
             assert inner <= abs(pt[0]) <= outer
 
 

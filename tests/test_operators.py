@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from paradiff_lab import (ChingProfile, DiscreteSymbol, GridMismatch,
-                          NotAMultiplier, SpectralField, TooLarge, TorusGrid,
+from paradiff_lab import (AliasingRisk, ChingProfile, DiscreteSymbol,
+                          GridMismatch, NotAMultiplier, SpectralField,
+                          TooLarge, TorusGrid,
                           apply, ching_symbol, compose_multiplier,
                           discrete_adjoint_probe, make_modulation,
                           make_partition, modulated_apply, modulation_limit,
@@ -62,8 +63,8 @@ def test_apply_modulation_shifts_support(grid):
     v = apply(a, u)
     x = grid.axis_points()
     assert np.max(np.abs(v.values - np.exp(1j * theta * x) * u.values)) < 1e-12
-    shifted = {(p[0] + theta,) for p in u.support()}
-    assert v.support().points == shifted
+    shifted = [(p[0] + theta,) for p in grid.points(u.support())]
+    assert grid.points(v.support()) == shifted
 
 
 def test_apply_linearity(grid):
@@ -164,7 +165,7 @@ def test_modulation_limit_band_limited(grid):
     assert np.max(np.abs(rep.value.values - limit.values)) < 1e-12
     # stabilization at the analytically forced level: the largest over the
     # cutoffs of the smallest m with r 2^m covering both bandwidths
-    bw = max(u.band_limit(), a.x_band())
+    bw = max(u.band_limit(), np.max(grid.freq_norms()[a.xi_support()]))
     predicted = max(int(np.ceil(np.log2(bw / p.r))) for p in psis)
     assert rep.stabilization_m == predicted
 
@@ -358,6 +359,41 @@ def test_support_inclusions_tdc_corona():
     assert rep.ok
 
 
+def test_support_inclusions_reports_term_outside_corona(grid, part):
+    # negative control: the clean split of the test above, with the
+    # low-high term of level 4 swapped for a mode inside the ball but
+    # below the corona's inner radius 0.25 * 2^4 = 4
+    rng = rng_for(36, 0)
+    a = random_sparse_symbol(grid, rng, d=0.0, x_band=10, eta_band=12)
+    u = random_band_limited_field(grid, rng, 12.0)
+    sp = para_split(a, u, part, part.J_max)
+    sym, w, _ = sp.series["low_high"][4]
+    sp.series["low_high"][4] = (sym, w, mode(grid, 1))
+    rep = support_inclusions(sp)
+    assert rep.violations == [("low_high", 4, [(1,)])]
+
+
+def test_support_inclusions_tdc_corona_negative_control():
+    # plain Ching breaks the twisted-diagonal condition: on a uniform
+    # lacunary stack at N = 512 its near-diagonal term at k = 7 >= k_tdc
+    # has mass at frequency 0, inside the TDC inner radius; the TDC symbol
+    # has none
+    from paradiff_lab import LocalizationCutoff, localize
+    grid = TorusGrid(1, 512)
+    part = make_partition(make_modulation(1.0, 2.0), grid)
+    assert part.J_max == 7
+    ching = standard_ching(grid, 0.0, 7)
+    u = lacunary_stack(grid, (1,), 7, np.ones(8))
+    eps = 0.25
+    rep = support_inclusions(para_split(ching, u, part, part.J_max),
+                             tdc_B=2.0 / eps)
+    assert rep.violations == [("diagonal_a_tdc", 7, [(0,)])]
+    a_tdc = ching - localize(ching, LocalizationCutoff(), eps)
+    rep = support_inclusions(para_split(a_tdc, u, part, part.J_max),
+                             tdc_B=2.0 / eps)
+    assert rep.ok
+
+
 # -- spectral support rule ----------------------------------------------------
 
 
@@ -368,8 +404,8 @@ def test_support_rule_modulation_mode(grid):
         d=0.0)
     u = mode(grid, 5)
     bound = spectral_support_bound(a, u)
-    assert bound.sorted_points() == [(8,)]
-    assert apply(a, u).support().sorted_points() == [(8,)]
+    assert grid.points(bound) == [(8,)]
+    assert grid.points(apply(a, u).support()) == [(8,)]
 
 
 def test_support_rule_multiplier(grid):
@@ -378,8 +414,8 @@ def test_support_rule_multiplier(grid):
     rng = rng_for(37, 0)
     u = random_band_limited_field(grid, rng, 6.0)
     bound = spectral_support_bound(b, u)
-    b_sup = {p for p in u.support().points if abs(p[0]) <= 3}
-    assert bound.points == b_sup
+    b_sup = [p for p in grid.points(u.support()) if abs(p[0]) <= 3]
+    assert grid.points(bound) == b_sup
 
 
 def test_support_rule_dense_oracle(grid):
@@ -394,9 +430,9 @@ def test_support_rule_dense_oracle(grid):
         out = M @ u.coeffs
         out_sup = {(int(grid.axis_freqs()[z]),)
                    for z in np.argwhere(np.abs(out) > 1e-10 * np.max(np.abs(out))).ravel()}
-        assert out_sup <= bound.points
+        assert out_sup <= set(grid.points(bound))
         got = apply(a, u).support()
-        assert got.points <= bound.points
+        assert not (got & ~bound).any()
 
 
 def test_support_rule_strict_inclusion_possible(grid):
@@ -412,9 +448,33 @@ def test_support_rule_strict_inclusion_possible(grid):
     coeffs[4] = 1.0
     u = SpectralField.from_coeffs(grid, coeffs)
     bound = spectral_support_bound(a, u)
-    assert bound.points == {(5,), (3,)}
+    assert grid.points(bound) == [(3,), (5,)]
     got = apply(a, u).support()
-    assert got.points == {(3,)}  # strict: mass at 5 cancels
+    assert grid.points(got) == [(3,)]  # strict: mass at 5 cancels
+
+
+def test_support_bound_examples(grid):
+    def rows_at(*xis):
+        return DiscreteSymbol(grid, 0.0, [[xi] for xi in xis],
+                              np.ones((len(xis),) + grid.shape))
+
+    def modes(*ks):
+        return sum((mode(grid, k) for k in ks), SpectralField.zero(grid))
+
+    assert grid.points(spectral_support_bound(rows_at(1), mode(grid, 2))) \
+        == [(3,)]
+    assert grid.points(spectral_support_bound(rows_at(0), modes(-4, 7))) \
+        == [(-4,), (7,)]
+    # max|xi| + max|eta| = 4 + 31 >= N/2: the sum could wrap around
+    wide = rows_at(*range(-4, 5))
+    with pytest.raises(AliasingRisk):
+        spectral_support_bound(wide, modes(*range(28, 32)))
+    # an empty operand gives the empty set and never raises, even with a
+    # mode at -N/2
+    for a, u in ((DiscreteSymbol.zero(grid), mode(grid, -32)),
+                 (wide, SpectralField.zero(grid))):
+        bound = spectral_support_bound(a, u)
+        assert bound.shape == grid.shape and not bound.any()
 
 
 # -- adjoint probe ------------------------------------------------------------

@@ -257,9 +257,10 @@ def test_factorization_sweep(grid):
 
 def test_factorization_support_violation(grid):
     u = mode(grid, 20)
-    with pytest.raises(SupportViolation):
+    with pytest.raises(SupportViolation) as exc:
         check_factorization(DiscreteSymbol.identity(grid), u,
                             MaxParams(2.0, 8.0))
+    assert exc.value.offenders == [(20,)]
 
 
 # -- Mihlin-type bound ----------------------------------------------------------

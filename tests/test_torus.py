@@ -1,10 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from paradiff_lab import (AliasingRisk, FreqSet, SpectralField, TorusGrid,
-                          sumset)
+from paradiff_lab import SpectralField, TorusGrid
 
 
 @pytest.fixture
@@ -45,14 +42,27 @@ def test_constant_field_coeffs(grid):
     u = SpectralField.from_values(grid, np.ones(64))
     assert u.coeffs[0] == pytest.approx(1.0)
     assert np.max(np.abs(u.coeffs[1:])) < 1e-15
-    assert u.support().sorted_points() == [(0,)]
+    assert grid.points(u.support()) == [(0,)]
 
 
 def test_pure_mode_single_coefficient(grid):
     u = SpectralField.from_values(grid, np.exp(3j * grid.axis_points()))
     sup = u.support()
-    assert sup.sorted_points() == [(3,)]
+    assert sup.dtype == bool and sup.shape == grid.shape
+    assert grid.points(sup) == [(3,)]
     assert u.coeffs[3] == pytest.approx(1.0)
+
+
+def test_points_and_band_limit_2d():
+    grid = TorusGrid(2, 16)
+    coeffs = np.zeros(grid.shape, dtype=complex)
+    for pt in ((1, -8), (-3, 2), (0, 0)):
+        coeffs[grid.index_of(pt)] = 1.0
+    u = SpectralField.from_coeffs(grid, coeffs)
+    assert grid.points(u.support()) == [(-3, 2), (0, 0), (1, -8)]
+    # the radius is the exact one of the integer point
+    assert u.band_limit() == float(np.sqrt(65))
+    assert SpectralField.zero(grid).band_limit() == 0.0
 
 
 def test_round_trip(grid):
@@ -70,32 +80,6 @@ def test_round_trip_2d():
     u = SpectralField.from_values(grid, vals)
     back = SpectralField.from_coeffs(grid, u.coeffs)
     assert np.max(np.abs(back.values - vals)) <= 1e-12 * np.max(np.abs(vals))
-
-
-def test_sumset_examples(grid):
-    A = FreqSet.from_points(grid, [(1,)])
-    B = FreqSet.from_points(grid, [(2,)])
-    assert sumset(A, B).sorted_points() == [(3,)]
-    zero = FreqSet.from_points(grid, [(0,)])
-    C = FreqSet.from_points(grid, [(-4,), (7,)])
-    assert sumset(zero, C).points == C.points
-    big_a = FreqSet.from_points(grid, [(k,) for k in range(-4, 5)])
-    big_b = FreqSet.from_points(grid, [(k,) for k in range(28, 32)])
-    with pytest.raises(AliasingRisk):
-        sumset(big_a, big_b)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.integers(-7, 7), min_size=1, max_size=6),
-       st.lists(st.integers(-7, 7), min_size=1, max_size=6))
-def test_sumset_commutative_and_bounded(xs, ys):
-    grid = TorusGrid(1, 64)
-    A = FreqSet.from_points(grid, [(x,) for x in xs])
-    B = FreqSet.from_points(grid, [(y,) for y in ys])
-    ab = sumset(A, B)
-    ba = sumset(B, A)
-    assert ab.points == ba.points
-    assert ab.max_abs() <= A.max_abs() + B.max_abs()
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -41,7 +41,7 @@ def test_support_rule_2d(grid):
                              entries=10)
     u = random_band_limited_field(grid, rng, 4.0, modes=6)
     bound = spectral_support_bound(a, u)
-    assert apply(a, u).support().issubset(bound)
+    assert not (apply(a, u).support() & ~bound).any()
 
 
 def test_single_mode_norm_2d(grid, part):
@@ -55,13 +55,13 @@ def test_single_mode_norm_2d(grid, part):
 
 def test_ching_2d_disjoint_and_applied(grid):
     a = standard_ching(grid, 0.0, 2)
-    assert a.x_band() == pytest.approx(4.0)
+    assert np.max(grid.freq_norms()[a.xi_support()]) == pytest.approx(4.0)
     coeffs = np.zeros(grid.shape, dtype=complex)
     coeffs[grid.index_of((4, 0))] = 1.0
     u = SpectralField.from_coeffs(grid, coeffs)
     v = apply(a, u)
     # band j = 2 shifts the mode (4, 0) down to the origin
-    assert (0, 0) in v.support().points
+    assert v.support()[0, 0]
 
 
 def test_factorization_2d(grid):
