@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import csv
 import json
-import operator
 import platform
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,9 +32,6 @@ from .spaces import (NormSpec, fefferman_stein_check, marschall_check,
                      space_norm)
 from .symbols import ChingProfile, DiscreteSymbol, LocalizationCutoff, localize
 from .torus import TorusGrid
-
-SCENARIOS = ("boundedness_sweep", "ching_study", "modulation_study",
-             "inequality_suite")
 
 #: Claims each scenario must cover with at least one executed metric.
 CLAIM_REGISTRY = {
@@ -82,18 +78,67 @@ FROZEN_THRESHOLDS = {
     "adjoint_growth": 2.0,
 }
 
-#: The lists boundedness_sweep and ching_study read from symbol_params,
-#: with their defaults.
-_LIST_PARAMS = {"boundedness_sweep": {"J_values": (3, 4, 5, 6, 7, 8)},
-                "ching_study": {"J_values": (3, 5, 6), "zero_orders": (0, 1, 2),
-                                "s_values": (-2, -1.5, -1, -0.5, 0, 0.5, 1)}}
+
+def _list_of(test, least: int = 1):
+    """The test of a list of at least ``least`` values that pass ``test``."""
+    return lambda v: isinstance(v, (list, tuple)) and len(v) >= least \
+        and all(map(test, v))
 
 
-def _real(x) -> float:
-    """A JSON number as a float; a string or a boolean raises TypeError."""
-    if type(x) not in (int, float):
-        raise TypeError(f"{x!r} is not a number")
-    return float(x)
+# The kinds of parameter value, each a (test, what the test asks for) pair;
+# a finite number is a JSON number that converts to a finite float.
+_INDEX = (lambda v: type(v) is int and v >= 0, "an integer >= 0")
+_NUMBER = (lambda v: type(v) in (int, float)
+           and abs(v) <= np.finfo(float).max, "a finite number")
+_FLAG = (lambda v: type(v) is bool, "true or false")
+_INDICES = (_list_of(_INDEX[0]), "a non-empty list of integers >= 0")
+_NUMBERS = (_list_of(_NUMBER[0]), "a non-empty list of finite numbers")
+_SIZES = (_list_of(lambda N: type(N) is int and N >= 16 and N & (N - 1) == 0),
+          "a non-empty list of powers of two >= 16")
+_SIZE = (lambda v: _SIZES[0](v) and len(v) == 1,
+         "a list of one power of two >= 16")
+_DIM = (lambda v: type(v) is int and v in (1, 2), "1 or 2")
+_FAMILY = (lambda v: v in ("ching", "multiplier", "identity", "random",
+                           "custom"),
+           "one of ching, multiplier, identity, random and custom")
+_CUTOFFS = (_list_of(lambda m: _NUMBERS[0](m) and len(m) == 2
+                     and 0 < m[0] < m[1], 3),
+            "a list of three or more (r, R) number pairs with 0 < r < R")
+_OBJECT = (lambda v: isinstance(v, dict), "a JSON object")
+
+#: The fields every scenario reads, with their kinds (None: checked where
+#: they are read).
+_COMMON = {"scenario": None, "grid_n": _DIM, "grid_sizes": _SIZES,
+           "partition_r": _NUMBER, "partition_R": _NUMBER, "seed": _INDEX,
+           "corpus_size": _INDEX, "out_dir": None, "symbol_params": _OBJECT}
+
+#: Per scenario, the fields it reads beyond _COMMON with their kinds, and
+#: the symbol_params keys it reads with their kinds and defaults.  A field
+#: that differs from its dataclass default, or a symbol_params key, that
+#: its scenario does not list is a config error.
+PARAMETERS = {
+    "boundedness_sweep": (
+        {"norm_specs": None},
+        {"d": (_NUMBER, 0.0), "zero_order": (_INDEX, 0),
+         "J_values": (_INDICES, (3, 4, 5, 6, 7, 8))}),
+    "ching_study": (
+        {"grid_sizes": _SIZE},
+        {"d": (_NUMBER, 0.0), "J_values": (_INDICES, (3, 5, 6)),
+         "zero_orders": (_INDICES, (0, 1, 2)),
+         "s_values": (_NUMBERS, (-2, -1.5, -1, -0.5, 0, 0.5, 1)),
+         # off-ray coherent probes sharpen the threshold location for zero
+         # orders >= 1 but deliberately chase the slowly-converging
+         # extremal direction; off by default so stability verdicts
+         # reflect the grid-stable corpus
+         "probe_offsets": (_FLAG, False)}),
+    "modulation_study": (
+        {"symbol_family": _FAMILY, "modulations": _CUTOFFS},
+        # J None: the widest Ching that the grid resolves
+        {"d": (_NUMBER, 0.0), "J": (_INDEX, None), "zero_order": (_INDEX, 0),
+         "one_sided": (_FLAG, True), "table": (None, None)}),
+    "inequality_suite": ({"grid_sizes": _SIZE}, {}),
+}
+SCENARIOS = tuple(PARAMETERS)
 
 
 @dataclass
@@ -131,91 +176,62 @@ class ExperimentConfig:
 
     def normalized(self) -> "ExperimentConfig":
         try:
-            self.grid_sizes = tuple(operator.index(N) for N in self.grid_sizes)
-            self.modulations = tuple((_real(r), _real(R))
-                                     for r, R in self.modulations)
+            self.grid_sizes = tuple(self.grid_sizes)
+            self.modulations = tuple(tuple(m) for m in self.modulations)
             self.norm_specs = tuple((str(c), float(s), float(p), float(q))
                                     for c, s, p, q in self.norm_specs)
         except (TypeError, ValueError) as exc:
             raise ConfigError("grid_sizes, modulations and norm_specs must be "
-                              "lists of integer sizes, numeric (r, R) pairs "
-                              f"and (scale, s, p, q) tuples: {exc}") from None
+                              "lists of sizes, (r, R) pairs and (scale, s, p, "
+                              f"q) tuples: {exc}") from None
         self.validate()
         return self
+
+    def param(self, key: str):
+        """symbol_params[key], or its default in PARAMETERS."""
+        return self.symbol_params.get(key, PARAMETERS[self.scenario][1][key][1])
 
     def validate(self):
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}; "
                               f"choose one of {SCENARIOS}")
-        if type(self.grid_n) is not int or self.grid_n not in (1, 2):
-            raise ConfigError("grid_n must be 1 or 2")
-        for key in ("seed", "corpus_size"):
-            if type(getattr(self, key)) is not int or getattr(self, key) < 0:
-                raise ConfigError(f"{key} must be an integer >= 0")
-        if not self.grid_sizes:
-            raise ConfigError("grid_sizes must list at least one size")
-        for N in self.grid_sizes:
-            if N < 16 or (N & (N - 1)) != 0:
-                raise ConfigError(f"grid size {N} must be a power of two >= 16")
-        if any(type(r) not in (int, float) for r in (
-                self.partition_r, self.partition_R)) \
-                or not (0 < self.partition_r < self.partition_R):
-            raise ConfigError("partition radii must be numbers with "
-                              "0 < r < R")
+        fields_read, params_read = PARAMETERS[self.scenario]
+        kinds = {**_COMMON, **fields_read}
+
+        def given():
+            """(name, value, kind) of every field and symbol_params key
+            given; kind is False where the scenario does not read it."""
+            for f in fields(self):
+                if f.name in kinds or getattr(self, f.name) != f.default:
+                    yield f.name, getattr(self, f.name), kinds.get(f.name, False)
+            # symbol_params has passed its kind check: it is a dict
+            for key, value in self.symbol_params.items():
+                yield (f"symbol_params.{key}", value,
+                       params_read.get(key, (False,))[0])
+
+        for name, value, kind in given():
+            if kind is False:
+                raise ConfigError(f"{self.scenario} does not read {name}")
+            if kind and not kind[0](value):
+                raise ConfigError(f"{name} must be {kind[1]}")
+        N = max(self.grid_sizes)
+        if not 0 < self.partition_r < self.partition_R:
+            raise ConfigError("partition radii must satisfy 0 < r < R")
         if self.partition_R >= min(self.grid_sizes) / 2:
             raise ConfigError("partition support exceeds the smallest nyquist")
-        if self.scenario == "inequality_suite" and max(self.grid_sizes) < 64:
+        if self.scenario == "inequality_suite" and N < 64:
             raise ConfigError("inequality_suite builds Ching J=4, which needs "
                               "a grid size >= 64")
-        for r, R in self.modulations:
-            if not (0 < r < R):
-                raise ConfigError("modulation radii must satisfy 0 < r < R")
-        if self.symbol_family not in ("ching", "multiplier", "identity",
-                                      "random", "custom"):
-            raise ConfigError(f"unknown symbol family {self.symbol_family!r}")
-        if self.scenario != "modulation_study" \
-                and self.symbol_family != "ching":
-            raise ConfigError(f"{self.scenario} builds its own symbols; only "
-                              f"modulation_study reads symbol_family")
+        if self.symbol_family == "custom" and "table" not in self.symbol_params:
+            raise ConfigError("symbol_family 'custom' needs symbol_params.table,"
+                              " the path of a {d, xi, rows} JSON table")
         for spec in self.norm_specs:
             try:
                 NormSpec(*spec)
             except BadExponent as exc:
                 raise ConfigError(f"norm spec {list(spec)}: {exc}") from None
-        if self.norm_specs and self.scenario != "boundedness_sweep":
-            raise ConfigError(f"{self.scenario} fixes its own norms; only "
-                              f"boundedness_sweep reads norm_specs")
-        params = self.symbol_params
-        if not isinstance(params, dict):
-            raise ConfigError("symbol_params must be a JSON object")
-        if self.symbol_family == "custom" and "table" not in params:
-            raise ConfigError("symbol_family 'custom' needs symbol_params.table,"
-                              " the path of a {d, xi, rows} JSON table")
-        if "d" in params and not (type(params["d"]) in (int, float)
-                                  and np.isfinite(params["d"])):
-            raise ConfigError("symbol_params.d must be a finite number")
-        for key in ("zero_order", "J"):
-            if key in params and not (type(params[key]) is int
-                                      and params[key] >= 0):
-                raise ConfigError(f"symbol_params.{key} must be an integer "
-                                  ">= 0")
-        for key in ("one_sided", "probe_offsets"):
-            if key in params and type(params[key]) is not bool:
-                raise ConfigError(f"symbol_params.{key} must be true or "
-                                  "false")
-        lists = {key: params.get(key, default) for key, default
-                 in _LIST_PARAMS.get(self.scenario, {}).items()}
-        for key, vals in lists.items():
-            real = key == "s_values"
-            if not (isinstance(vals, (list, tuple)) and vals and all(
-                    (type(v) in (int, float) and np.isfinite(v)) if real
-                    else (type(v) is int and v >= 0) for v in vals)):
-                what = "finite numbers" if real else "integers >= 0"
-                raise ConfigError(f"symbol_params.{key} must be a non-empty "
-                                  f"list of {what}")
-        N = max(self.grid_sizes)
-        if lists and len({J for J in lists["J_values"]
-                          if _ching_fits(J, N)}) < 2:
+        if "J_values" in params_read and len(
+                {J for J in self.param("J_values") if _ching_fits(J, N)}) < 2:
             raise ConfigError(f"fewer than two J_values fit the grid N = {N} "
                               "(5 * 2^(J-2) < N/2); a gain curve needs two")
 
@@ -313,10 +329,8 @@ def run_boundedness_sweep(cfg: ExperimentConfig) -> ResultRecord:
     in the bounded region are summarized per grid size.
     """
     t0 = time.monotonic()
-    params = cfg.symbol_params
-    d = float(params.get("d", 0.0))
-    zero_order = int(params.get("zero_order", 0))
-    J_values = params.get("J_values", _LIST_PARAMS[cfg.scenario]["J_values"])
+    d = float(cfg.param("d"))
+    zero_order, J_values = cfg.param("zero_order"), cfg.param("J_values")
     specs = cfg.norm_specs or (("F", 0.0, 2.0, 2.0), ("F", 1.0, 2.0, 2.0))
     cases = [(NormSpec(scale, s + d, p, q), NormSpec(scale, s, p, q))
              for scale, s, p, q in specs]
@@ -398,18 +412,11 @@ def run_ching_study(cfg: ExperimentConfig) -> ResultRecord:
     threshold location.
     """
     t0 = time.monotonic()
-    params = cfg.symbol_params
-    d = float(params.get("d", 0.0))
-    J_values, s_values, zero_orders = (
-        params.get(key, _LIST_PARAMS[cfg.scenario][key])
-        for key in ("J_values", "s_values", "zero_orders"))
-    s_values = tuple(float(s) for s in s_values)
-    # off-ray coherent probes sharpen the threshold location for zero
-    # orders >= 1 but deliberately chase the slowly-converging extremal
-    # direction; off by default so stability verdicts reflect the
-    # grid-stable corpus
-    probe_offsets = params.get("probe_offsets", False)
-    N = max(cfg.grid_sizes)
+    d = float(cfg.param("d"))
+    J_values, zero_orders = cfg.param("J_values"), cfg.param("zero_orders")
+    s_values = tuple(float(s) for s in cfg.param("s_values"))
+    probe_offsets = cfg.param("probe_offsets")
+    [N] = cfg.grid_sizes
     grid = TorusGrid(cfg.grid_n, N)
     part = make_partition(make_modulation(cfg.partition_r, cfg.partition_R),
                           grid)
@@ -472,16 +479,14 @@ def run_ching_study(cfg: ExperimentConfig) -> ResultRecord:
 
 def build_symbol(cfg: ExperimentConfig, grid: TorusGrid) -> DiscreteSymbol:
     """Materialize the configured symbol family on a grid."""
-    params = cfg.symbol_params
-    d = float(params.get("d", 0.0))
+    d = float(cfg.param("d"))
     family = cfg.symbol_family
     if family == "ching":
-        J = params.get("J")
+        J = cfg.param("J")
         if J is None:
             J = int(np.floor(np.log2(grid.nyquist / 1.25))) - 1
-        return standard_ching(grid, d, int(J),
-                              int(params.get("zero_order", 0)),
-                              one_sided=params.get("one_sided", True))
+        return standard_ching(grid, d, J, cfg.param("zero_order"),
+                              one_sided=cfg.param("one_sided"))
     if family == "identity":
         return DiscreteSymbol.identity(grid)
     if family == "multiplier":
@@ -491,10 +496,11 @@ def build_symbol(cfg: ExperimentConfig, grid: TorusGrid) -> DiscreteSymbol:
         return random_sparse_symbol(grid, rng_for(cfg.seed, 2), d=d,
                                     x_band=grid.nyquist / 8,
                                     eta_band=grid.nyquist / 4)
+    table = cfg.param("table")
     try:
-        return DiscreteSymbol.from_json(grid, Path(params["table"]).read_text())
+        return DiscreteSymbol.from_json(grid, Path(table).read_text())
     except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"custom symbol table {params['table']!r} is not a "
+        raise ConfigError(f"custom symbol table {table!r} is not a "
                           f"{{d, xi, rows}} table for {grid}: "
                           f"{type(exc).__name__}: {exc}") from None
 
@@ -507,8 +513,6 @@ def run_modulation_study(cfg: ExperimentConfig) -> ResultRecord:
     a non-decaying difference profile that persists under grid refinement
     (the divergence indicator; never reported as a proof)."""
     t0 = time.monotonic()
-    if len(cfg.modulations) < 3:
-        raise ConfigError("modulation_study needs >= 3 cutoffs")
     psis = [make_modulation(r, R) for r, R in cfg.modulations]
     tail_by_N = {}
     conv_rows = []
@@ -562,7 +566,7 @@ def run_inequality_suite(cfg: ExperimentConfig) -> ResultRecord:
     with one pass/fail line per check against the frozen thresholds and
     the witness of its worst case."""
     t0 = time.monotonic()
-    N = max(cfg.grid_sizes)
+    [N] = cfg.grid_sizes
     grid = TorusGrid(cfg.grid_n, N)
     psi = make_modulation(cfg.partition_r, cfg.partition_R)
     part = make_partition(psi, grid)
@@ -668,10 +672,9 @@ def run_inequality_suite(cfg: ExperimentConfig) -> ResultRecord:
     worst = _Worst()
     for s in (-1.0, -0.5):
         for q in (1.0, 2.0, np.inf):
-            for draw in range(200):
-                res = yamazaki_check(rng.random(24), s, q)
-                ratio, _ = max_ratio(res["lhs"], res["rhs_const"] * res["rhs"])
-                worst.see(ratio, s=s, q=q, draw=draw)
+            res = yamazaki_check(rng.random((200, 24)), s, q)
+            ratio, draw = max_ratio(res["lhs"], res["rhs_const"] * res["rhs"])
+            worst.see(ratio, s=s, q=q, draw=draw)
     add("cumulative_sum_inequality", "cumulative_sum_inequality", worst,
         1.0 + 1e-12)
 

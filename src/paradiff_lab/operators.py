@@ -273,10 +273,6 @@ class SupportReport:
     ball_bounds: dict           # k -> radius for the near-diagonal series
     tdc_corona_checked: bool = False
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
 
 def support_inclusions(split: ParaSplit, tdc_B: float | None = None) -> SupportReport:
     """Exact support inclusion checks for all retained terms.

@@ -250,9 +250,6 @@ class ParatermReport:
     trend_levels: dict
     witness: dict
 
-    def pointwise_ok(self) -> bool:
-        return self.max_factorization_ratio <= 1.0 + 1e-6
-
 
 def _log_slope(values, resolved_from: int = 0) -> float:
     """log2-slope of the positive entries at levels >= resolved_from.
@@ -358,18 +355,19 @@ def yamazaki_constant(s: float, q: float) -> float:
 
 def yamazaki_check(b, s: float, q: float) -> dict:
     """Both sides of  sum_j 2^{sjq} (sum_{k<=j} |b_k|)^q <= c sum_j 2^{sjq}|b_j|^q
-    (sup form for q = inf) together with the closed-form constant."""
+    (sup form for q = inf) together with the closed-form constant, for each
+    sequence along the last axis of ``b``."""
     if s >= 0:
         raise BadExponent("s must be negative")
     b = np.abs(np.asarray(b, dtype=float))
-    cum = np.cumsum(b)
-    j = np.arange(b.size)
+    cum = np.cumsum(b, axis=-1)
+    j = np.arange(b.shape[-1])
     if q == np.inf:
-        lhs = float(np.max(2.0 ** (s * j) * cum)) if b.size else 0.0
-        rhs = float(np.max(2.0 ** (s * j) * b)) if b.size else 0.0
+        lhs = np.max(2.0 ** (s * j) * cum, axis=-1, initial=0.0)
+        rhs = np.max(2.0 ** (s * j) * b, axis=-1, initial=0.0)
     else:
-        lhs = float(np.sum(2.0 ** (s * j * q) * cum**q))
-        rhs = float(np.sum(2.0 ** (s * j * q) * b**q))
+        lhs = np.sum(2.0 ** (s * j * q) * cum**q, axis=-1)
+        rhs = np.sum(2.0 ** (s * j * q) * b**q, axis=-1)
     c = yamazaki_constant(s, q)
     holds = lhs <= c * rhs * (1.0 + 1e-12) + 1e-300
-    return {"lhs": lhs, "rhs": rhs, "rhs_const": c, "holds": bool(holds)}
+    return {"lhs": lhs, "rhs": rhs, "rhs_const": c, "holds": holds}

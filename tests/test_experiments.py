@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from paradiff_lab import corpus, experiments, operators
-from paradiff_lab.cli import main as cli_main
+from paradiff_lab.cli import DEFAULT_CONFIGS, main as cli_main
 from paradiff_lab.corpus import (corpus_members, lacunary_stack,
                                  offset_stack, optimal_stack_weights,
                                  random_band_limited_field,
@@ -187,6 +187,21 @@ def test_config_json_round_trip(tmp_path):
     {"modulations": [[1, "2"]]},
     {"scenario": "modulation_study", "symbol_params": {"one_sided": "no"}},
     {"scenario": "ching_study", "symbol_params": {"probe_offsets": 1}},
+    {"scenario": "boundedness_sweep",
+     "symbol_params": {"J_value": [3, 4], "zero_ordr": 1}},
+    {"symbol_params": {"J": 9, "d": 3.0}},
+    {"modulations": [[1.0, 2.0], [1.5, 2.5], [0.5, 1.5]]},
+    {"grid_sizes": [64, 128]},
+    {"scenario": "ching_study", "grid_sizes": [64, 128]},
+    {"scenario": "boundedness_sweep",
+     "symbol_params": {"J_values": [3, 4], "one_sided": True,
+                       "s_values": [1.0]}},
+    {"scenario": "modulation_study", "symbol_params": {"J_values": [3, 4]}},
+    {"scenario": "modulation_study",
+     "modulations": [[1, "2"], [1.5, 2.5], [0.75, 1.75]]},
+    {"scenario": "modulation_study", "modulations": [[1.0, 2.0], [1.5, 2.5]]},
+    {"scenario": "modulation_study",
+     "modulations": [[2.0, 1.0], [1.5, 2.5], [0.75, 1.75]]},
     None,
     "{not json",
     "42",
@@ -196,22 +211,39 @@ def test_config_json_round_trip(tmp_path):
         "fractional_corpus_size", "bool_grid_n", "string_d",
         "string_zero_order", "string_J", "string_partition_r",
         "bool_partition_r", "fractional_grid_size", "string_modulation",
-        "string_one_sided", "int_probe_offsets", "missing_file", "not_json",
-        "not_an_object"])
+        "string_one_sided", "int_probe_offsets", "misspelled_sweep_params",
+        "unread_suite_params", "unread_suite_modulations", "two_suite_grids",
+        "two_study_grids", "params_of_other_scenarios",
+        "unread_modulation_params", "string_study_modulation",
+        "two_study_cutoffs", "reversed_study_cutoff", "missing_file",
+        "not_json", "not_an_object"])
 def test_malformed_config_exits_2(doc, tmp_path, capsys):
-    """A config file that is absent, not a JSON object, or holds a value
-    that would crash the run is a config error (exit 2, no traceback)."""
+    """A config file that is absent, not a JSON object, holds a value that
+    would crash the run, or a key its scenario does not read is a config
+    error (exit 2, no traceback) that names a key of the config."""
     path = tmp_path / "cfg.json"
-    scenario = "inequality_suite"
+    scenario, names = "inequality_suite", [""]
     if isinstance(doc, dict):
         doc = {"scenario": scenario, **doc}
         scenario = doc["scenario"]
+        names = [f"symbol_params.{key}" for key in doc.get("symbol_params", {})
+                 ] or [key for key in doc if key != "scenario"]
         doc = json.dumps(doc)
     if doc is not None:
         path.write_text(doc)
     assert cli_main(["run", scenario, "--config", str(path),
                      "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and any(name in err for name in names)
+
+
+def test_unread_fields_at_their_defaults_validate():
+    """A field its scenario does not read counts as given only when it
+    differs from its dataclass default."""
+    ExperimentConfig(scenario="inequality_suite", grid_sizes=[64],
+                     symbol_family="ching", norm_specs=[],
+                     modulations=[[1.0, 2.0], [1.5, 2.5], [0.75, 1.75]],
+                     symbol_params={}).normalized()
 
 
 def test_negative_seed_flag_exits_2(tmp_path, capsys):
@@ -526,6 +558,23 @@ def test_bad_sweep_lists_exit_2(scenario, params, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("scenario", sorted(CLAIM_REGISTRY))
+def test_parameter_defaults_written_out_change_nothing(scenario):
+    """A config that writes out every default of PARAMETERS for its
+    symbol_params runs byte-identically to one that names none, and the
+    CLI's default config validates."""
+    defaults = json.loads(json.dumps({
+        key: default for key, (_, default)
+        in experiments.PARAMETERS[scenario][1].items() if default is not None}))
+    over = dict(grid_sizes=(128,), corpus_size=1, seed=1)
+    plain, written = (run_scenario(ExperimentConfig(
+        scenario=scenario, symbol_params=params, **over).normalized())
+        for params in ({}, defaults))
+    assert written.params["symbol_params"] == defaults
+    assert written.metrics_payload() == plain.metrics_payload()
+    ExperimentConfig(scenario=scenario, **DEFAULT_CONFIGS[scenario]).normalized()
+
+
 def test_ching_fit_rule_matches_formula():
     """Ching J fits the grid size N when 5 * 2^(J-2) < N/2; a J at or above
     the bit length of N is answered without forming the power."""
@@ -565,6 +614,17 @@ def test_cli_smoke(tmp_path, capsys):
     assert (out / "results.json").exists()
     assert (out / "manifest.json").exists()
     assert list((out / "tables").glob("*.csv"))
+
+
+def test_cli_exit_status_follows_verdict(monkeypatch, tmp_path):
+    """0 when every check passes, 1 when one fails (here a NaN ratio)."""
+    args = ["run", "inequality_suite", "--seed", "3",
+            "--out", str(tmp_path / "o")]
+    assert cli_main(args) == 0
+    monkeypatch.setattr(experiments, "marschall_check",
+                        lambda *args, **kw: {"max_ratio": float("nan"),
+                                             "x": None})
+    assert cli_main(args) == 1
 
 
 def test_cli_dim_sets_grid_dimension(tmp_path):

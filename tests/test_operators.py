@@ -332,7 +332,7 @@ def test_support_inclusions_formula_and_cleanliness(grid, part):
     u = random_band_limited_field(grid, rng, 12.0)
     sp = para_split(a, u, part, part.J_max)
     rep = support_inclusions(sp)
-    assert rep.ok
+    assert not rep.violations
     assert rep.corona_bounds[1] == (0.25 * 2, 1.25 * 2.0 * 2)
     assert rep.ball_bounds[2] == 2 * 2.0 * 4
 
@@ -340,7 +340,7 @@ def test_support_inclusions_formula_and_cleanliness(grid, part):
 def test_support_inclusions_zero_symbol(grid, part):
     sp = para_split(DiscreteSymbol.zero(grid), SpectralField.zero(grid),
                     part, 2)
-    assert support_inclusions(sp).ok
+    assert not support_inclusions(sp).violations
 
 
 def test_support_inclusions_tdc_corona():
@@ -356,7 +356,7 @@ def test_support_inclusions_tdc_corona():
     sp = para_split(a, u, part, part.J_max)
     rep = support_inclusions(sp, tdc_B=2.0 / eps)
     assert rep.tdc_corona_checked
-    assert rep.ok
+    assert not rep.violations
 
 
 def test_support_inclusions_reports_term_outside_corona(grid, part):
@@ -391,7 +391,7 @@ def test_support_inclusions_tdc_corona_negative_control():
     a_tdc = ching - localize(ching, LocalizationCutoff(), eps)
     rep = support_inclusions(para_split(a_tdc, u, part, part.J_max),
                              tdc_B=2.0 / eps)
-    assert rep.ok
+    assert not rep.violations
 
 
 # -- spectral support rule ----------------------------------------------------

@@ -32,7 +32,7 @@ def test_para_split_reconstruction_2d(grid, part):
     sp = para_split(a, u, part, m)
     ref = modulated_apply(a, u, psi, m)
     assert np.max(np.abs(sp.total().values - ref.values)) <= 1e-10
-    assert support_inclusions(sp).ok
+    assert not support_inclusions(sp).violations
 
 
 def test_support_rule_2d(grid):
