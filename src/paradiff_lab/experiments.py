@@ -113,9 +113,9 @@ _COMMON = {"scenario": None, "grid_n": _DIM, "grid_sizes": _SIZES,
            "corpus_size": _INDEX, "out_dir": None, "symbol_params": _OBJECT}
 
 #: Per scenario, the fields it reads beyond _COMMON with their kinds, and
-#: the symbol_params keys it reads with their kinds and defaults.  A field
-#: that differs from its dataclass default, or a symbol_params key, that
-#: its scenario does not list is a config error.
+#: the symbol_params keys it (or its symbol_family) reads with their kinds
+#: and defaults.  A field that differs from its dataclass default, or a
+#: symbol_params key, that its scenario does not list is a config error.
 PARAMETERS = {
     "boundedness_sweep": (
         {"norm_specs": None},
@@ -133,9 +133,11 @@ PARAMETERS = {
          "probe_offsets": (_FLAG, False)}),
     "modulation_study": (
         {"symbol_family": _FAMILY, "modulations": _CUTOFFS},
-        # J None: the widest Ching that the grid resolves
-        {"d": (_NUMBER, 0.0), "J": (_INDEX, None), "zero_order": (_INDEX, 0),
-         "one_sided": (_FLAG, True), "table": (None, None)}),
+        # per symbol_family; J None: the widest Ching that the grid resolves
+        {"ching": {"d": (_NUMBER, 0.0), "J": (_INDEX, None),
+                   "zero_order": (_INDEX, 0), "one_sided": (_FLAG, True)},
+         "multiplier": {"d": (_NUMBER, 0.0)}, "random": {"d": (_NUMBER, 0.0)},
+         "identity": {}, "custom": {"table": (None, None)}}),
     "inequality_suite": ({"grid_sizes": _SIZE}, {}),
 }
 SCENARIOS = tuple(PARAMETERS)
@@ -187,16 +189,19 @@ class ExperimentConfig:
         self.validate()
         return self
 
+    def _params_read(self) -> dict:
+        read, keys = PARAMETERS[self.scenario]
+        return keys[self.symbol_family] if "symbol_family" in read else keys
+
     def param(self, key: str):
         """symbol_params[key], or its default in PARAMETERS."""
-        return self.symbol_params.get(key, PARAMETERS[self.scenario][1][key][1])
+        return self.symbol_params.get(key, self._params_read()[key][1])
 
     def validate(self):
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}; "
                               f"choose one of {SCENARIOS}")
-        fields_read, params_read = PARAMETERS[self.scenario]
-        kinds = {**_COMMON, **fields_read}
+        kinds = {**_COMMON, **PARAMETERS[self.scenario][0]}
 
         def given():
             """(name, value, kind) of every field and symbol_params key
@@ -204,10 +209,10 @@ class ExperimentConfig:
             for f in fields(self):
                 if f.name in kinds or getattr(self, f.name) != f.default:
                     yield f.name, getattr(self, f.name), kinds.get(f.name, False)
-            # symbol_params has passed its kind check: it is a dict
+            # symbol_params and symbol_family have passed their kind checks
             for key, value in self.symbol_params.items():
                 yield (f"symbol_params.{key}", value,
-                       params_read.get(key, (False,))[0])
+                       self._params_read().get(key, (False,))[0])
 
         for name, value, kind in given():
             if kind is False:
@@ -230,7 +235,7 @@ class ExperimentConfig:
                 NormSpec(*spec)
             except BadExponent as exc:
                 raise ConfigError(f"norm spec {list(spec)}: {exc}") from None
-        if "J_values" in params_read and len(
+        if "J_values" in self._params_read() and len(
                 {J for J in self.param("J_values") if _ching_fits(J, N)}) < 2:
             raise ConfigError(f"fewer than two J_values fit the grid N = {N} "
                               "(5 * 2^(J-2) < N/2); a gain curve needs two")
@@ -479,30 +484,30 @@ def run_ching_study(cfg: ExperimentConfig) -> ResultRecord:
 
 def build_symbol(cfg: ExperimentConfig, grid: TorusGrid) -> DiscreteSymbol:
     """Materialize the configured symbol family on a grid."""
-    d = float(cfg.param("d"))
     family = cfg.symbol_family
+    if family == "identity":
+        return DiscreteSymbol.identity(grid)
+    if family == "custom":
+        table = cfg.param("table")
+        try:
+            return DiscreteSymbol.from_json(grid, Path(table).read_text())
+        except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"custom symbol table {table!r} is not a "
+                              f"{{d, xi, rows}} table for {grid}: "
+                              f"{type(exc).__name__}: {exc}") from None
+    d = float(cfg.param("d"))
     if family == "ching":
         J = cfg.param("J")
         if J is None:
             J = int(np.floor(np.log2(grid.nyquist / 1.25))) - 1
         return standard_ching(grid, d, J, cfg.param("zero_order"),
                               one_sided=cfg.param("one_sided"))
-    if family == "identity":
-        return DiscreteSymbol.identity(grid)
     if family == "multiplier":
         return DiscreteSymbol.multiplier(
             grid, lambda *k: (1.0 + sum(x**2 for x in k)) ** (d / 2.0), d=d)
-    if family == "random":
-        return random_sparse_symbol(grid, rng_for(cfg.seed, 2), d=d,
-                                    x_band=grid.nyquist / 8,
-                                    eta_band=grid.nyquist / 4)
-    table = cfg.param("table")
-    try:
-        return DiscreteSymbol.from_json(grid, Path(table).read_text())
-    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"custom symbol table {table!r} is not a "
-                          f"{{d, xi, rows}} table for {grid}: "
-                          f"{type(exc).__name__}: {exc}") from None
+    return random_sparse_symbol(grid, rng_for(cfg.seed, 2), d=d,
+                                x_band=grid.nyquist / 8,
+                                eta_band=grid.nyquist / 4)
 
 
 def run_modulation_study(cfg: ExperimentConfig) -> ResultRecord:
@@ -607,13 +612,14 @@ def run_inequality_suite(cfg: ExperimentConfig) -> ResultRecord:
 
     # Mihlin-type bound on the symbol factor
     p_m = MaxParams(N=1.0, R=8.0)
-    worst = _Worst()
+    worst, by_member = _Worst(), {}
     for sname, a in symbols:
         ratio, x = max_ratio(symbol_factor(a, p_m, psi),
                              mihlin_bound(a, p_m, psi))
         worst.see(ratio, symbol=sname, x=x)
+        by_member[sname] = _f(ratio)
     add("mihlin_symbol_factor", "mihlin_type_symbol_factor_bound", worst,
-        FROZEN_THRESHOLDS["mihlin_margin"])
+        FROZEN_THRESHOLDS["mihlin_margin"], {"by_member": by_member})
 
     # paradifferential reconstruction + corona/ball inclusions + pointwise;
     # one wide-band input keeps the upper dyadic levels active so the
@@ -680,7 +686,7 @@ def run_inequality_suite(cfg: ExperimentConfig) -> ResultRecord:
 
     # Peetre max dominated by the Hardy-Littlewood variant
     t_exp = 0.9
-    worst = _Worst()
+    worst, by_member = _Worst(), {}
     for uname, u in fields:
         for k in (2, 3):
             uk = dyadic_block(u, k, part)
@@ -690,8 +696,9 @@ def run_inequality_suite(cfg: ExperimentConfig) -> ResultRecord:
                 peetre_max(uk, MaxParams(grid.n / t_exp, part.R * 2**k)),
                 hl_max(uk, t_exp))
             worst.see(ratio, input=uname, level=k, x=x)
+            by_member[f"{uname}/level_{k}"] = _f(ratio)
     add("peetre_hl_domination", "peetre_hardy_littlewood_domination", worst,
-        FROZEN_THRESHOLDS["peetre_hl_constant"])
+        FROZEN_THRESHOLDS["peetre_hl_constant"], {"by_member": by_member})
 
     # Fefferman-Stein chain on the blocks of a corpus field
     blocks = [dyadic_block(fields[0][1], k, part)

@@ -58,12 +58,34 @@ def _translates(f: np.ndarray, order):
         yield y, doubled[tuple(slice(N - k, 2 * N - k) for k in y)]
 
 
+_MEMO_ENTRIES = 256   # one suite_1d run stores 106
+_memo: dict = {}
+
+
+def _remember(key, out: np.ndarray) -> np.ndarray:
+    """Keep ``out`` read-only under ``key``, the oldest entry out first."""
+    out.flags.writeable = False
+    if len(_memo) >= _MEMO_ENTRIES:
+        del _memo[next(iter(_memo))]
+    return _memo.setdefault(key, out)
+
+
+def _content(rows: np.ndarray) -> tuple:
+    """The live columns of (K, size) ``rows`` and their entries, as bytes."""
+    live = np.flatnonzero(np.any(rows != 0, axis=0))
+    return live.tobytes(), rows[:, live].tobytes()
+
+
 def peetre_max(u: SpectralField, p: MaxParams) -> np.ndarray:
     """u*(x) = sup_y |u(x-y)| / (1 + R |y|)^N with the periodic metric: the
     running max of the weighted translates in order of |y|, until max|u|
     times the largest weight ahead is <= its min over x (no later offset
-    can raise it anywhere, so the max is exact)."""
+    can raise it anywhere, so the max is exact).  Memoized on the grid, N,
+    R and u's nonzero coefficients (its values derive from them); read-only."""
     grid = u.grid
+    key = ("peetre_max", grid, p.N, p.R, *_content(u.coeffs.reshape(1, -1)))
+    if key in _memo:
+        return _memo[key]
     f = np.abs(u.values)
     w = (1.0 + p.R * torus_offsets(grid)) ** (-p.N)
     order, _ = _by_distance(grid)
@@ -73,7 +95,7 @@ def peetre_max(u: SpectralField, p: MaxParams) -> np.ndarray:
         if bound <= out.min():
             break
         np.maximum(out, shifted * w[y], out=out)
-    return out
+    return _remember(key, out)
 
 
 def hl_max(u: SpectralField, t: float) -> np.ndarray:
@@ -86,10 +108,13 @@ def hl_max(u: SpectralField, t: float) -> np.ndarray:
     previous one plus the new shell.  Averaging over the discrete ball
     (instead of dividing by r^n) makes M_t c = |c| exact for constants;
     the dimensional factor this absorbs lands in the fitted comparison
-    constants."""
+    constants.  Memoized like :func:`peetre_max`, on t; read-only."""
     if not (0.0 < t <= 1.0):
         raise BadExponent("t must lie in (0, 1]")
     grid = u.grid
+    key = ("hl_max", grid, t, *_content(u.coeffs.reshape(1, -1)))
+    if key in _memo:
+        return _memo[key]
     f = np.abs(u.values) ** t
     order, d = _by_distance(grid)
     radii = np.arange(1, grid.N // 2 + 1) * grid.spacing + 1e-12
@@ -103,7 +128,7 @@ def hl_max(u: SpectralField, t: float) -> np.ndarray:
             ball += shifted
         done = count
         np.maximum(best, ball / count, out=best)
-    return best ** (1.0 / t)
+    return _remember(key, best ** (1.0 / t))
 
 
 def ring_window(inner: float, plateau_lo: float, plateau_hi: float,
@@ -119,10 +144,6 @@ def ring_window(inner: float, plateau_lo: float, plateau_hi: float,
     return window
 
 
-_FACTOR_ENTRIES = 128   # symbol_factor's memo; one suite run stores < 64
-_factors: dict = {}
-
-
 def symbol_factor(a: DiscreteSymbol, p: MaxParams, psi,
                   allow_clipped: bool = False) -> np.ndarray:
     """F_a(N, R; x) = integral (1 + R|y|)^N |F^-1_{eta->y}(a(x,.) chi)| dy
@@ -132,7 +153,7 @@ def symbol_factor(a: DiscreteSymbol, p: MaxParams, psi,
     a clipped window still equals 1 on its plateau, so the factorization
     inequality remains exact, but the decay-scaling fidelity is reduced.
     F_a is memoized on exactly what it reads: grid, N, R, the xi_k and the
-    live columns of rows * chi with their bytes (oldest entry out first).
+    live columns of rows * chi with their bytes.
     """
     grid = a.grid
     outer = getattr(psi, "R")
@@ -140,12 +161,10 @@ def symbol_factor(a: DiscreteSymbol, p: MaxParams, psi,
         raise LevelOutOfRange(
             f"R * supp(psi) = {p.R * outer} exceeds nyquist {grid.nyquist}")
     windowed = a.rows * psi(grid.freq_norms() / p.R)
-    flat = windowed.reshape(len(a.xi), grid.N**grid.n)
-    live = np.flatnonzero(np.any(flat != 0, axis=0))
-    key = (grid, p.N, p.R, a.xi.tobytes(), live.tobytes(),
-           flat[:, live].tobytes())
-    if key in _factors:
-        return _factors[key]
+    key = ("symbol_factor", grid, p.N, p.R, a.xi.tobytes(),
+           *_content(windowed.reshape(len(a.xi), grid.N**grid.n)))
+    if key in _memo:
+        return _memo[key]
     # F^-1_{eta->y} of each row, with d eta the counting measure and the
     # 2*pi^-n factor; it commutes with the expansion over x
     G = (np.fft.ifftn(windowed, axes=tuple(range(1, grid.n + 1)))
@@ -153,12 +172,8 @@ def symbol_factor(a: DiscreteSymbol, p: MaxParams, psi,
     w = ((1.0 + p.R * torus_offsets(grid)) ** p.N).ravel()
     total = np.zeros(grid.shape)
     for cols, mod in a.moduli(G):
-        total += np.sum(mod * w[cols], axis=-1)
-    if len(_factors) >= _FACTOR_ENTRIES:
-        del _factors[next(iter(_factors))]
-    _factors[key] = total = total * grid.spacing**grid.n
-    total.flags.writeable = False
-    return total
+        total += np.einsum("c,c...->...", w[cols], mod)   # no BLAS threads
+    return _remember(key, total * grid.spacing**grid.n)
 
 
 def max_ratio(num, den, floor: float = 0.0) -> tuple:

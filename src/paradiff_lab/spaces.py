@@ -195,7 +195,7 @@ def marschall_check(b: DiscreteSymbol, u: SpectralField, k: int,
     # max over x of |b(x, eta)|: the rows' eta-support and sup|b|
     mag = np.zeros(grid.N**n)
     for cols, mod in b.moduli():
-        mag[cols] = np.max(mod, axis=tuple(range(n)))
+        mag[cols] = np.max(mod, axis=tuple(range(1, n + 1)))
     peak = float(np.max(mag))
     bound = 2.0**k
     radius = np.max(grid.freq_norms().ravel()[
@@ -214,7 +214,7 @@ def marschall_check(b: DiscreteSymbol, u: SpectralField, k: int,
     for j, w in zip(*_dyadic_shells(grid)):
         l1 = np.zeros(grid.shape)
         for _, mod in b.moduli(np.fft.ifftn(coeffs * w, axes=eta_axes)):
-            l1 += np.sum(mod, axis=-1)
+            l1 += np.sum(mod, axis=0)
         terms.append(2.0 ** (j * s_h) * l1 / grid.N**n)
     norms = _lq(np.array(terms), t)
     # a row norm below the support threshold of the largest, and a |b#u(x)|

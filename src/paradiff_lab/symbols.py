@@ -159,48 +159,47 @@ class DiscreteSymbol:
         """Lattice index of each xi_k, one index array per axis."""
         return tuple((self.xi % self.grid.N).T)
 
-    def _live_blocks(self, rows):
-        """(cols, rows[:, cols]) over the live columns, a block at a time."""
-        size = self.grid.N**self.grid.n
-        rows = (self.rows if rows is None else rows).reshape(len(self.xi), size)
-        live = np.flatnonzero(np.any(rows != 0, axis=0))
-        step = max(1, BLOCK_ENTRIES // size)
-        for lo in range(0, len(live), step):
-            yield live[lo:lo + step], rows[:, live[lo:lo + step]]
-
     def _expand(self, rows, axes):
         """The blocks of :meth:`columns`, transformed back along ``axes``
         only; the other x-axes have extent 1 (xi_k's phase there dropped).
         Every block is one work array, zeroed and transformed in place."""
-        grid = self.grid
+        grid, size = self.grid, self.grid.N**self.grid.n
+        rows = (self.rows if rows is None else rows).reshape(len(self.xi), size)
+        live = np.flatnonzero(np.any(rows != 0, axis=0))
+        step = max(1, BLOCK_ENTRIES // size)
         shape = tuple(grid.N if i in axes else 1 for i in range(grid.n))
         index = tuple(ix if i in axes else np.zeros_like(ix)
                       for i, ix in enumerate(self.xi_index()))
-        size = int(np.prod(shape))
-        work = np.empty(max(BLOCK_ENTRIES, size), dtype=np.complex128)
-        for cols, sub in self._live_blocks(rows):
-            block = work[:size * len(cols)].reshape(shape + cols.shape)
+        extent = int(np.prod(shape))
+        work = np.empty(max(BLOCK_ENTRIES, extent), dtype=np.complex128)
+        for lo in range(0, len(live), step):
+            cols = live[lo:lo + step]
+            block = work[:extent * len(cols)].reshape(cols.shape + shape)
             block.fill(0)
-            block[index] = sub
-            yield cols, np.fft.ifftn(block, axes=axes, norm="forward", out=block)
+            block[(slice(None),) + index] = rows[:, cols].T
+            yield cols, np.fft.ifftn(block, axes=tuple(1 + ax for ax in axes),
+                                     norm="forward", out=block)
 
     def columns(self, rows=None):
-        """Yield ``(cols, block)``, ``block[..., j] = sum_k rows[k, cols[j]]
+        """Yield ``(cols, block)``, ``block[j] = sum_k rows[k, cols[j]]
         e^{i x.xi_k}`` over the x-grid (``cols`` flat lattice indices; the
         columns where every row is zero are skipped): the rows scattered
-        over xi and transformed back in x, ``BLOCK_ENTRIES`` entries per
-        block.  ``rows`` defaults to the stored rows; a check linear in
-        a(x, .) until it takes a modulus runs on the K rows instead.  The
-        block is one work array that the next block overwrites: copy it to
-        keep it."""
+        over xi and transformed back in x, columns first so that transform
+        reads memory in order, ``BLOCK_ENTRIES`` entries per block.
+        ``rows`` defaults to the stored rows; a check linear in a(x, .)
+        until it takes a modulus runs on the K rows instead.  The block is
+        one work array that the next block overwrites: copy it to keep it."""
         return self._expand(rows, tuple(range(self.grid.n)))
 
     def moduli(self, rows=None):
         """Yield ``(cols, |block|)`` over the blocks of :meth:`columns`, with
         x-extent 1 on every axis where all xi_k share their coordinate:
-        |sum_k r_k(eta) e^{i x.xi_k}| does not depend on that x_i."""
+        |sum_k r_k(eta) e^{i x.xi_k}| does not depend on that x_i.  Like
+        the block, |block| is one reused buffer that the next overwrites."""
         axes = tuple(np.flatnonzero(np.any(self.xi != self.xi[:1], axis=0)))
-        yield from ((c, np.abs(b)) for c, b in self._expand(rows, axes))
+        buf = np.empty(max(BLOCK_ENTRIES, self.grid.N**self.grid.n))
+        yield from ((c, np.abs(b, out=buf[:b.size].reshape(b.shape)))
+                    for c, b in self._expand(rows, axes))
 
     @property
     def values(self) -> np.ndarray:
@@ -210,7 +209,7 @@ class DiscreteSymbol:
             _check_dense(grid)
             vals = np.zeros(grid.shape + (grid.N**grid.n,), dtype=np.complex128)
             for cols, block in self.columns():
-                vals[..., cols] = block
+                np.moveaxis(vals, -1, 0)[cols] = block
             vals.flags.writeable = False
             self._values = vals.reshape(grid.shape + grid.shape)
         return self._values
@@ -318,9 +317,8 @@ def _eta_square_sums(a: DiscreteSymbol, alpha: tuple, masks) -> np.ndarray:
     live = np.logical_or.reduce(masks, initial=False)
     sums = np.zeros((len(masks),) + a.grid.shape)
     for cols, mod in a.moduli(_eta_derivative(a.rows, a.grid, alpha) * live):
-        sq = mod ** 2
         for total, mask in zip(sums, masks):
-            total += np.sum(sq * mask.ravel()[cols], axis=-1)
+            total += np.sum(np.square(mod[mask.ravel()[cols]]), axis=0)
     return sums
 
 
@@ -344,7 +342,7 @@ def estimate_seminorm(a: DiscreteSymbol, alpha, beta) -> SymbolSeminorm:
     weight = ((1.0 + a.grid.freq_norms()) ** (-expo)).ravel()
     value = 0.0
     for cols, mod in a.moduli(_eta_derivative(rows, a.grid, alpha)):
-        value = max(value, float(np.max(mod * weight[cols])))
+        value = max(value, float(np.max(mod * weight[cols].reshape(lead))))
     return SymbolSeminorm(alpha, beta, value)
 
 

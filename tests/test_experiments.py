@@ -197,6 +197,9 @@ def test_config_json_round_trip(tmp_path):
      "symbol_params": {"J_values": [3, 4], "one_sided": True,
                        "s_values": [1.0]}},
     {"scenario": "modulation_study", "symbol_params": {"J_values": [3, 4]}},
+    {"scenario": "modulation_study", "grid_sizes": [64],
+     "symbol_family": "identity",
+     "symbol_params": {"J": 3, "one_sided": False, "d": 2.0}},
     {"scenario": "modulation_study",
      "modulations": [[1, "2"], [1.5, 2.5], [0.75, 1.75]]},
     {"scenario": "modulation_study", "modulations": [[1.0, 2.0], [1.5, 2.5]]},
@@ -214,7 +217,8 @@ def test_config_json_round_trip(tmp_path):
         "string_one_sided", "int_probe_offsets", "misspelled_sweep_params",
         "unread_suite_params", "unread_suite_modulations", "two_suite_grids",
         "two_study_grids", "params_of_other_scenarios",
-        "unread_modulation_params", "string_study_modulation",
+        "unread_modulation_params", "params_of_other_family",
+        "string_study_modulation",
         "two_study_cutoffs", "reversed_study_cutoff", "missing_file",
         "not_json", "not_an_object"])
 def test_malformed_config_exits_2(doc, tmp_path, capsys):
@@ -292,6 +296,8 @@ def test_metrics_payload_deterministic(scenario):
 BLAS_PAYLOADS = """
 from paradiff_lab.experiments import ExperimentConfig, run_scenario
 for kw in (dict(scenario="inequality_suite", grid_n=1, grid_sizes=(128,)),
+           # the suite_1d benchmark config, where a block holds few columns
+           dict(scenario="inequality_suite", grid_n=1, grid_sizes=(512,)),
            dict(scenario="modulation_study", grid_n=2, grid_sizes=(16,)),
            dict(scenario="boundedness_sweep", grid_n=1, grid_sizes=(256,))):
     cfg = ExperimentConfig(corpus_size=2, seed=7, **kw).normalized()
@@ -310,7 +316,7 @@ def test_metrics_payload_independent_of_blas_threads():
                               env=env, capture_output=True, text=True,
                               timeout=600, check=True)
         payloads.append(proc.stdout.splitlines())
-    assert len(payloads[0]) == 3
+    assert len(payloads[0]) == 4
     assert payloads[0] == payloads[1]
 
 
@@ -336,6 +342,24 @@ def test_inequality_suite_witnesses():
     assert para["witness"]["series"] in {"low_high", "diagonal_a",
                                          "diagonal_b", "high_low"}
     assert type(para["vanishing_majorant_terms"]) is int
+
+
+def test_inequality_suite_by_member():
+    """Checks whose worst case is an equality point also report each
+    member's own worst ratio; the largest of them is the check's."""
+    rec = run_scenario(small_cfg("inequality_suite", seed=3))
+    members = {
+        "mihlin_symbol_factor": {"identity", "ching", "bessel_multiplier",
+                                 "random_0", "random_1"},
+        "peetre_hl_domination": {f"field_{i}/level_{k}" for i in (0, 1)
+                                 for k in (2, 3)}}
+    for name, keys in members.items():
+        check = rec.metrics[name]
+        assert set(check["by_member"]) == keys, name
+        assert max(check["by_member"].values()) == check["max_ratio"], name
+    mihlin = rec.metrics["mihlin_symbol_factor"]
+    assert mihlin["by_member"][mihlin["witness"]["symbol"]] == \
+        mihlin["max_ratio"]
 
 
 def test_inequality_suite_2d_n64():
@@ -561,11 +585,13 @@ def test_bad_sweep_lists_exit_2(scenario, params, tmp_path, capsys):
 @pytest.mark.parametrize("scenario", sorted(CLAIM_REGISTRY))
 def test_parameter_defaults_written_out_change_nothing(scenario):
     """A config that writes out every default of PARAMETERS for its
-    symbol_params runs byte-identically to one that names none, and the
-    CLI's default config validates."""
+    symbol_params (those of the default symbol_family) runs
+    byte-identically to one that names none, and the CLI's default config
+    validates."""
     defaults = json.loads(json.dumps({
         key: default for key, (_, default)
-        in experiments.PARAMETERS[scenario][1].items() if default is not None}))
+        in ExperimentConfig(scenario=scenario)._params_read().items()
+        if default is not None}))
     over = dict(grid_sizes=(128,), corpus_size=1, seed=1)
     plain, written = (run_scenario(ExperimentConfig(
         scenario=scenario, symbol_params=params, **over).normalized())

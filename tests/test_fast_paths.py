@@ -777,7 +777,7 @@ def test_eta_side_checks_run_above_the_dense_cap(n, N, monkeypatch):
         return out
 
     want = run()
-    pointwise._factors.clear()   # so the second run computes every factor
+    pointwise._memo.clear()   # so the second run computes every factor
     monkeypatch.setattr(symbols, "DENSE_ENTRY_CAP", N ** (2 * n) - 1)
     with pytest.raises(TooLarge):
         sparse_symbols(grid)["ching"].values  # noqa: B018
@@ -973,6 +973,7 @@ def test_peetre_sweep_stops_once_dominated(monkeypatch):
     monkeypatch.setattr(pointwise, "_translates", counted)
     for name, most in (("random", grid.N // 4), ("constant", 2)):
         visited.clear()
+        pointwise._memo.clear()   # so the sweep runs
         u = inputs[name]
         assert np.array_equal(peetre_max(u, p), peetre_oracle(u, p)), name
         assert 0 < len(visited) <= most, (name, len(visited))
@@ -981,7 +982,8 @@ def test_peetre_sweep_stops_once_dominated(monkeypatch):
 @pytest.mark.parametrize("fn,arg", [(peetre_max, MaxParams(2.0, 64.0)),
                                     (hl_max, 1.0)])
 def test_maximal_function_memory(fn, arg):
-    """No N x N transient and nothing held after the call (1-D N=4096)."""
+    """No N x N transient and nothing held after the call (1-D N=4096) but
+    the memo's entry, which is cleared before ``held`` is read."""
     grid = TorusGrid(1, 4096)
     u = random_band_limited_field(grid, rng_for(85, 1), grid.nyquist / 2)
     u.values    # computed on first read: the field's own, not the call's
@@ -991,6 +993,7 @@ def test_maximal_function_memory(fn, arg):
         out = fn(u, arg)
         peak = tracemalloc.get_traced_memory()[1]
         del out
+        pointwise._memo.clear()
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -1030,19 +1033,21 @@ def shared_axes(a):
 
 @pytest.mark.parametrize("n,N", GRIDS)
 def test_moduli_match_dense_columns(n, N):
-    """The view walks the blocks of ``columns`` and gives |block|; its
-    x-extent is N exactly on the axes where the xi_k differ, else 1."""
+    """The view walks the blocks of ``columns`` and gives |block|, column
+    axis first; its x-extent is N exactly on the axes where the xi_k
+    differ, else 1."""
     grid = TorusGrid(n, N)
     for name, a in {**all_symbols(grid), **single_rows(grid)}.items():
         dense = np.abs(a.values).reshape(grid.shape + (-1,))
         peak = float(np.max(dense, initial=0.0))
         extent = tuple(1 if ax in shared_axes(a) else N for ax in range(n))
-        got = list(a.moduli())
+        got = [(c, m.copy()) for c, m in a.moduli()]   # a reused buffer
         assert [c.tolist() for c, _ in got] == \
             [c.tolist() for c, _ in a.columns()], name
         for cols, mod in got:
-            assert mod.shape == extent + cols.shape, name
-            assert np.max(np.abs(mod - dense[..., cols])) <= 1e-13 * peak, name
+            assert mod.shape == cols.shape + extent, name
+            assert np.max(np.abs(mod - np.moveaxis(dense[..., cols], -1, 0))) \
+                <= 1e-13 * peak, name
 
 
 def unchecked_grid(n, N):
@@ -1097,15 +1102,16 @@ def test_expansion_matches_direct_sum(name):
                   initial=0.0) <= tol
     extent = tuple(1 if ax in shared_axes(a) else grid.N
                    for ax in range(grid.n))
-    got = list(a.moduli())
+    got = [(c, m.copy()) for c, m in a.moduli()]   # a reused buffer
     assert len(got) == blocks
     live = np.flatnonzero(np.any(np.abs(want) > 0, axis=tuple(range(grid.n))))
     assert np.concatenate([c for c, _ in got] + [live[:0]]).tolist() == \
         live.tolist()
     for cols, mod in got:
-        assert mod.shape == extent + cols.shape
-        assert np.max(np.abs(np.broadcast_to(mod, want[..., cols].shape)
-                             - np.abs(want[..., cols]))) <= tol
+        assert mod.shape == cols.shape + extent
+        want_cols = np.moveaxis(want[..., cols], -1, 0)
+        assert np.max(np.abs(np.broadcast_to(mod, want_cols.shape)
+                             - np.abs(want_cols))) <= tol
 
 
 @pytest.mark.parametrize("n,N", GRIDS)

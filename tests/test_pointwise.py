@@ -366,13 +366,13 @@ def test_paraterm_nan_majorant_fails(grid, monkeypatch):
     assert set(rep.witness) == {"series", "level", "x"}
 
 
-# -- symbol-factor memo ----------------------------------------------------------
+# -- the pointwise memo ----------------------------------------------------------
 
 
 @pytest.fixture
 def expansions(monkeypatch):
-    """Empties the symbol-factor memo and counts the x-expansions built."""
-    pointwise._factors.clear()
+    """Empties the memo and counts the x-expansions built."""
+    pointwise._memo.clear()
     count = [0]
     expand = DiscreteSymbol._expand
 
@@ -406,7 +406,7 @@ def test_memo_hit_is_exact_and_read_only(grid, expansions):
     hit = symbol_factor(a, p, psi)
     assert symbol_factor(a.with_rows(a.rows.copy()), p, psi) is hit
     assert expansions[0] == 1
-    pointwise._factors.clear()
+    pointwise._memo.clear()
     assert np.array_equal(hit, symbol_factor(a, p, psi))
     with pytest.raises(ValueError):
         hit[0] = 0.0
@@ -428,21 +428,62 @@ def test_memo_keys_on_exact_content(grid, expansions):
                                 rows=np.tile(a.rows, 2)),
                  MaxParams(2.0, 4.0), psi)]
     results = [symbol_factor(*v) for v in variants]
-    assert expansions[0] == len(variants) == len(pointwise._factors)
+    assert expansions[0] == len(variants) == len(pointwise._memo)
     assert len({id(F) for F in results}) == len(variants)
 
 
 def test_memo_stays_within_its_bound(grid, expansions, monkeypatch):
-    monkeypatch.setattr(pointwise, "_FACTOR_ENTRIES", 3)
+    monkeypatch.setattr(pointwise, "_MEMO_ENTRIES", 3)
     ident = DiscreteSymbol.identity(grid)
     psi = make_modulation(1.0, 2.0)
     for R in (1.0, 2.0, 3.0, 4.0, 5.0):
         F = symbol_factor(ident, MaxParams(2.0, R), psi)
-        assert len(pointwise._factors) <= 3
+        assert len(pointwise._memo) <= 3
         assert symbol_factor(ident, MaxParams(2.0, R), psi) is F
     assert expansions[0] == 5
     symbol_factor(ident, MaxParams(2.0, 1.0), psi)    # evicted, built again
     assert expansions[0] == 6
+    for seed in range(3):
+        u = random_band_limited_field(grid, rng_for(51, seed), 14.0)
+        peetre_max(u, MaxParams(2.0, 4.0))
+        assert len(pointwise._memo) <= 3
+        M = hl_max(u, 0.5)
+        assert len(pointwise._memo) <= 3
+    assert hl_max(u, 0.5) is M
+
+
+MAXIMAL = [(peetre_max, MaxParams(2.0, 4.0)), (hl_max, 0.5)]
+
+
+@pytest.mark.parametrize("fn,arg", MAXIMAL, ids=["peetre", "hl"])
+def test_maximal_memo_hit_is_exact_and_read_only(grid, fn, arg):
+    pointwise._memo.clear()
+    u = random_band_limited_field(grid, rng_for(49, 0), 14.0)
+    hit = fn(u, arg)
+    same = SpectralField.from_coeffs(grid, u.coeffs.copy())
+    assert fn(same, arg) is hit
+    assert same._values is None    # a hit runs no inverse FFT
+    pointwise._memo.clear()
+    assert np.array_equal(hit, fn(u, arg))
+    with pytest.raises(ValueError):
+        hit[0] = 0.0
+
+
+def test_maximal_memo_keys_on_exact_content(grid):
+    # a 1e-12 change in one coefficient, another N, R or t: none may share
+    pointwise._memo.clear()
+    u = random_band_limited_field(grid, rng_for(50, 0), 14.0)
+    coeffs = u.coeffs.copy()
+    coeffs.flat[np.flatnonzero(coeffs)[0]] += 1e-12
+    v = SpectralField.from_coeffs(grid, coeffs)
+    calls = [(peetre_max, u, MaxParams(2.0, 4.0)),
+             (peetre_max, v, MaxParams(2.0, 4.0)),
+             (peetre_max, u, MaxParams(2.0, 5.0)),
+             (peetre_max, u, MaxParams(3.0, 4.0)),
+             (hl_max, u, 0.5), (hl_max, v, 0.5), (hl_max, u, 1.0)]
+    results = [fn(w, arg) for fn, w, arg in calls]
+    assert len(pointwise._memo) == len(calls)
+    assert len({id(M) for M in results}) == len(calls)
 
 
 # -- cumulative-sum inequality ---------------------------------------------------
