@@ -173,8 +173,7 @@ class ExperimentConfig:
         extra = set(doc) - set(cls.__dataclass_fields__)
         if extra:
             raise ConfigError(f"unknown config keys: {sorted(extra)}")
-        cfg = cls(**{k: v for k, v in doc.items()})
-        return cfg.normalized()
+        return cls(**doc).normalized()
 
     def normalized(self) -> "ExperimentConfig":
         try:
@@ -325,7 +324,39 @@ def _ching_ladder(grid: TorusGrid, d: float, J_values, zero_order: int) -> list:
             for J in fits]
 
 
-def run_boundedness_sweep(cfg: ExperimentConfig) -> ResultRecord:
+def _gain_table(cfg: ExperimentConfig, grid: TorusGrid, part, zero_order: int,
+                cases, adapted: bool) -> list:
+    """[(J, [{gain, argmax} per case])] of the Ching symbol of ``zero_order``
+    for each J in ``J_values`` that fits the grid, over its corpus; the
+    off-ray stack is adapted to the zero order's profile when ``adapted``."""
+    theta = (1,) + (0,) * (grid.n - 1)
+    profile = ChingProfile(zero_order=zero_order,
+                           theta_hat=tuple(float(t) for t in theta))
+    ladder = _ching_ladder(grid, float(cfg.param("d")), cfg.param("J_values"),
+                           zero_order)
+    corpus = corpus_members(grid, theta, [J for J, _ in ladder], cfg.seed,
+                            profile=profile if adapted else None,
+                            n_random=cfg.corpus_size)
+    return [(J, _grid_gain(a, members, cases, part))
+            for (J, a), (_, members) in zip(ladder, corpus)]
+
+
+def _span(gains) -> float:
+    """max / min - 1 over the positive ``gains``; NaN when fewer than two
+    are positive, so a span over one gain cannot read as stable."""
+    pos = [g for g in gains if g > 0]
+    return _f(max(pos) / min(pos) - 1.0) if len(pos) > 1 else np.nan
+
+
+def _growth(curve: dict) -> dict:
+    """A gain curve {J: gain} read at J_lo = min J and J_hi = max J, in
+    whatever order the J were listed."""
+    lo, hi = min(curve), max(curve)
+    return {"J_lo": lo, "J_hi": hi, "gain_lo": curve[lo], "gain_hi": curve[hi],
+            "factor": _f(curve[hi] / curve[lo]) if curve[lo] > 0 else 0.0}
+
+
+def run_boundedness_sweep(cfg: ExperimentConfig) -> dict:
     """Norm-ratio sweep over truncation levels and grid sizes.
 
     For each admissible (J, N) the energy gain of the lacunary symbol is
@@ -333,68 +364,44 @@ def run_boundedness_sweep(cfg: ExperimentConfig) -> ResultRecord:
     (s, p, q).  Growth across J at the unbounded smoothness and stability
     in the bounded region are summarized per grid size.
     """
-    t0 = time.monotonic()
-    d = float(cfg.param("d"))
-    zero_order, J_values = cfg.param("zero_order"), cfg.param("J_values")
+    d, J_min = float(cfg.param("d")), min(cfg.param("J_values"))
     specs = cfg.norm_specs or (("F", 0.0, 2.0, 2.0), ("F", 1.0, 2.0, 2.0))
     cases = [(NormSpec(scale, s + d, p, q), NormSpec(scale, s, p, q))
              for scale, s, p, q in specs]
-    theta = (1,) + (0,) * (cfg.grid_n - 1)
-    profile = ChingProfile(zero_order=zero_order,
-                           theta_hat=tuple(float(t) for t in theta))
     rows, norm_rows = [], []
+    curves = {spec: {} for spec in specs}   # spec -> N -> {J: gain}
     for N in cfg.grid_sizes:
         grid = TorusGrid(cfg.grid_n, N)
         part = make_partition(make_modulation(cfg.partition_r,
                                               cfg.partition_R), grid)
-        ref = lacunary_stack(grid, theta, min(J_values),
-                             np.ones(min(J_values) + 1))
+        ref = lacunary_stack(grid, (1,) + (0,) * (grid.n - 1), J_min,
+                             np.ones(J_min + 1))
         for scale, s, p, q in specs:
             norm_rows.append({"scale": scale, "s": _f(s), "p": _f(p),
                               "q": _f(q), "N": N,
                               "value": _f(space_norm(
                                   ref, NormSpec(scale, s, p, q), part))})
-        fits = [J for J in J_values if _ching_fits(J, N)]
-        for (J, a), (_, members) in zip(
-                _ching_ladder(grid, d, fits, zero_order),
-                corpus_members(grid, theta, fits, cfg.seed, profile=profile,
-                               n_random=cfg.corpus_size)):
-            for (scale, s, p, q), res in zip(
-                    specs, _grid_gain(a, members, cases, part)):
+        for J, results in _gain_table(cfg, grid, part, cfg.param("zero_order"),
+                                      cases, adapted=True):
+            for (scale, s, p, q), res in zip(specs, results):
                 rows.append({"N": N, "J": J, "scale": scale, "s": _f(s),
                              "p": _f(p), "q": _f(q), "gain": res["gain"],
                              "argmax": res["argmax"]})
-    growth, stability = {}, {}
+                curves[scale, s, p, q].setdefault(N, {})[J] = res["gain"]
+    growth, stability, drift = {}, {}, {}
     for scale, s, p, q in specs:
+        per_N = curves[scale, s, p, q]
         key = f"{scale}_s{s}_p{p}_q{q}"
-        sub = [r for r in rows if (r["scale"], r["s"], r["p"], r["q"])
-               == (scale, _f(s), _f(p), _f(q))]
-        per_N = {}
-        for N in cfg.grid_sizes:
-            js = sorted(r["J"] for r in sub if r["N"] == N)
-            if len(js) < 2:
-                continue
-            lo = next(r for r in sub if r["N"] == N and r["J"] == js[0])
-            hi = next(r for r in sub if r["N"] == N and r["J"] == js[-1])
-            per_N[str(N)] = {"J_lo": js[0], "J_hi": js[-1],
-                             "gain_lo": lo["gain"], "gain_hi": hi["gain"],
-                             "factor": _f(hi["gain"] / lo["gain"])
-                             if lo["gain"] > 0 else 0.0}
-        gains = [r["gain"] for r in sub if r["gain"] > 0]
-        span = _f(max(gains) / min(gains) - 1.0) if gains else 0.0
-        growth[key] = per_N
-        stability[key] = {"relative_span": span}
-    # refinement stability: at the smallest J present everywhere, the gain
-    # must not drift across N (band-limited content is grid-exact)
-    drift = {}
-    for scale, s, p, q in specs:
-        sub = [r for r in rows if (r["scale"], r["s"], r["p"], r["q"])
-               == (scale, _f(s), _f(p), _f(q)) and r["J"] == min(J_values)]
-        gains = [r["gain"] for r in sub]
-        if gains:
-            drift[f"{scale}_s{s}"] = _f(max(gains) / min(gains) - 1.0) \
-                if min(gains) > 0 else 0.0
-    metrics = {
+        growth[key] = {str(N): _growth(curve) for N, curve in per_N.items()
+                       if len(curve) > 1}
+        stability[key] = {"relative_span": _span(
+            [g for curve in per_N.values() for g in curve.values()])}
+        # refinement stability: at the smallest listed J, on every grid it
+        # fits, the gain must not drift across N (band-limited content is
+        # grid-exact); NaN when it fits one grid only
+        drift[f"{scale}_s{s}"] = _span([curve[J_min] for curve
+                                        in per_N.values() if J_min in curve])
+    return {
         "gain_table": {"claim": "lacunary_growth_below_threshold",
                        "rows": rows},
         "norm_table": {"claim": "refinement_stability", "rows": norm_rows},
@@ -405,10 +412,9 @@ def run_boundedness_sweep(cfg: ExperimentConfig) -> ResultRecord:
         "refinement_drift": {"claim": "refinement_stability",
                              "per_spec": drift},
     }
-    return _finish(cfg, metrics, t0)
 
 
-def run_ching_study(cfg: ExperimentConfig) -> ResultRecord:
+def run_ching_study(cfg: ExperimentConfig) -> dict:
     """Gain curves over smoothness s for profile zero orders 0, 1, 2.
 
     The empirical stability threshold (smallest s on the grid whose gain
@@ -416,38 +422,27 @@ def run_ching_study(cfg: ExperimentConfig) -> ResultRecord:
     order increases; only this monotonicity is asserted, not the exact
     threshold location.
     """
-    t0 = time.monotonic()
     d = float(cfg.param("d"))
-    J_values, zero_orders = cfg.param("J_values"), cfg.param("zero_orders")
+    zero_orders = cfg.param("zero_orders")
     s_values = tuple(float(s) for s in cfg.param("s_values"))
-    probe_offsets = cfg.param("probe_offsets")
     [N] = cfg.grid_sizes
     grid = TorusGrid(cfg.grid_n, N)
     part = make_partition(make_modulation(cfg.partition_r, cfg.partition_R),
                           grid)
-    theta = (1,) + (0,) * (cfg.grid_n - 1)
-    fits = [J for J in J_values if _ching_fits(J, N)]
     cases = [(NormSpec("F", s + d, 2.0, 2.0), NormSpec("F", s, 2.0, 2.0))
              for s in s_values]
     curves, thresholds = {}, {}
     for rho in zero_orders:
-        profile = ChingProfile(zero_order=rho,
-                               theta_hat=tuple(float(t) for t in theta))
-        by_J = [(J, _grid_gain(a, members, cases, part))
-                for (J, a), (_, members) in zip(
-                    _ching_ladder(grid, d, fits, rho),
-                    corpus_members(grid, theta, fits, cfg.seed,
-                                   profile=profile if probe_offsets else None,
-                                   n_random=cfg.corpus_size))]
+        table = _gain_table(cfg, grid, part, rho, cases,
+                            adapted=cfg.param("probe_offsets"))
         per_s = {}
         for i, s in enumerate(s_values):
-            gains = [{"J": J, "gain": res[i]["gain"]} for J, res in by_J]
-            pos = [g["gain"] for g in gains if g["gain"] > 0]
-            variation = _f(max(pos) / min(pos) - 1.0) if pos else 0.0
+            gains = [{"J": J, "gain": res[i]["gain"]} for J, res in table]
+            variation = _span([g["gain"] for g in gains])
+            ends = _growth({g["J"]: g["gain"] for g in gains})
             verdict = "stable" if variation < 0.2 else (
-                "growth" if gains and gains[-1]["gain"]
-                >= 2.0 * gains[0]["gain"] * (1.0 - 1e-9)
-                else "indeterminate")
+                "growth" if ends["gain_hi"]
+                >= 2.0 * ends["gain_lo"] * (1.0 - 1e-9) else "indeterminate")
             per_s[f"{s}"] = {"gains": gains, "variation": variation,
                              "verdict": verdict}
         curves[f"rho{rho}"] = per_s
@@ -467,7 +462,7 @@ def run_ching_study(cfg: ExperimentConfig) -> ResultRecord:
     growth = (probe["J4"]["alpha0_beta1"] / probe["J2"]["alpha0_beta1"]
               if "J4" in probe else np.nan)
     growth_min = FROZEN_THRESHOLDS["adjoint_growth"]
-    metrics = {
+    return {
         "gain_curves": {"claim": "zero_order_moves_threshold",
                         "curves": curves},
         "stability_thresholds": {"claim": "zero_order_moves_threshold",
@@ -479,7 +474,6 @@ def run_ching_study(cfg: ExperimentConfig) -> ResultRecord:
                           "threshold": growth_min,
                           "pass": bool(growth >= growth_min)},
     }
-    return _finish(cfg, metrics, t0)
 
 
 def build_symbol(cfg: ExperimentConfig, grid: TorusGrid) -> DiscreteSymbol:
@@ -510,14 +504,13 @@ def build_symbol(cfg: ExperimentConfig, grid: TorusGrid) -> DiscreteSymbol:
                                 eta_band=grid.nyquist / 4)
 
 
-def run_modulation_study(cfg: ExperimentConfig) -> ResultRecord:
+def run_modulation_study(cfg: ExperimentConfig) -> dict:
     """Vanishing-modulation limits across cutoffs, inputs, and refinements.
 
     Band-limited inputs must converge with cutoff-independent limits; the
     default one-sided lacunary symbol applied to its adversarial stack shows
     a non-decaying difference profile that persists under grid refinement
     (the divergence indicator; never reported as a proof)."""
-    t0 = time.monotonic()
     psis = [make_modulation(r, R) for r, R in cfg.modulations]
     tail_by_N = {}
     conv_rows = []
@@ -525,37 +518,30 @@ def run_modulation_study(cfg: ExperimentConfig) -> ResultRecord:
         grid = TorusGrid(cfg.grid_n, N)
         J = int(np.floor(np.log2(grid.nyquist / 1.25))) - 1
         a = build_symbol(cfg, grid)
-        # nice corpus: random band-limited inputs
-        for i in range(cfg.corpus_size):
-            u = random_band_limited_field(grid, rng_for(cfg.seed, 3, i), 10.0)
+        # the nice corpus of random band-limited inputs, then the
+        # adversarial stack riding the lacunary ray
+        inputs = [(f"random_{i}", random_band_limited_field(
+            grid, rng_for(cfg.seed, 3, i), 10.0))
+            for i in range(cfg.corpus_size)]
+        inputs.append(("lacunary_stack", lacunary_stack(
+            grid, (1,) + (0,) * (grid.n - 1), J, np.ones(J + 1))))
+        for name, u in inputs:
             rep = modulation_limit(a, u, psis, tol=1e-10)
-            conv_rows.append({"N": N, "input": f"random_{i}",
+            conv_rows.append({"N": N, "input": name,
                               "converged": rep.converged,
                               "verdict": "converged" if rep.converged
                               else "divergence_indicator",
                               "stabilization_m": rep.stabilization_m,
                               "psi_discrepancy": _f(rep.psi_discrepancy),
                               "profile": [_f(x) for x in rep.cauchy_profile[0]]})
-        # adversarial stack riding the lacunary ray
-        theta = (1,) + (0,) * (cfg.grid_n - 1)
-        u_bad = lacunary_stack(grid, theta, J, np.ones(J + 1))
-        rep = modulation_limit(a, u_bad, psis, tol=1e-10)
-        profile = rep.cauchy_profile[0]
-        # last difference before the exact saturation tail
-        nonzero = [x for x in profile if x > 1e-13]
+        # the stack's last difference before the exact saturation tail
+        nonzero = [x for x in rep.cauchy_profile[0] if x > 1e-13]
         tail_by_N[N] = _f(nonzero[-1]) if nonzero else 0.0
-        conv_rows.append({"N": N, "input": "lacunary_stack",
-                          "converged": rep.converged,
-                          "verdict": "converged" if rep.converged
-                          else "divergence_indicator",
-                          "stabilization_m": rep.stabilization_m,
-                          "psi_discrepancy": _f(rep.psi_discrepancy),
-                          "profile": [_f(x) for x in profile]})
     Ns = sorted(tail_by_N)
     tails = [tail_by_N[N] for N in Ns]
     non_decaying = bool(all(b >= 0.5 * a for a, b in zip(tails, tails[1:]))
                         and tails[-1] > 1e-6) if len(tails) > 1 else False
-    metrics = {
+    return {
         "limits": {"claim": "modulation_independence", "rows": conv_rows},
         "divergence_indicator": {
             "claim": "divergence_indicator",
@@ -563,14 +549,12 @@ def run_modulation_study(cfg: ExperimentConfig) -> ResultRecord:
             "flag": non_decaying,
         },
     }
-    return _finish(cfg, metrics, t0)
 
 
-def run_inequality_suite(cfg: ExperimentConfig) -> ResultRecord:
+def run_inequality_suite(cfg: ExperimentConfig) -> dict:
     """Every pointwise and summed inequality checker over a seeded corpus,
     with one pass/fail line per check against the frozen thresholds and
     the witness of its worst case."""
-    t0 = time.monotonic()
     [N] = cfg.grid_sizes
     grid = TorusGrid(cfg.grid_n, N)
     psi = make_modulation(cfg.partition_r, cfg.partition_R)
@@ -770,7 +754,7 @@ def run_inequality_suite(cfg: ExperimentConfig) -> ResultRecord:
     metrics["summary"] = {"claim": "spectral_support_rule",
                           "all_pass": all_pass,
                           "n_checks": len(checks)}
-    return _finish(cfg, metrics, t0)
+    return metrics
 
 
 RUNNERS = {
@@ -781,7 +765,12 @@ RUNNERS = {
 }
 
 
-def _finish(cfg: ExperimentConfig, metrics: dict, t0: float) -> ResultRecord:
+def run_scenario(cfg: ExperimentConfig) -> ResultRecord:
+    """Run the scenario's runner, time it, and record its metrics; a
+    registered claim that no metric covers fails the run."""
+    cfg.validate()
+    t0 = time.monotonic()
+    metrics = RUNNERS[cfg.scenario](cfg)
     partition_header = {"r": cfg.partition_r, "R": cfg.partition_R}
     for N in cfg.grid_sizes:
         part = make_partition(make_modulation(cfg.partition_r,
@@ -804,11 +793,6 @@ def _finish(cfg: ExperimentConfig, metrics: dict, t0: float) -> ResultRecord:
         raise ConfigError(f"coverage guard: claims with no executed check: "
                           f"{sorted(missing)}")
     return record
-
-
-def run_scenario(cfg: ExperimentConfig) -> ResultRecord:
-    cfg.validate()
-    return RUNNERS[cfg.scenario](cfg)
 
 
 # -- output writing ---------------------------------------------------------
@@ -850,44 +834,34 @@ def _write_tables(record: ResultRecord, table_dir: Path) -> list:
     written = []
 
     def write(name, header, rows):
+        """The ``header`` columns of the dicts ``rows`` (blank where absent)."""
         path = table_dir / name
         with path.open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
+            w = csv.DictWriter(fh, header, extrasaction="ignore")
+            w.writeheader()
             w.writerows(rows)
         written.append(str(path))
 
+    metrics = record.metrics
     if record.scenario == "boundedness_sweep":
-        rows = record.metrics["gain_table"]["rows"]
         write("norm_ratios.csv",
               ["scale", "s", "p", "q", "N", "J", "gain", "argmax"],
-              [[r["scale"], r["s"], r["p"], r["q"], r["N"], r["J"],
-                r["gain"], r["argmax"]] for r in rows])
-        nrows = record.metrics["norm_table"]["rows"]
+              metrics["gain_table"]["rows"])
         write("norms.csv", ["scale", "s", "p", "q", "N", "value"],
-              [[r["scale"], r["s"], r["p"], r["q"], r["N"], r["value"]]
-               for r in nrows])
+              metrics["norm_table"]["rows"])
     elif record.scenario == "ching_study":
-        curves = record.metrics["gain_curves"]["curves"]
         rows = []
-        for rho_key, per_s in sorted(curves.items()):
+        for rho_key, per_s in sorted(metrics["gain_curves"]["curves"].items()):
             for s_key, entry in sorted(per_s.items(), key=lambda kv: float(kv[0])):
-                for g in entry["gains"]:
-                    rows.append([rho_key, s_key, g["J"], g["gain"],
-                                 entry["verdict"]])
+                rows += [{"zero_order": rho_key, "s": s_key, **g,
+                          "verdict": entry["verdict"]} for g in entry["gains"]]
         write("gain_curves.csv", ["zero_order", "s", "J", "gain", "verdict"],
               rows)
     elif record.scenario == "modulation_study":
-        rows = []
-        for r in record.metrics["limits"]["rows"]:
-            rows.append([r["N"], r["input"], r["converged"],
-                         r["stabilization_m"], r["psi_discrepancy"]])
-        write("limits.csv",
-              ["N", "input", "converged", "stabilization_m",
-               "psi_discrepancy"], rows)
+        write("limits.csv", ["N", "input", "converged", "stabilization_m",
+                             "psi_discrepancy"], metrics["limits"]["rows"])
     elif record.scenario == "inequality_suite":
-        rows = [[name, m.get("max_ratio"), m.get("threshold"), m.get("pass")]
-                for name, m in sorted(record.metrics.items())
-                if name != "summary"]
-        write("checks.csv", ["check", "max_ratio", "threshold", "pass"], rows)
+        write("checks.csv", ["check", "max_ratio", "threshold", "pass"],
+              [{"check": name, **m} for name, m in sorted(metrics.items())
+               if name != "summary"])
     return written

@@ -482,6 +482,76 @@ def test_ching_gains_match_per_s_loop(probe):
             assert curves[f"rho{rho}"][f"{s}"]["gains"] == gains
 
 
+def test_summaries_match_their_definitions():
+    """Every growth factor, stability span and refinement drift of a sweep
+    is recomputed from its gain table, and every variation and verdict of
+    a study from its gains: growth reads a curve at its least and largest
+    J, whatever order they were listed in, and a span is max / min - 1
+    over the positive gains, NaN when fewer than two are positive."""
+    def span(gains):
+        pos = [g for g in gains if g > 0]
+        return max(pos) / min(pos) - 1.0 if len(pos) > 1 else float("nan")
+
+    def same(a, b):
+        return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+    specs = [["F", 0.0, 2.0, 2.0], ["B", 1.0, 2.0, 1.0]]
+    for grid_sizes, J_values in (((64, 128), [5, 3, 4]), ((128,), [3, 4])):
+        cfg = small_cfg("boundedness_sweep", grid_sizes=grid_sizes,
+                        norm_specs=specs, symbol_params={"J_values": J_values})
+        metrics = run_scenario(cfg).metrics
+        growth, spans, drift = {}, {}, {}
+        for scale, s, p, q in specs:
+            rows = [r for r in metrics["gain_table"]["rows"]
+                    if [r["scale"], r["s"], r["p"], r["q"]] == [scale, s, p, q]]
+            key = f"{scale}_s{s}_p{p}_q{q}"
+            growth[key] = {}
+            for N in grid_sizes:
+                gain = {r["J"]: r["gain"] for r in rows if r["N"] == N}
+                if len(gain) < 2:
+                    continue
+                lo, hi = min(gain), max(gain)
+                growth[key][str(N)] = {
+                    "J_lo": lo, "J_hi": hi, "gain_lo": gain[lo],
+                    "gain_hi": gain[hi],
+                    "factor": gain[hi] / gain[lo] if gain[lo] > 0 else 0.0}
+            spans[key] = {"relative_span": span([r["gain"] for r in rows])}
+            drift[f"{scale}_s{s}"] = span([r["gain"] for r in rows
+                                           if r["J"] == min(J_values)])
+        assert same(metrics["growth_factors"]["per_spec"], growth)
+        assert same(metrics["stability_spans"]["per_spec"], spans)
+        assert same(metrics["refinement_drift"]["per_spec"], drift)
+        # one grid gives no drift to measure
+        assert all(np.isnan(v) for v in drift.values()) == (len(grid_sizes) == 1)
+
+    def study(J_values):
+        cfg = small_cfg("ching_study", grid_sizes=(256,), symbol_params={
+            "J_values": J_values, "s_values": [-1.0, -0.5, 0.5],
+            "zero_orders": [0, 1]})
+        metrics = run_scenario(cfg).metrics
+        verdicts, thresholds = {}, {}
+        for rho, per_s in metrics["gain_curves"]["curves"].items():
+            for s, entry in per_s.items():
+                assert [g["J"] for g in entry["gains"]] == J_values
+                gain = {g["J"]: g["gain"] for g in entry["gains"]}
+                variation = span(gain.values())
+                assert same(entry["variation"], variation)
+                verdicts[rho, s] = "stable" if variation < 0.2 else (
+                    "growth" if gain[max(gain)]
+                    >= 2.0 * gain[min(gain)] * (1.0 - 1e-9)
+                    else "indeterminate")
+                assert entry["verdict"] == verdicts[rho, s]
+            thresholds[rho] = min((float(s) for s in per_s
+                                   if verdicts[rho, s] == "stable"),
+                                  default=np.inf)
+        assert metrics["stability_thresholds"]["thresholds"] == thresholds
+        return verdicts, thresholds
+
+    listed, ordered = study([6, 5, 3]), study([3, 5, 6])
+    assert listed == ordered
+    assert listed[0]["rho0", "-1.0"] == "growth"
+
+
 def count_shared_work(monkeypatch):
     """Counters of the Ching rows built, random fields built, apply calls,
     the fields they map and the scatters they run, during one run."""
