@@ -3,7 +3,8 @@
     python3 .github/ceiling.py [--rss-limit MB] [--all-pass] [--label TEXT]
                                -- SCENARIO [RUN ARGS ...] --out DIR
 
-Exits non-zero when the run fails, when its peak RSS is above
+Exits non-zero when the run fails, when DIR/results.json is not strict
+JSON (a bare NaN or Infinity token), when its peak RSS is above
 ``--rss-limit``, or, with ``--all-pass``, unless every check in
 DIR/results.json passes and names its worst-case witness.
 """
@@ -15,6 +16,11 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+
+def reject_constant(token):
+    """parse_constant hook: strict JSON has no NaN or Infinity token."""
+    raise ValueError(f"results.json is not strict JSON: bare {token}")
 
 
 def main() -> int:
@@ -35,9 +41,10 @@ def main() -> int:
         line += f" (limit {args.rss_limit} MB)"
     print(f"{args.label} {line}" if args.label else line, flush=True)
     failed = args.rss_limit is not None and peak_mb > args.rss_limit
+    out = Path(args.run_args[args.run_args.index("--out") + 1])
+    metrics = json.loads((out / "results.json").read_text(),
+                         parse_constant=reject_constant)["metrics"]
     if args.all_pass:
-        out = Path(args.run_args[args.run_args.index("--out") + 1])
-        metrics = json.loads((out / "results.json").read_text())["metrics"]
         checks = [c for name, c in metrics.items() if name != "summary"]
         failed |= not (metrics["summary"]["all_pass"]
                        and all("witness" in c for c in checks))

@@ -73,13 +73,16 @@ def random_sparse_symbol(grid: TorusGrid, rng, d: float = 0.0,
     return DiscreteSymbol(grid, d, xi, rows)
 
 
-def lacunary_stack(grid: TorusGrid, theta, J: int, weights) -> SpectralField:
-    """sum_j w_j e^{i 2^j theta . x} on the lattice."""
-    theta = tuple(int(t) for t in (theta if hasattr(theta, "__len__") else (theta,)))
+def _on_ray(grid: TorusGrid, k: int) -> tuple:
+    """Array index of the lattice point k e_1."""
+    return grid.index_of((k,) + (0,) * (grid.n - 1))
+
+
+def lacunary_stack(grid: TorusGrid, weights) -> SpectralField:
+    """sum_j w_j e^{i 2^j x_1} on the lattice, j = 0..len(weights) - 1."""
     coeffs = np.zeros(grid.shape, dtype=np.complex128)
-    for j, w in zip(range(J + 1), weights):
-        pt = tuple(2**j * t for t in theta)
-        coeffs[grid.index_of(pt)] += w
+    for j, w in enumerate(weights):
+        coeffs[_on_ray(grid, 2**j)] += w
     return SpectralField.from_coeffs(grid, coeffs)
 
 
@@ -89,82 +92,64 @@ def optimal_stack_weights(J: int, source_smoothness: float) -> np.ndarray:
     return 2.0 ** (-2.0 * source_smoothness * np.arange(J + 1))
 
 
-def single_band_input(grid: TorusGrid, theta, j: int) -> SpectralField:
-    """One mode at 2^j theta."""
-    theta = tuple(int(t) for t in (theta if hasattr(theta, "__len__") else (theta,)))
-    pt = tuple(2**j * t for t in theta)
+def single_band_input(grid: TorusGrid, j: int) -> SpectralField:
+    """One mode at 2^j e_1."""
     coeffs = np.zeros(grid.shape, dtype=np.complex128)
-    coeffs[grid.index_of(pt)] = 1.0
+    coeffs[_on_ray(grid, 2**j)] = 1.0
     return SpectralField.from_coeffs(grid, coeffs)
 
 
-def offset_stack(grid: TorusGrid, theta, J: int, weights, delta: int = 1,
-                 j_start: int = 2) -> SpectralField | None:
-    """Coherent stack on the shifted lacunary points 2^j theta + delta e_1,
-    probing symbols whose profile vanishes exactly at theta."""
-    theta = tuple(int(t) for t in (theta if hasattr(theta, "__len__") else (theta,)))
-    coeffs = np.zeros(grid.shape, dtype=np.complex128)
-    placed = False
-    for j in range(j_start, J + 1):
-        pt = tuple(2**j * t for t in theta)
-        pt = (pt[0] + delta,) + pt[1:]
-        w = weights[j - j_start]
-        if w == 0.0:
-            continue
-        coeffs[grid.index_of(pt)] += w
-        placed = True
-    if not placed:
+def offset_stack(grid: TorusGrid, weights) -> SpectralField | None:
+    """sum_j w_j e^{i (2^j + 1) x_1}, j = 2..len(weights) + 1: a coherent
+    stack on the lacunary points shifted off the ray e_1, probing symbols
+    whose profile vanishes exactly there; None when no weight is nonzero."""
+    if not np.any(weights):
         return None
+    coeffs = np.zeros(grid.shape, dtype=np.complex128)
+    for j, w in enumerate(weights, start=2):
+        coeffs[_on_ray(grid, 2**j + 1)] += w
     return SpectralField.from_coeffs(grid, coeffs)
 
 
-def corpus_members(grid: TorusGrid, theta, J_values, seed: int, profile=None,
+def corpus_members(grid: TorusGrid, J_values, seed: int, profile,
                    n_random: int = 3):
     """Yield (J, members) for each J in ``J_values``, in order: the inputs
-    probing the operator norm of a lacunary symbol truncated at J, as
-    (name, member) pairs: coherent stacks on and off the lacunary ray,
-    single bands, and seeded random fields band-limited to |eta| <= 10,
-    below the first unresolved annulus.  A member is a field or, for the
-    two stacks weighted by the source smoothness s, a function of s giving
-    the field (None when no weight is nonzero).
+    probing the operator norm of a lacunary symbol with annular
+    ``profile``, truncated at J, as (name, member) pairs: coherent stacks
+    on and off the lacunary ray e_1, single bands, and seeded random fields
+    band-limited to |eta| <= 10, below the first unresolved annulus.  A
+    member is a field or, for the two stacks weighted by the source
+    smoothness s, a function of s giving the field (None when no weight is
+    nonzero).
 
-    With the symbol's annular ``profile`` given, the off-ray stack is
-    amplitude-adapted: weights b_j 2^{-2 j s} with b_j the profile value at
-    the shifted point, which maximizes the coherent output per unit of
-    source norm.  The random fields and the b_j, which do not depend on J,
-    are built once; a J's stacks and bands when that J is reached."""
-    th = tuple(int(t) for t in (theta if hasattr(theta, "__len__") else (theta,)))
-    j_start = 2
-    b = []
-    if profile is not None:
-        for j in range(j_start, max(J_values, default=0) + 1):
-            shifted = tuple((2**j * t + (1 if ax == 0 else 0)) / 2**j
-                            for ax, t in enumerate(th))
-            b.append(abs(complex(np.asarray(profile(*shifted)))))
+    The off-ray stack is amplitude-adapted: weights b_j 2^{-2 j s} with
+    b_j the profile value at the shifted point (1 + 2^-j) e_1, which
+    maximizes the coherent output per unit of source norm.  The random
+    fields and the b_j, which do not depend on J, are built once; a J's
+    stacks and bands when that J is reached."""
+    rest = (0.0,) * (grid.n - 1)
+    b = [abs(complex(np.asarray(profile((2**j + 1) / 2**j, *rest))))
+         for j in range(2, max(J_values, default=0) + 1)]
     randoms = [(f"random_{i}", random_band_limited_field(
         grid, rng_for(seed, 7, i), 10.0)) for i in range(n_random)]
     for J in J_values:
         items = [
             ("optimal_stack", lambda s, J=J: lacunary_stack(
-                grid, th, J, optimal_stack_weights(J, s))),
-            ("uniform_stack", lacunary_stack(grid, th, J, np.ones(J + 1))),
-            ("single_low", single_band_input(grid, th, 0)),
-            ("single_mid", single_band_input(grid, th, max(1, J // 2))),
-            ("single_top", single_band_input(grid, th, J)),
+                grid, optimal_stack_weights(J, s))),
+            ("uniform_stack", lacunary_stack(grid, np.ones(J + 1))),
+            ("single_low", single_band_input(grid, 0)),
+            ("single_mid", single_band_input(grid, max(1, J // 2))),
+            ("single_top", single_band_input(grid, J)),
         ]
-        if profile is not None and J >= j_start:
+        if J >= 2:
             items.append(("adapted_offset_stack", lambda s, J=J: offset_stack(
-                grid, th, J, np.array(b[:J - 1]) * 2.0 ** (
-                    -2.0 * s * np.arange(j_start, J + 1)),
-                delta=1, j_start=j_start)))
+                grid, np.array(b[:J - 1]) * 2.0 ** (
+                    -2.0 * s * np.arange(2, J + 1)))))
         yield J, items + randoms
 
 
 def standard_ching(grid: TorusGrid, d: float = 0.0, J: int = 4,
                    zero_order: int = 0, one_sided: bool = False) -> DiscreteSymbol:
     """The canonical lacunary counterexample symbol on this grid."""
-    theta = (1,) + (0,) * (grid.n - 1)
-    profile = ChingProfile(zero_order=zero_order,
-                           theta_hat=tuple(float(t) for t in theta),
-                           one_sided=one_sided)
-    return ching_symbol(grid, d, theta, profile, J)
+    return ching_symbol(grid, d, ChingProfile(zero_order=zero_order,
+                                              one_sided=one_sided), J)

@@ -125,15 +125,11 @@ PARAMETERS = {
         {"grid_sizes": _SIZE},
         {"d": (_NUMBER, 0.0), "J_values": (_INDICES, (3, 5, 6)),
          "zero_orders": (_INDICES, (0, 1, 2)),
-         "s_values": (_NUMBERS, (-2, -1.5, -1, -0.5, 0, 0.5, 1)),
-         # off-ray coherent probes sharpen the threshold location for zero
-         # orders >= 1 but deliberately chase the slowly-converging
-         # extremal direction; off by default so stability verdicts
-         # reflect the grid-stable corpus
-         "probe_offsets": (_FLAG, False)}),
+         "s_values": (_NUMBERS, (-2, -1.5, -1, -0.5, 0, 0.5, 1))}),
     "modulation_study": (
         {"symbol_family": _FAMILY, "modulations": _CUTOFFS},
-        # per symbol_family; J None: the widest Ching that the grid resolves
+        # per symbol_family; J None: one below the widest J that fits the
+        # grid (5 * 2^(J-2) < N/2)
         {"ching": {"d": (_NUMBER, 0.0), "J": (_INDEX, None),
                    "zero_order": (_INDEX, 0), "one_sided": (_FLAG, True)},
          "multiplier": {"d": (_NUMBER, 0.0)}, "random": {"d": (_NUMBER, 0.0)},
@@ -251,9 +247,10 @@ class ResultRecord:
     tool_version: str = __version__
 
     def metrics_payload(self) -> bytes:
-        """Canonical bytes of the metrics block (used by determinism checks)."""
-        return json.dumps(self.metrics, sort_keys=True,
-                          separators=(",", ":")).encode()
+        """Canonical bytes of the metrics block (used by determinism checks),
+        strict JSON as ``results.json`` writes it."""
+        return json.dumps(_strict_json(self.metrics), sort_keys=True,
+                          separators=(",", ":"), allow_nan=False).encode()
 
     def covered_claims(self) -> set:
         return {m.get("claim") for m in self.metrics.values()
@@ -315,7 +312,7 @@ def _ching_fits(J: int, N: int) -> bool:
 def _ching_ladder(grid: TorusGrid, d: float, J_values, zero_order: int) -> list:
     """(J, standard_ching(grid, d, J, zero_order)) for each J in ``J_values``
     that fits the grid: the symbol at the largest such J, cut to its first
-    J + 1 rows (row j, at xi = -2^j theta, does not depend on J)."""
+    J + 1 rows (row j, at xi = -2^j e_1, does not depend on J)."""
     fits = [J for J in J_values if _ching_fits(J, grid.N)]
     if not fits:
         return []
@@ -325,17 +322,14 @@ def _ching_ladder(grid: TorusGrid, d: float, J_values, zero_order: int) -> list:
 
 
 def _gain_table(cfg: ExperimentConfig, grid: TorusGrid, part, zero_order: int,
-                cases, adapted: bool) -> list:
+                cases) -> list:
     """[(J, [{gain, argmax} per case])] of the Ching symbol of ``zero_order``
-    for each J in ``J_values`` that fits the grid, over its corpus; the
-    off-ray stack is adapted to the zero order's profile when ``adapted``."""
-    theta = (1,) + (0,) * (grid.n - 1)
-    profile = ChingProfile(zero_order=zero_order,
-                           theta_hat=tuple(float(t) for t in theta))
+    for each J in ``J_values`` that fits the grid, over its corpus, whose
+    off-ray stack is adapted to the zero order's profile."""
     ladder = _ching_ladder(grid, float(cfg.param("d")), cfg.param("J_values"),
                            zero_order)
-    corpus = corpus_members(grid, theta, [J for J, _ in ladder], cfg.seed,
-                            profile=profile if adapted else None,
+    corpus = corpus_members(grid, [J for J, _ in ladder], cfg.seed,
+                            ChingProfile(zero_order=zero_order),
                             n_random=cfg.corpus_size)
     return [(J, _grid_gain(a, members, cases, part))
             for (J, a), (_, members) in zip(ladder, corpus)]
@@ -374,15 +368,14 @@ def run_boundedness_sweep(cfg: ExperimentConfig) -> dict:
         grid = TorusGrid(cfg.grid_n, N)
         part = make_partition(make_modulation(cfg.partition_r,
                                               cfg.partition_R), grid)
-        ref = lacunary_stack(grid, (1,) + (0,) * (grid.n - 1), J_min,
-                             np.ones(J_min + 1))
+        ref = lacunary_stack(grid, np.ones(J_min + 1))
         for scale, s, p, q in specs:
             norm_rows.append({"scale": scale, "s": _f(s), "p": _f(p),
                               "q": _f(q), "N": N,
                               "value": _f(space_norm(
                                   ref, NormSpec(scale, s, p, q), part))})
         for J, results in _gain_table(cfg, grid, part, cfg.param("zero_order"),
-                                      cases, adapted=True):
+                                      cases):
             for (scale, s, p, q), res in zip(specs, results):
                 rows.append({"N": N, "J": J, "scale": scale, "s": _f(s),
                              "p": _f(p), "q": _f(q), "gain": res["gain"],
@@ -433,8 +426,7 @@ def run_ching_study(cfg: ExperimentConfig) -> dict:
              for s in s_values]
     curves, thresholds = {}, {}
     for rho in zero_orders:
-        table = _gain_table(cfg, grid, part, rho, cases,
-                            adapted=cfg.param("probe_offsets"))
+        table = _gain_table(cfg, grid, part, rho, cases)
         per_s = {}
         for i, s in enumerate(s_values):
             gains = [{"J": J, "gain": res[i]["gain"]} for J, res in table]
@@ -523,10 +515,9 @@ def run_modulation_study(cfg: ExperimentConfig) -> dict:
         inputs = [(f"random_{i}", random_band_limited_field(
             grid, rng_for(cfg.seed, 3, i), 10.0))
             for i in range(cfg.corpus_size)]
-        inputs.append(("lacunary_stack", lacunary_stack(
-            grid, (1,) + (0,) * (grid.n - 1), J, np.ones(J + 1))))
+        inputs.append(("lacunary_stack", lacunary_stack(grid, np.ones(J + 1))))
         for name, u in inputs:
-            rep = modulation_limit(a, u, psis, tol=1e-10)
+            rep = modulation_limit(a, u, psis)
             conv_rows.append({"N": N, "input": name,
                               "converged": rep.converged,
                               "verdict": "converged" if rep.converged
@@ -803,8 +794,9 @@ def write_outputs(record: ResultRecord, out_dir) -> dict:
     out = Path(out_dir)
     (out / "tables").mkdir(parents=True, exist_ok=True)
     results_path = out / "results.json"
-    results_path.write_text(json.dumps(asdict(record), sort_keys=True,
-                                       indent=2, default=_json_default))
+    results_path.write_text(json.dumps(_strict_json(asdict(record)),
+                                       sort_keys=True, indent=2,
+                                       allow_nan=False))
     tables = _write_tables(record, out / "tables")
     manifest = {
         "tool": "paradiff-lab",
@@ -822,12 +814,17 @@ def write_outputs(record: ResultRecord, out_dir) -> dict:
             "manifest": str(out / "manifest.json")}
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not serializable: {type(obj)}")
+def _strict_json(obj):
+    """``obj`` with each non-finite float as the string "NaN", "Infinity"
+    or "-Infinity": strict JSON parsers reject the bare tokens that
+    ``json.dumps`` writes for them by default."""
+    if isinstance(obj, dict):
+        return {k: _strict_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict_json(v) for v in obj]
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return {np.inf: "Infinity", -np.inf: "-Infinity"}.get(obj, "NaN")
+    return obj
 
 
 def _write_tables(record: ResultRecord, table_dir: Path) -> list:

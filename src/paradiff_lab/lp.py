@@ -79,7 +79,7 @@ class LPPartition:
     psi : ModulationFunction
     grid : TorusGrid
     h : int
-        Band-separation integer, h >= 2 and 2R < r 2^h.
+        Band-separation integer, the smallest h >= 2 with 2R < r 2^h.
     J_max : int
         Finest level with R * 2^J_max <= nyquist.
     """
@@ -137,24 +137,16 @@ class LPPartition:
         return self._weights[2]
 
 
-def make_partition(psi: ModulationFunction, grid: TorusGrid,
-                   h: int | None = None) -> LPPartition:
-    """Attach a dyadic partition to a grid.
-
-    h defaults to the minimal admissible gap; callers may only enlarge it.
-    """
+def make_partition(psi: ModulationFunction, grid: TorusGrid) -> LPPartition:
+    """Attach a dyadic partition to a grid, with the minimal admissible gap
+    h = ``minimal_gap(psi)``."""
     if psi.R >= grid.nyquist:
         raise GridTooCoarse(
             f"support radius {psi.R} >= nyquist {grid.nyquist}")
-    h_min = minimal_gap(psi)
-    if h is None:
-        h = h_min
-    elif h < h_min:
-        raise ValueError(f"h must be >= {h_min}")
     J_max = int(np.floor(np.log2(grid.nyquist / psi.R) + 1e-12))
     while psi.R * 2 ** (J_max + 1) <= grid.nyquist:
         J_max += 1
-    return LPPartition(psi, grid, h, J_max)
+    return LPPartition(psi, grid, minimal_gap(psi), J_max)
 
 
 def check_grid(part: LPPartition, grid: TorusGrid) -> None:

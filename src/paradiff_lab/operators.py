@@ -10,7 +10,7 @@ so no loose 2*pi factors appear anywhere downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -137,17 +137,20 @@ class LimitReport:
     value: SpectralField
     psi_discrepancy: float
     cauchy_profile: list          # one list of sup-norm differences per psi
-    psi_params: list = field(default_factory=list)
-    tol: float = 0.0
 
 
-def modulation_limit(a: DiscreteSymbol, u: SpectralField, psis,
-                     tol: float = 1e-10) -> LimitReport:
+#: Sup-norm difference at or below which modulation levels (and cutoffs)
+#: count as agreeing in ``modulation_limit``.
+LIMIT_TOL = 1e-10
+
+
+def modulation_limit(a: DiscreteSymbol, u: SpectralField, psis) -> LimitReport:
     """Run the modulation sweep m = 0..saturation for each cutoff, one
     scatter and inverse FFT per block of levels (``BLOCK_ENTRIES`` entries).
 
     Converged means: for every psi the successive differences fall (and
-    stay) below tol, and the final values across the cutoffs agree to tol.
+    stay) below ``LIMIT_TOL``, and the final values across the cutoffs
+    agree to ``LIMIT_TOL``.
     The full Cauchy profiles are reported so that refinement studies can
     detect non-decaying differences.
     """
@@ -171,17 +174,16 @@ def modulation_limit(a: DiscreteSymbol, u: SpectralField, psis,
         profiles.append(diffs)
         finals.append(SpectralField(grid, coeffs[-1], prev))
         stabilizations.append(next((m for m in range(len(diffs) + 1) if all(
-            d <= tol for d in diffs[m:])), None))
+            d <= LIMIT_TOL for d in diffs[m:])), None))
     disc = 0.0
     for i in range(len(finals)):
         for j in range(i + 1, len(finals)):
             disc = max(disc, float(np.max(np.abs(
                 finals[i].values - finals[j].values))))
     per_psi_ok = all(s is not None for s in stabilizations)
-    converged = per_psi_ok and disc <= tol
+    converged = per_psi_ok and disc <= LIMIT_TOL
     stab_m = max(stabilizations) if per_psi_ok else None
-    return LimitReport(converged, stab_m, finals[0], disc, profiles,
-                       [{"r": p.r, "R": p.R} for p in psis], tol)
+    return LimitReport(converged, stab_m, finals[0], disc, profiles)
 
 
 def compose_multiplier(a: DiscreteSymbol, b) -> DiscreteSymbol:

@@ -351,54 +351,38 @@ def estimate_seminorm(a: DiscreteSymbol, alpha, beta) -> SymbolSeminorm:
 
 @dataclass(frozen=True)
 class ChingProfile:
-    """Annular bump A supported in {3/4 <= |eta| <= 5/4}, optionally with a
-    directional zero of order ``zero_order`` at the unit vector theta_hat,
-    or restricted to a one-sided neighbourhood of theta_hat."""
+    """Annular bump A supported in {3/4 <= |eta| <= 5/4}, equal to 1 on
+    {7/8 <= |eta| <= 9/8}, optionally with a zero of order ``zero_order``
+    at e_1, or restricted to a one-sided neighbourhood of e_1."""
 
     zero_order: int = 0
-    theta_hat: tuple = (1.0,)
-    inner: float = 0.75
-    outer: float = 1.25
-    plateau_lo: float = 0.875
-    plateau_hi: float = 1.125
     one_sided: bool = False
 
     def __post_init__(self):
         if self.zero_order < 0:
             raise ValueError("zero_order must be >= 0")
 
-    def _radial(self, rho: np.ndarray) -> np.ndarray:
-        rise = 1.0 - ModulationFunction(self.inner, self.plateau_lo)(rho)
-        fall = ModulationFunction(self.plateau_hi, self.outer)(rho)
-        return rise * fall
-
     def __call__(self, *eta_axes) -> np.ndarray:
         comps = [np.asarray(e, dtype=float) for e in eta_axes]
         rho = np.sqrt(sum(c**2 for c in comps))
-        out = self._radial(rho)
-        th = np.asarray(self.theta_hat, dtype=float)
-        th = th / np.linalg.norm(th)
-        radial_coord = sum(c * t for c, t in zip(comps, th))
+        out = ((1.0 - ModulationFunction(0.75, 0.875)(rho))
+               * ModulationFunction(1.125, 1.25)(rho))
         if self.zero_order > 0:
-            out = out * (radial_coord - 1.0) ** self.zero_order
+            out = out * (comps[0] - 1.0) ** self.zero_order
         if self.one_sided:
-            # keep only the component of the annulus around +theta_hat
+            # keep only the component of the annulus around +e_1
             out = out * (1.0 - ModulationFunction(0.5, 0.75)(
-                np.maximum(radial_coord, 0.0)))
+                np.maximum(comps[0], 0.0)))
         return out
 
 
-def ching_symbol(grid: TorusGrid, d: float, theta, A, J: int) -> DiscreteSymbol:
-    """Lacunary symbol  sum_{j=0..J} 2^{jd} e^{-i 2^j x.theta} A(2^-j eta).
+def ching_symbol(grid: TorusGrid, d: float, A, J: int) -> DiscreteSymbol:
+    """Lacunary symbol  sum_{j=0..J} 2^{jd} e^{-i 2^j x_1} A(2^-j eta).
 
-    ``theta`` is an integer lattice direction; ``A`` an annular profile
-    supported in {3/4 <= |eta| <= 5/4}, so the terms occupy disjoint
-    frequency annuli.  Requires (5/4) 2^J < nyquist.  Stored as J + 1
-    xi-rows: xi_j = -2^j theta with row 2^{jd} A(2^-j .).
+    ``A`` is an annular profile supported in {3/4 <= |eta| <= 5/4}, so the
+    terms occupy disjoint frequency annuli.  Requires (5/4) 2^J < nyquist.
+    Stored as J + 1 xi-rows: xi_j = -2^j e_1 with row 2^{jd} A(2^-j .).
     """
-    theta = tuple(int(t) for t in (theta if hasattr(theta, "__len__") else (theta,)))
-    if len(theta) != grid.n:
-        raise ValueError("theta dimension mismatch")
     if 5 * 2 ** (J - 2) >= grid.nyquist:
         raise GridTooCoarse(
             f"5*2^(J-2) = {5 * 2**(J-2)} >= nyquist {grid.nyquist}")
@@ -407,7 +391,7 @@ def ching_symbol(grid: TorusGrid, d: float, theta, A, J: int) -> DiscreteSymbol:
     rows = [2.0 ** (j * d) * np.broadcast_to(A(*[k / 2**j for k in ks]),
                                              grid.shape)
             for j in range(J + 1)]
-    xi = [[-(2**j) * t for t in theta] for j in range(J + 1)]
+    xi = [[-(2**j)] + [0] * (grid.n - 1) for j in range(J + 1)]
     return DiscreteSymbol(grid, d, xi, rows)
 
 

@@ -132,14 +132,11 @@ class SpectralField:
     def zero(cls, grid: TorusGrid):
         return cls(grid, np.zeros(grid.shape, dtype=np.complex128))
 
-    def support(self, threshold=None) -> np.ndarray:
+    def support(self) -> np.ndarray:
         """Lattice mask of the frequencies whose coefficient modulus exceeds
-        ``threshold``, by default ``SUPPORT_REL_THRESHOLD`` of the largest
-        modulus."""
+        ``SUPPORT_REL_THRESHOLD`` of the largest modulus."""
         mag = np.abs(self.coeffs)
-        if threshold is None:
-            threshold = SUPPORT_REL_THRESHOLD * float(np.max(mag, initial=0.0))
-        return mag > threshold
+        return mag > SUPPORT_REL_THRESHOLD * float(np.max(mag, initial=0.0))
 
     def band_limit(self) -> float:
         """Largest |eta| in the spectral support (0.0 for the zero field)."""

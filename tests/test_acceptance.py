@@ -117,7 +117,7 @@ def test_acceptance_05_modulation_independence():
         coeffs = u.coeffs.copy()
         coeffs[grid.index_of((edge,))] = 1.0  # pin the band edge
         u = SpectralField.from_coeffs(grid, coeffs)
-        rep = modulation_limit(a, u, psis, tol=1e-10)
+        rep = modulation_limit(a, u, psis)
         assert rep.converged
         worst_disc = max(worst_disc, rep.psi_discrepancy)
         bw = max(u.band_limit(), np.max(grid.freq_norms()[a.xi_support()]))

@@ -55,32 +55,28 @@ def test_rng_streams_deterministic():
 def test_corpus_sparse_supports_exact():
     g = TorusGrid(1, 64)
     u = random_band_limited_field(g, rng_for(9, 4), 9.0, modes=8)
-    assert np.count_nonzero(u.support(threshold=0.0)) <= 8
+    assert np.count_nonzero(u.coeffs != 0) <= 8
     assert u.band_limit() <= 9.0
 
 
-def boundedness_corpus(grid, theta, J, source_s, seed, profile=None,
-                       n_random=3):
+def boundedness_corpus(grid, J, source_s, seed, profile, n_random=3):
     """The corpus at one source smoothness, built whole the way the sweeps
     built it for every spec and s: the reference for corpus_members."""
     items = [
-        ("optimal_stack", lacunary_stack(grid, theta, J,
+        ("optimal_stack", lacunary_stack(grid,
                                          optimal_stack_weights(J, source_s))),
-        ("uniform_stack", lacunary_stack(grid, theta, J, np.ones(J + 1))),
-        ("single_low", single_band_input(grid, theta, 0)),
-        ("single_mid", single_band_input(grid, theta, max(1, J // 2))),
-        ("single_top", single_band_input(grid, theta, J)),
+        ("uniform_stack", lacunary_stack(grid, np.ones(J + 1))),
+        ("single_low", single_band_input(grid, 0)),
+        ("single_mid", single_band_input(grid, max(1, J // 2))),
+        ("single_top", single_band_input(grid, J)),
     ]
-    j_start = 2
-    if profile is not None and J >= j_start:
-        th = tuple(int(t) for t in theta)
+    if J >= 2:
         b = []
-        for j in range(j_start, J + 1):
-            shifted = tuple((2**j * t + (1 if ax == 0 else 0)) / 2**j
-                            for ax, t in enumerate(th))
+        for j in range(2, J + 1):
+            shifted = ((2**j + 1) / 2**j,) + (0.0,) * (grid.n - 1)
             b.append(abs(complex(np.asarray(profile(*shifted)))))
-        w = np.array(b) * 2.0 ** (-2.0 * source_s * np.arange(j_start, J + 1))
-        off = offset_stack(grid, th, J, w, delta=1, j_start=j_start)
+        w = np.array(b) * 2.0 ** (-2.0 * source_s * np.arange(2, J + 1))
+        off = offset_stack(grid, w)
         if off is not None:
             items.append(("adapted_offset_stack", off))
     for i in range(n_random):
@@ -104,7 +100,7 @@ def per_spec_gain(a, items, spec_src, spec_dst, part):
 
 def test_boundedness_corpus_members():
     g = TorusGrid(1, 256)
-    [(J, members)] = corpus_members(g, (1,), [5], seed=7)
+    [(J, members)] = corpus_members(g, [5], 7, ChingProfile())
     items = dict(members)
     assert J == 5
     assert {"optimal_stack", "uniform_stack", "single_low",
@@ -113,13 +109,13 @@ def test_boundedness_corpus_members():
     # every J, in the order given, and at every s the members are the
     # reference corpus, in its order
     J_values = [5, 3, 1, 4, 5]
-    for profile in (None, ChingProfile(zero_order=1)):
-        corpus = corpus_members(g, (1,), J_values, 7, profile, n_random=2)
+    for profile in (ChingProfile(), ChingProfile(zero_order=1)):
+        corpus = corpus_members(g, J_values, 7, profile, n_random=2)
         seen = []
         for J, members in corpus:
             seen.append(J)
             for s in (-1.0, 0.5):
-                ref = boundedness_corpus(g, (1,), J, s, 7, profile, n_random=2)
+                ref = boundedness_corpus(g, J, s, 7, profile, n_random=2)
                 got = [(name, u(s) if callable(u) else u)
                        for name, u in members]
                 got = [(name, u) for name, u in got if u is not None]
@@ -407,28 +403,25 @@ def test_modulation_study_flags_divergence():
             assert row["psi_discrepancy"] <= 1e-10
 
 
-def test_ching_study_probe_offsets():
-    # the off-ray probes only add inputs to the corpus, so no gain falls;
-    # on the rho = 1 ray at s = -1 they reach the extremal direction and
-    # the verdict turns from stable (0.81 / 0.81) to growth (1.00 / 3.00)
-    def curves(probe):
-        cfg = small_cfg("ching_study", grid_sizes=(256,), symbol_params={
-            "J_values": [3, 5], "s_values": [-1.0, 0.0, 1.0],
-            "zero_orders": [0, 1], "probe_offsets": probe})
-        return run_scenario(cfg).metrics["gain_curves"]["curves"]
+def test_ching_study_thresholds_step_down_per_zero_order():
+    # the off-ray stack, adapted to each zero order's profile, reaches the
+    # growth that a zero of order rho at e_1 leaves on the ray: at the
+    # PARAMETERS defaults the thresholds step down one grid s per order
+    rec = run_scenario(ExperimentConfig(scenario="ching_study").normalized())
+    found = rec.metrics["stability_thresholds"]
+    assert found["thresholds"] == {"rho0": 0.5, "rho1": -0.5, "rho2": -1.5}
+    ordered = list(found["thresholds"].values())
+    assert all(a > b for a, b in zip(ordered, ordered[1:]))
+    assert found["monotone"]
 
-    plain, probed = curves(False), curves(True)
-    for rho, per_s in plain.items():
-        for s, entry in per_s.items():
-            pairs = list(zip(entry["gains"], probed[rho][s]["gains"]))
-            assert len(pairs) == 2
-            for g0, g1 in pairs:
-                assert g0["J"] == g1["J"] and g1["gain"] >= g0["gain"]
-    rho1 = list(zip(plain["rho1"]["-1.0"]["gains"],
-                    probed["rho1"]["-1.0"]["gains"]))
-    assert any(g1["gain"] > g0["gain"] for g0, g1 in rho1)
-    assert plain["rho1"]["-1.0"]["verdict"] == "stable"
-    assert probed["rho1"]["-1.0"]["verdict"] == "growth"
+
+def test_ching_study_cli_default_finds_rho1_growth():
+    # the rho = 1 curve at s = -1 grows (1.00 / 3.00), where a corpus on
+    # the ray alone read it flat (0.81 / 0.81)
+    cfg = ExperimentConfig(scenario="ching_study",
+                           **DEFAULT_CONFIGS["ching_study"]).normalized()
+    curves = run_scenario(cfg).metrics["gain_curves"]["curves"]
+    assert curves["rho1"]["-1.0"]["verdict"] == "growth"
 
 
 def test_sweep_gains_match_per_spec_loop():
@@ -438,7 +431,7 @@ def test_sweep_gains_match_per_spec_loop():
                     symbol_params={"d": d, "zero_order": 1,
                                    "J_values": [3, 5, 4]})
     rows = run_scenario(cfg).metrics["gain_table"]["rows"]
-    profile = ChingProfile(zero_order=1, theta_hat=(1.0,))
+    profile = ChingProfile(zero_order=1)
     expect = []
     for N in (64, 128):
         grid = TorusGrid(1, N)
@@ -448,7 +441,7 @@ def test_sweep_gains_match_per_spec_loop():
                 continue
             a = standard_ching(grid, d, J, 1)
             for s, p, q in specs:
-                corp = boundedness_corpus(grid, (1,), J, s + d, 5, profile,
+                corp = boundedness_corpus(grid, J, s + d, 5, profile,
                                           n_random=2)
                 res = per_spec_gain(a, corp, NormSpec("F", s + d, p, q),
                                     NormSpec("F", s, p, q), part)
@@ -458,27 +451,37 @@ def test_sweep_gains_match_per_spec_loop():
     assert rows == expect
 
 
-@pytest.mark.parametrize("probe", [False, True], ids=["plain", "probed"])
-def test_ching_gains_match_per_s_loop(probe):
+@pytest.mark.parametrize("split", [True, False], ids=["plain", "probed"])
+def test_ching_gains_match_per_s_loop(split):
+    """Every gain is the per-s loop's over the whole corpus ("probed"), and
+    is the larger of the gains over the on-ray members alone and over the
+    adapted off-ray stack alone ("plain"): the probe only adds to the gain
+    that a corpus on the ray reads."""
     d, s_values, J_values = 0.5, (-1.0, 0.0, 0.5), (3, 5, 4)
     cfg = small_cfg("ching_study", grid_sizes=(128,), seed=2, symbol_params={
         "d": d, "J_values": list(J_values), "s_values": list(s_values),
-        "zero_orders": [0, 2], "probe_offsets": probe})
+        "zero_orders": [0, 2]})
     curves = run_scenario(cfg).metrics["gain_curves"]["curves"]
     grid = TorusGrid(1, 128)
     part = make_partition(make_modulation(1.0, 2.0), grid)
     for rho in (0, 2):
-        profile = ChingProfile(zero_order=rho, theta_hat=(1.0,))
+        profile = ChingProfile(zero_order=rho)
         for s in s_values:
             gains = []
             for J in J_values:
-                corp = boundedness_corpus(grid, (1,), J, s + d, 2,
-                                          profile if probe else None,
+                corp = boundedness_corpus(grid, J, s + d, 2, profile,
                                           n_random=2)
-                res = per_spec_gain(standard_ching(grid, d, J, rho), corp,
-                                    NormSpec("F", s + d, 2.0, 2.0),
-                                    NormSpec("F", s, 2.0, 2.0), part)
-                gains.append({"J": J, "gain": res["gain"]})
+                parts = [corp]
+                if split:
+                    off = [m[0] == "adapted_offset_stack" for m in corp]
+                    assert sum(off) == 1
+                    parts = [[m for m, o in zip(corp, off) if o is x]
+                             for x in (False, True)]
+                gain = max(per_spec_gain(standard_ching(grid, d, J, rho), c,
+                                         NormSpec("F", s + d, 2.0, 2.0),
+                                         NormSpec("F", s, 2.0, 2.0),
+                                         part)["gain"] for c in parts)
+                gains.append({"J": J, "gain": gain})
             assert curves[f"rho{rho}"][f"{s}"]["gains"] == gains
 
 
@@ -601,8 +604,12 @@ def test_sweep_shares_symbols_and_applies(monkeypatch):
     assert count["rows"] == (4 + 1) + (5 + 1)
 
 
-@pytest.mark.parametrize("probe", [False, True], ids=["plain", "probed"])
-def test_ching_study_shares_symbols_and_applies(probe, monkeypatch):
+@pytest.mark.parametrize("J_values,weighted", [
+    ([0, 1, 6], 1),     # below J = 2 the corpus holds no off-ray stack
+    ([3, 4, 6], 2),     # optimal and adapted offset stacks
+], ids=["plain", "probed"])
+def test_ching_study_shares_symbols_and_applies(J_values, weighted,
+                                                monkeypatch):
     """Per zero order one Ching ladder and one build of each random field
     (the adapted stack reads the zero order's profile); per (zero order, J)
     one scatter for the fixed members, and per s one for the s-weighted
@@ -610,17 +617,17 @@ def test_ching_study_shares_symbols_and_applies(probe, monkeypatch):
     count = count_shared_work(monkeypatch)
     s_values, zero_orders = [-1.0, 0.0, 0.5], [0, 1, 2]
     cfg = small_cfg("ching_study", grid_sizes=(128,), symbol_params={
-        "J_values": [3, 4, 6], "s_values": s_values,
-        "zero_orders": zero_orders, "probe_offsets": probe})
+        "J_values": J_values, "s_values": s_values,
+        "zero_orders": zero_orders})
     run_scenario(cfg)
     cells = len(zero_orders) * 2      # J = 6 does not fit N = 128
     fixed = 4 + cfg.corpus_size
-    weighted = 2 if probe else 1      # the adapted stack only when probing
     assert count["apply"] == count["scatter"] == cells * (1 + len(s_values))
     assert count["images"] == cells * (fixed + len(s_values) * weighted)
     assert count["random"] == len(zero_orders) * cfg.corpus_size
-    # one ladder per zero order, and the adjoint probe's J = 2, 4 ladder
-    assert count["rows"] == len(zero_orders) * (4 + 1) + (4 + 1)
+    # one ladder per zero order up to its largest fitting J, and the
+    # adjoint probe's J = 2, 4 ladder
+    assert count["rows"] == len(zero_orders) * (J_values[1] + 1) + (4 + 1)
 
 
 @pytest.mark.parametrize("scenario,params", [
@@ -698,6 +705,35 @@ def test_outputs_layout(tmp_path):
     table = Path(paths["tables"][0]).read_text().splitlines()
     assert table[0].startswith("check,")
     assert len(table) > 5
+
+
+def _strict_loads(text):
+    """json.loads that rejects the bare NaN, Infinity and -Infinity tokens."""
+    def reject(token):
+        raise ValueError(f"bare {token} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("case", ["nan_drift", "inf_threshold"])
+def test_results_are_strict_json(case, tmp_path):
+    """results.json and the metrics payload write a non-finite float as
+    the string "NaN", "Infinity" or "-Infinity"."""
+    if case == "nan_drift":          # a one-grid sweep drifts by NaN
+        rec = run_scenario(small_cfg("boundedness_sweep"))
+        where, want = ("refinement_drift", "per_spec", "F_s0.0"), "NaN"
+    else:                            # no stable s: the threshold is inf
+        rec = run_scenario(small_cfg("ching_study", symbol_params={
+            "J_values": [3, 4], "s_values": [-1.0], "zero_orders": [0]}))
+        where, want = ("stability_thresholds", "thresholds", "rho0"), "Infinity"
+    results = _strict_loads(Path(write_outputs(rec, tmp_path)["results"])
+                            .read_text())
+    for leaf in (results["metrics"], _strict_loads(rec.metrics_payload())):
+        for key in where:
+            leaf = leaf[key]
+        assert leaf == want
+    assert experiments._strict_json(
+        {"a": [-np.inf, np.float64(np.nan)], "b": (1.5, 2)}) == \
+        {"a": ["-Infinity", "NaN"], "b": [1.5, 2]}
 
 
 def test_cli_smoke(tmp_path, capsys):

@@ -228,7 +228,6 @@ def limit_cases(grid):
     """Ching, identity and random symbols against a band-limited input and
     a lacunary stack, as ``modulation_study`` builds them."""
     J = int(np.floor(np.log2(grid.nyquist / 1.25))) - 1
-    theta = (1,) + (0,) * (grid.n - 1)
     symbols_ = {"ching": standard_ching(grid, 0.0, J, one_sided=True),
                 "identity": DiscreteSymbol.identity(grid),
                 "random": random_sparse_symbol(
@@ -236,7 +235,7 @@ def limit_cases(grid):
                     eta_band=grid.nyquist / 4)}
     inputs = {"band_limited": random_band_limited_field(
                   grid, rng_for(80, grid.n), 10.0),
-              "lacunary": lacunary_stack(grid, theta, J, np.ones(J + 1))}
+              "lacunary": lacunary_stack(grid, np.ones(J + 1))}
     return [(sn, a, un, u) for sn, a in symbols_.items()
             for un, u in inputs.items()]
 
@@ -281,7 +280,7 @@ def test_modulation_limit_memory():
     grid = TorusGrid(1, 65536)
     a = standard_ching(grid, 0.0, 13, one_sided=True)
     for v in (random_band_limited_field(grid, rng_for(80, 1), 10.0),
-              lacunary_stack(grid, (1,), 13, np.ones(14))):
+              lacunary_stack(grid, np.ones(14))):
         tracemalloc.start()
         try:
             modulation_limit(a, v, LIMIT_PSIS)
@@ -559,7 +558,11 @@ def test_space_norm_many_matches_one_at_a_time(n, N):
     part = make_partition(make_modulation(1.0, 2.0), grid)
     other = random_band_limited_field(grid, rng_for(79, grid.n),
                                       grid.nyquist / 2)
-    stack = lacunary_stack(grid, (1,) * n, part.J_max, np.ones(part.J_max + 1))
+    # a stack on the diagonal rays 2^j (1, ..., 1), at non-axis radii in 2-D
+    coeffs = np.zeros(grid.shape, dtype=np.complex128)
+    for j in range(part.J_max + 1):
+        coeffs[grid.index_of((2**j,) * n)] = 1.0
+    stack = SpectralField.from_coeffs(grid, coeffs)
     fields = [*norm_fields(grid).values(), other, stack]
     for scale in ("B", "F"):
         for p in EXPONENTS:

@@ -45,10 +45,14 @@ def test_bad_radii():
         make_modulation(-1.0, 2.0)
 
 
-def test_minimal_gap():
+def test_minimal_gap(grid):
     # 2R < r 2^h with r=1, R=2 forces h=3 (4 < 8)
     assert minimal_gap(make_modulation(1.0, 2.0)) == 3
     assert minimal_gap(make_modulation(1.0, 1.5)) == 2
+    # a partition takes the minimal gap
+    for r, R in ((1.0, 2.0), (1.0, 1.5), (0.5, 3.0)):
+        psi = make_modulation(r, R)
+        assert make_partition(psi, grid).h == minimal_gap(psi)
 
 
 def test_partition_parameters(grid, part):
@@ -60,13 +64,6 @@ def test_partition_grid_too_coarse():
     grid = TorusGrid(1, 16)
     with pytest.raises(GridTooCoarse):
         make_partition(make_modulation(4.0, 9.0), grid)
-
-
-def test_partition_h_override(grid):
-    psi = make_modulation(1.0, 2.0)
-    assert make_partition(psi, grid, h=5).h == 5
-    with pytest.raises(ValueError):
-        make_partition(psi, grid, h=2)
 
 
 def test_telescoping_identity_on_lattice(grid, part):

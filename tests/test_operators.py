@@ -85,7 +85,7 @@ def test_apply_ching_beyond_the_dense_cap():
     grid = TorusGrid(1, 8192)
     J = 10
     a = standard_ching(grid, 0.0, J)
-    v = apply(a, lacunary_stack(grid, (1,), J, np.ones(J + 1)))
+    v = apply(a, lacunary_stack(grid, np.ones(J + 1)))
     assert np.max(np.abs(v.values - (J + 1))) <= 1e-12 * (J + 1)
     with pytest.raises(TooLarge):
         a.values
@@ -158,7 +158,7 @@ def test_modulation_limit_band_limited(grid):
     rng = rng_for(33, 0)
     a = random_sparse_symbol(grid, rng, d=0.0, x_band=8, eta_band=8)
     u = random_band_limited_field(grid, rng, 8.0)
-    rep = modulation_limit(a, u, psis, tol=1e-10)
+    rep = modulation_limit(a, u, psis)
     assert rep.converged
     assert rep.psi_discrepancy <= 1e-12
     limit = apply(a, u)
@@ -174,7 +174,7 @@ def test_modulation_limit_identity_stabilizes_at_bandwidth(grid):
     psis = [make_modulation(1.0, 2.0), make_modulation(1.25, 2.25)]
     a = DiscreteSymbol.identity(grid)
     u = mode(grid, 12)
-    rep = modulation_limit(a, u, psis, tol=1e-10)
+    rep = modulation_limit(a, u, psis)
     assert rep.converged
     assert np.max(np.abs(rep.value.values - u.values)) < 1e-12
     assert rep.stabilization_m == 4  # 1 * 2^4 >= 12, and 2^3 < 12
@@ -186,8 +186,8 @@ def test_modulation_limit_divergence_profile(grid):
     # the pre-saturation differences do not decay
     psis = [make_modulation(1.0, 2.0), make_modulation(1.5, 2.5)]
     a = standard_ching(grid, 0.0, 4, one_sided=True)
-    u = lacunary_stack(grid, (1,), 4, np.ones(5))
-    rep = modulation_limit(a, u, psis, tol=1e-10)
+    u = lacunary_stack(grid, np.ones(5))
+    rep = modulation_limit(a, u, psis)
     profile = rep.cauchy_profile[0]
     nonzero = [d for d in profile if d > 1e-12]
     assert len(nonzero) >= 3
@@ -309,7 +309,7 @@ def test_para_split_ching_diagonal_series(grid, part):
     # near-diagonal series, and the output of the j-th interaction sits at
     # frequency 2^j theta - 2^j theta = 0
     a = standard_ching(grid, 0.0, 4)
-    u = lacunary_stack(grid, (1,), 4, np.ones(5))
+    u = lacunary_stack(grid, np.ones(5))
     sp = para_split(a, u, part, part.J_max)
 
     def series_sum(*names):
@@ -383,7 +383,7 @@ def test_support_inclusions_tdc_corona_negative_control():
     part = make_partition(make_modulation(1.0, 2.0), grid)
     assert part.J_max == 7
     ching = standard_ching(grid, 0.0, 7)
-    u = lacunary_stack(grid, (1,), 7, np.ones(8))
+    u = lacunary_stack(grid, np.ones(8))
     eps = 0.25
     rep = support_inclusions(para_split(ching, u, part, part.J_max),
                              tdc_B=2.0 / eps)

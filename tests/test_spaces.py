@@ -80,10 +80,9 @@ def test_parseval_route_matches_block_oracle(n, N):
     blocks u_j to x one at a time and reduces their grid samples."""
     g = TorusGrid(n, N)
     pt = make_partition(make_modulation(1.0, 2.0), g)
-    theta = (1,) + (0,) * (n - 1)
     fields = [random_band_limited_field(g, rng_for(seed, 5), N / 4)
               for seed in range(3)]
-    fields += [lacunary_stack(g, theta, J, 2.0 ** -np.arange(J + 1))
+    fields += [lacunary_stack(g, 2.0 ** -np.arange(J + 1))
                for J in range(1, int(np.log2(N)) - 1)]
     levels = range(pt.J_max + 1)
     for u in fields:

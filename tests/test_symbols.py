@@ -96,7 +96,7 @@ def test_seminorm_triangle_inequality(grid):
 
 def test_ching_single_term(grid):
     prof = ChingProfile()
-    a = ching_symbol(grid, 0.0, (1,), prof, 0)
+    a = ching_symbol(grid, 0.0, prof, 0)
     x = grid.axis_points()
     # at |eta| = 1 the only term contributes e^{-i x theta} A(eta)
     idx = grid.index_of((1,))[0]
@@ -137,7 +137,7 @@ def test_ching_zero_order_kills_ray():
 
 def test_ching_grid_too_coarse(grid):
     with pytest.raises(GridTooCoarse):
-        ching_symbol(grid, 0.0, (1,), ChingProfile(), 5)  # 5*2^3 = 40 >= 32
+        ching_symbol(grid, 0.0, ChingProfile(), 5)  # 5*2^3 = 40 >= 32
 
 
 def test_one_sided_profile():
@@ -158,7 +158,7 @@ def test_partial_ft_constant(grid):
 
 def test_partial_ft_ching_term_single_phase(grid):
     prof = ChingProfile()
-    a = ching_symbol(grid, 0.0, (1,), prof, 2)
+    a = ching_symbol(grid, 0.0, prof, 2)
     pft = a.partial_ft()
     k = grid.axis_freqs().astype(float)
     for j in range(3):
@@ -344,5 +344,5 @@ def test_symbol_json_round_trip(grid):
         assert b.d == a.d
         assert np.array_equal(b.xi, a.xi) and np.array_equal(b.rows, a.rows)
     # the loaded Ching symbol on the uniform lacunary stack gives J + 1
-    v = apply(loaded[1], lacunary_stack(big, (1,), J, np.ones(J + 1)))
+    v = apply(loaded[1], lacunary_stack(big, np.ones(J + 1)))
     assert np.max(np.abs(v.values - (J + 1))) <= 1e-12 * (J + 1)
