@@ -19,8 +19,8 @@ from .operators import (LimitReport, ParaSplit, SupportReport, apply,
                         modulated_apply, modulation_limit, para_split,
                         saturation_level, spectral_support_bound,
                         support_inclusions)
-from .pointwise import (MaxParams, check_factorization, hl_max, mihlin_bound,
-                        paraterm_pointwise_check, peetre_max, ring_window,
+from .pointwise import (MaxParams, RingWindow, check_factorization, hl_max,
+                        mihlin_bound, paraterm_pointwise_check, peetre_max,
                         symbol_factor, yamazaki_check, yamazaki_constant)
 from .spaces import (CoronaSpec, NormSpec, corona_sum_check, dyadic_dilate,
                      embedding_check, embedding_constant,

@@ -605,8 +605,10 @@ def run_inequality_suite(cfg: ExperimentConfig) -> dict:
     vanishing = 0
     m = part.J_max
     for sname, a in symbols:
+        splits = para_split(a, [fields[0][1], u_wide], part, m)
         for uname, u in (fields[0], ("wide", u_wide)):
-            split = para_split(a, u, part, m)
+            # a split holds every level's triples: freed once checked
+            split = splits.pop(0)
             ref = modulated_apply(a, u, psi, m)
             err, x = max_ratio(np.abs(split.total().values - ref.values),
                                max(ref.norm_inf(), 1.0))
@@ -620,9 +622,7 @@ def run_inequality_suite(cfg: ExperimentConfig) -> dict:
                              prep.factorization_ratios.values() for rr in rs)
             for series, slope in prep.growth_slopes.items():
                 worst_slope.see(slope, symbol=sname, input=uname, series=series)
-            # a split holds every level's (symbol, input, term) triples:
-            # free it before the next one is built
-            del split
+        del split
     add("reconstruction", "paradifferential_reconstruction", worst_rec,
         FROZEN_THRESHOLDS["reconstruction_abs"])
     add("corona_ball_inclusions", "corona_ball_inclusions", worst_viol, 0)

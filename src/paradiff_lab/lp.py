@@ -159,8 +159,6 @@ def check_grid(part: LPPartition, grid: TorusGrid) -> None:
 def dyadic_block(u: SpectralField, k: int, part: LPPartition) -> SpectralField:
     """u_k = phi(2^-k D) u  (psi(D) u for k = 0, zero field for k < 0)."""
     check_grid(part, u.grid)
-    if k > part.J_max:
-        raise LevelOutOfRange(f"level {k} > J_max {part.J_max}")
     if k < 0:
         return SpectralField.zero(u.grid)
     return SpectralField.from_coeffs(u.grid, u.coeffs * part.level_weights(k))
@@ -169,8 +167,6 @@ def dyadic_block(u: SpectralField, k: int, part: LPPartition) -> SpectralField:
 def cumulative_block(u: SpectralField, k: int, part: LPPartition) -> SpectralField:
     """u^k = psi(2^-k D) u; zero field for k < 0."""
     check_grid(part, u.grid)
-    if k > part.J_max:
-        raise LevelOutOfRange(f"level {k} > J_max {part.J_max}")
     if k < 0:
         return SpectralField.zero(u.grid)
     return SpectralField.from_coeffs(u.grid,

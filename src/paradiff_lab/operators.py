@@ -16,10 +16,10 @@ import numpy as np
 
 from .errors import (AliasingRisk, GridMismatch, LevelOutOfRange,
                      NotAMultiplier)
-from .lp import (LPPartition, ModulationFunction, cumulative_block,
-                 dyadic_block)
+from .lp import (LPPartition, ModulationFunction, check_grid,
+                 cumulative_block, dyadic_block)
 from .symbols import (BLOCK_ENTRIES, DiscreteSymbol, estimate_seminorm,
-                      symbol_band)
+                      symbol_band)  # symbol_band: re-exported
 from .torus import SUPPORT_REL_THRESHOLD, SpectralField, TorusGrid
 
 
@@ -234,36 +234,45 @@ class ParaSplit:
                     for _, _, term in triples), SpectralField.zero(self.u.grid))
 
 
-def para_split(a: DiscreteSymbol, u: SpectralField, part: LPPartition,
-               m: int) -> ParaSplit:
+def para_split(a: DiscreteSymbol, u, part: LPPartition, m: int):
     """Exact finite rearrangement of the level-m modulated operator into the
-    low-high, near-diagonal, and high-low series."""
-    if m > part.J_max:
-        raise LevelOutOfRange(f"m={m} exceeds J_max={part.J_max}")
-    h = part.h
-    zero = SpectralField.zero(u.grid)
-    cumulative = [symbol_band(a, k, part, cumulative=True)
-                  for k in range(m + 1)]
-    u_cum = [cumulative_block(u, k, part) for k in range(m + 1)]
+    low-high, near-diagonal, and high-low series.
 
-    def lagged(k):
-        return u_cum[k] if k >= 0 else zero
+    ``u`` may also be a list of fields, which gives their splits.  They
+    share one ladder: a_k, a^k and a^k - a^{k-h} are ``a`` with row k
+    weighted by phi_k, psi_k and psi_k - psi_{k-h} at xi_k, and a level
+    symbol's terms over all the fields come from one :func:`apply`."""
+    check_grid(part, a.grid)
+    fields = [u] if isinstance(u, SpectralField) else list(u)
+    h, nil = part.h, [SpectralField.zero(a.grid)] * len(fields)
+    at, lead = a.xi_index(), (-1,) + (1,) * a.grid.n
+    psi = [part.cumulative_weights(k)[at] for k in range(m + 1)]
 
-    def triple(sym, w):
-        return (sym, w, zero if sym is None else apply(sym, w))
+    def ladder(w):
+        return a.with_rows(a.rows * w.reshape(lead))
 
-    series = {"low_high": [], "diagonal_a": [], "diagonal_b": [],
-              "high_low": []}
+    cumulative = [ladder(w) for w in psi]
+    u_cum = {k: [cumulative_block(f, k, part) for f in fields]
+             for k in range(m + 1)}
+    series = [{"low_high": [], "diagonal_a": [], "diagonal_b": [],
+               "high_low": []} for _ in fields]
     for k in range(m + 1):
-        a_k, u_k = symbol_band(a, k, part), dyadic_block(u, k, part)
-        low = cumulative[k - h] if k >= h else None
-        near = cumulative[k] if low is None else cumulative[k] - low
-        series["low_high"].append(triple(low, u_k))
-        series["diagonal_a"].append(triple(near, u_k))
-        series["diagonal_b"].append(triple(a_k, lagged(k - 1) - lagged(k - h)))
-        series["high_low"].append(triple(a_k if k >= h else None,
-                                         lagged(k - h)))
-    return ParaSplit(series, part, m, u)
+        u_k = [dyadic_block(f, k, part) for f in fields]
+        band, lag = ladder(part.level_weights(k)[at]), u_cum.get(k - h, nil)
+        mid = [x - y for x, y in zip(u_cum.get(k - 1, nil), lag)]
+        low, high = (cumulative[k - h], band) if k >= h else (None, None)
+        near = cumulative[k] if low is None else ladder(psi[k] - psi[k - h])
+        terms = apply(band, mid + (lag if k >= h else []))
+        level = {"low_high": (low, u_k,
+                              nil if low is None else apply(low, u_k)),
+                 "diagonal_a": (near, u_k, apply(near, u_k)),
+                 "diagonal_b": (band, mid, terms[:len(mid)]),
+                 "high_low": (high, lag, terms[len(mid):] or nil)}
+        for i, out in enumerate(series):
+            for name, (sym, inputs, outs) in level.items():
+                out[name].append((sym, inputs[i], outs[i]))
+    splits = [ParaSplit(s, part, m, f) for s, f in zip(series, fields)]
+    return splits[0] if isinstance(u, SpectralField) else splits
 
 
 @dataclass

@@ -131,17 +131,24 @@ def hl_max(u: SpectralField, t: float) -> np.ndarray:
     return _remember(key, best ** (1.0 / t))
 
 
-def ring_window(inner: float, plateau_lo: float, plateau_hi: float,
-                outer: float):
+@dataclass(frozen=True)
+class RingWindow:
     """Smooth annular window vanishing near the origin (for order scans);
-    like a modulation function it carries its outer support radius ``R``."""
-    rise = ModulationFunction(inner, plateau_lo)
-    fall = ModulationFunction(plateau_hi, outer)
+    hashable, and like a modulation function it carries its support R."""
 
-    def window(radii):
-        return (1.0 - rise(radii)) * fall(radii)
-    window.R = float(outer)
-    return window
+    inner: float
+    plateau_lo: float
+    plateau_hi: float
+    R: float
+
+    def __call__(self, radii) -> np.ndarray:
+        return ((1.0 - ModulationFunction(self.inner, self.plateau_lo)(radii))
+                * ModulationFunction(self.plateau_hi, self.R)(radii))
+
+
+def _window(grid: TorusGrid, psi, R: float) -> np.ndarray:
+    """psi(|eta| / R) over the lattice, a table of the grid."""
+    return grid.table(("window", psi, R), lambda: psi(grid.freq_norms() / R))
 
 
 def symbol_factor(a: DiscreteSymbol, p: MaxParams, psi,
@@ -156,11 +163,10 @@ def symbol_factor(a: DiscreteSymbol, p: MaxParams, psi,
     live columns of rows * chi with their bytes.
     """
     grid = a.grid
-    outer = getattr(psi, "R")
-    if p.R * outer > grid.nyquist and not allow_clipped:
+    if p.R * psi.R > grid.nyquist and not allow_clipped:
         raise LevelOutOfRange(
-            f"R * supp(psi) = {p.R * outer} exceeds nyquist {grid.nyquist}")
-    windowed = a.rows * psi(grid.freq_norms() / p.R)
+            f"R * supp(psi) = {p.R * psi.R} exceeds nyquist {grid.nyquist}")
+    windowed = a.rows * _window(grid, psi, p.R)
     key = ("symbol_factor", grid, p.N, p.R, a.xi.tobytes(),
            *_content(windowed.reshape(len(a.xi), grid.N**grid.n)))
     if key in _memo:
@@ -202,11 +208,10 @@ def check_factorization(a: DiscreteSymbol, u: SpectralField,
     psi = make_modulation(1.0, 2.0)
     grid = u.grid
     sup = u.support()
-    norms = grid.freq_norms()
-    far = sup & (norms > p.R + 1e-12)
+    far = sup & (grid.freq_norms() > p.R + 1e-12)
     if far.any():
         raise SupportViolation("spectrum escapes B(0, R)", grid.points(far))
-    cut = sup & (psi(norms / p.R) != 1.0)
+    cut = sup & (_window(grid, psi, p.R) != 1.0)
     if cut.any():
         raise SupportViolation("cutoff not identically 1 on supp(u^)",
                                grid.points(cut)[:1])
@@ -220,7 +225,7 @@ def _mihlin_rhs(a: DiscreteSymbol, p: MaxParams, psi) -> np.ndarray:
     K = int(np.floor(p.N + grid.n / 2.0)) + 1
     if K > 4:
         raise DepthUnsupported(f"derivative depth {K} exceeds 4")
-    region = psi(grid.freq_norms() / p.R) > 0
+    region = _window(grid, psi, p.R) > 0
     total = np.zeros(grid.shape)
     for alpha in (b for b in np.ndindex(*(K + 1,) * grid.n) if sum(b) <= K):
         sq, = _eta_square_sums(a, alpha, [region])
@@ -299,9 +304,9 @@ def paraterm_pointwise_check(split: ParaSplit, p: MaxParams) -> ParatermReport:
     # annular windows equal to 1 on the input's corona but vanishing near
     # the origin: only these make the (R 2^k)^d scaling of the symbol
     # factor meaningful (a ball window is polluted by the origin region)
-    block_ring = ring_window(r / (4 * R), r / (2 * R), 1.0, 2.0)
-    lag_ring = ring_window(r / (R * 2.0 ** (h + 1)), r / (R * 2.0**h),
-                           0.5, 1.0)
+    block_ring = RingWindow(r / (4 * R), r / (2 * R), 1.0, 2.0)
+    lag_ring = RingWindow(r / (R * 2.0 ** (h + 1)), r / (R * 2.0**h),
+                          0.5, 1.0)
 
     # its symbol factor is each level's pure window/weight reference
     ident = DiscreteSymbol.identity(grid)

@@ -164,20 +164,22 @@ def homog_besov_norm(b: SpectralField, smoothness: float, p: float = 1.0,
 def _dyadic_shells(grid: TorusGrid) -> tuple:
     """(js, shells): the homogeneous dyadic shells phi(2^-j .) that meet the
     lattice, stacked along the first axis, phi = psi - psi(2 .) for the
-    standard cutoff psi with (r, R) = (1, 2)."""
-    profile = make_modulation(1.0, 2.0)
-    norms = grid.freq_norms()
-    j_min = int(np.ceil(-np.log2(profile.R)))
-    j_max = int(np.ceil(np.log2(grid.max_freq_norm() / profile.r))) + 1
-    js, shells = [], []
-    for j in range(j_min, j_max + 1):
-        w = profile(norms / 2.0**j) - profile(norms * 2.0 / 2.0**j)
-        if (w != 0).any():
-            js.append(j)
-            shells.append(w)
-    if not shells:
-        raise NotResolvable("no dyadic shell meets the lattice")
-    return js, np.stack(shells)
+    standard cutoff psi with (r, R) = (1, 2); a table of the grid."""
+    def build():
+        profile = make_modulation(1.0, 2.0)
+        norms = grid.freq_norms()
+        j_min = int(np.ceil(-np.log2(profile.R)))
+        j_max = int(np.ceil(np.log2(grid.max_freq_norm() / profile.r))) + 1
+        js, shells = [], []
+        for j in range(j_min, j_max + 1):
+            w = profile(norms / 2.0**j) - profile(norms * 2.0 / 2.0**j)
+            if (w != 0).any():
+                js.append(j)
+                shells.append(w)
+        if not shells:
+            raise NotResolvable("no dyadic shell meets the lattice")
+        return np.array(js), np.stack(shells)
+    return grid.table("dyadic_shells", build)
 
 
 def marschall_check(b: DiscreteSymbol, u: SpectralField, k: int,

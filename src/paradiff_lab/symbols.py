@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (DepthUnsupported, EmptyShell, GridMismatch,
-                     GridTooCoarse, LevelOutOfRange, TooLarge)
+                     GridTooCoarse, TooLarge)
 from .lp import LPPartition, ModulationFunction, check_grid
 from .torus import SUPPORT_REL_THRESHOLD, TorusGrid
 
@@ -177,8 +177,9 @@ class DiscreteSymbol:
             block = work[:extent * len(cols)].reshape(cols.shape + shape)
             block.fill(0)
             block[(slice(None),) + index] = rows[:, cols].T
-            yield cols, np.fft.ifftn(block, axes=tuple(1 + ax for ax in axes),
-                                     norm="forward", out=block)
+            for ax in reversed(axes):   # ifftn's order, not its set-up
+                np.fft.ifft(block, axis=1 + ax, norm="forward", out=block)
+            yield cols, block
 
     def columns(self, rows=None):
         """Yield ``(cols, block)``, ``block[j] = sum_k rows[k, cols[j]]
@@ -524,8 +525,6 @@ def symbol_band(a: DiscreteSymbol, k: int, part: LPPartition,
     Each stored row is multiplied by the level weight at its xi_k.  Levels
     below zero give the zero symbol; levels above J_max raise."""
     check_grid(part, a.grid)
-    if k > part.J_max:
-        raise LevelOutOfRange(f"level {k} > J_max {part.J_max}")
     if k < 0:
         return DiscreteSymbol.zero(a.grid, a.d)
     w = part.cumulative_weights(k) if cumulative else part.level_weights(k)

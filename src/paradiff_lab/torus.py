@@ -16,7 +16,7 @@ A frequency set is a boolean mask over the lattice (grid shape, FFT order);
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,6 +41,8 @@ class TorusGrid:
 
     n: int
     N: int
+    _tables: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         if self.n not in (1, 2):
@@ -64,17 +66,24 @@ class TorusGrid:
         """Grid coordinates along one axis."""
         return np.arange(self.N) * self.spacing
 
+    def table(self, key, build):
+        """``build()`` (an array or a tuple of arrays), computed once per
+        grid and ``key`` and kept read-only: for tables of no input."""
+        if key not in self._tables:
+            out = self._tables[key] = build()
+            for arr in out if isinstance(out, tuple) else (out,):
+                arr.flags.writeable = False
+        return self._tables[key]
+
     def axis_freqs(self) -> np.ndarray:
         """Integer frequencies along one axis, in FFT storage order."""
-        return np.fft.fftfreq(self.N, d=1.0 / self.N).astype(np.int64)
+        return self.table("axis_freqs", lambda: np.fft.fftfreq(
+            self.N, d=1.0 / self.N).astype(np.int64))
 
     def freq_norms(self) -> np.ndarray:
         """Euclidean |eta| over the lattice, FFT order, shape == grid.shape."""
-        k = self.axis_freqs().astype(float)
-        if self.n == 1:
-            return np.abs(k)
-        kx, ky = np.meshgrid(k, k, indexing="ij")
-        return np.sqrt(kx**2 + ky**2)
+        return self.table("freq_norms", lambda: np.sqrt(sum(
+            k**2 for k in np.ix_(*[self.axis_freqs().astype(float)] * self.n))))
 
     def points(self, mask) -> list:
         """Sorted signed lattice points (integer tuples) of a lattice mask."""

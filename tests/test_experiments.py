@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from paradiff_lab import corpus, experiments, operators
+from paradiff_lab import corpus, experiments, operators, pointwise
 from paradiff_lab.cli import DEFAULT_CONFIGS, main as cli_main
 from paradiff_lab.corpus import (corpus_members, lacunary_stack,
                                  offset_stack, optimal_stack_weights,
@@ -182,7 +182,7 @@ def test_config_json_round_trip(tmp_path):
     {"grid_sizes": [64.9]},
     {"modulations": [[1, "2"]]},
     {"scenario": "modulation_study", "symbol_params": {"one_sided": "no"}},
-    {"scenario": "ching_study", "symbol_params": {"probe_offsets": 1}},
+    {"scenario": "modulation_study", "symbol_params": {"one_sided": 1}},
     {"scenario": "boundedness_sweep",
      "symbol_params": {"J_value": [3, 4], "zero_ordr": 1}},
     {"symbol_params": {"J": 9, "d": 3.0}},
@@ -210,7 +210,7 @@ def test_config_json_round_trip(tmp_path):
         "fractional_corpus_size", "bool_grid_n", "string_d",
         "string_zero_order", "string_J", "string_partition_r",
         "bool_partition_r", "fractional_grid_size", "string_modulation",
-        "string_one_sided", "int_probe_offsets", "misspelled_sweep_params",
+        "string_one_sided", "int_one_sided", "misspelled_sweep_params",
         "unread_suite_params", "unread_suite_modulations", "two_suite_grids",
         "two_study_grids", "params_of_other_scenarios",
         "unread_modulation_params", "params_of_other_family",
@@ -287,6 +287,20 @@ def test_metrics_payload_deterministic(scenario):
     if scenario != "modulation_study":  # its metrics are seed-independent
         assert rec3.metrics_payload() != rec1.metrics_payload() or \
             scenario == "ching_study"
+
+
+def test_suite_payload_independent_of_earlier_grids():
+    """The lattice tables belong to their grid: the suite on grid A, then
+    on grid B, then on A again gives A's payload byte for byte."""
+    def suite(N):
+        pointwise._memo.clear()
+        return run_scenario(ExperimentConfig(
+            scenario="inequality_suite", grid_sizes=(N,), corpus_size=2,
+            seed=5).normalized()).metrics_payload()
+
+    first = suite(64)
+    assert suite(128) != first
+    assert suite(64) == first
 
 
 BLAS_PAYLOADS = """

@@ -2,6 +2,7 @@
 
 The (symbol, input, term) series of ``para_split`` must reproduce
 ``symbol_band`` / ``dyadic_block`` / ``cumulative_block`` level by level,
+and its splits of a list of inputs each input's own split,
 ``space_norm`` and the mixed norms of ``fefferman_stein_check`` and
 ``corona_sum_check`` must reproduce their one-field-per-level list forms,
 the batched Marschall row norms must reproduce a per-row
@@ -30,8 +31,8 @@ import pytest
 
 from paradiff_lab import (CoronaSpec, DiscreteSymbol, GridMismatch,
                           LocalizationCutoff, MaxParams, NormSpec,
-                          SpectralField, TooLarge, TorusGrid, apply,
-                          compose_multiplier, corona_sum_check,
+                          RingWindow, SpectralField, TooLarge, TorusGrid,
+                          apply, compose_multiplier, corona_sum_check,
                           cumulative_block, dyadic_block, estimate_seminorm,
                           fefferman_stein_check, hl_max, homog_besov_norm,
                           localize, make_modulation, make_partition,
@@ -44,7 +45,7 @@ from paradiff_lab.corpus import (lacunary_stack, random_band_limited_field,
                                  random_sparse_symbol, rng_for,
                                  standard_ching)
 from paradiff_lab.operators import adjoint_symbol, modulated_symbol
-from paradiff_lab import operators, pointwise
+from paradiff_lab import operators, pointwise, spaces
 from paradiff_lab.pointwise import _mihlin_rhs, torus_offsets
 from paradiff_lab.spaces import lp_norm
 
@@ -396,6 +397,70 @@ def test_split_ladder_matches_per_level_blocks(n, N):
             assert np.array_equal(got_sym.rows, sym.rows)
             assert np.array_equal(term.coeffs, apply(sym, w).coeffs)
     assert split.u is u
+
+
+@pytest.mark.parametrize("n,N", GRIDS)
+@pytest.mark.parametrize("family", ["ching", "random", "multiplier"])
+def test_split_of_many_matches_one_at_a_time(n, N, family):
+    """A split over a list of inputs equals each input's own split term by
+    term and shares its level symbols across the inputs; the near-diagonal
+    rows match the difference a^k - a^{k-h} of two cumulative bands."""
+    grid, part, _, u1 = setup(n, N)
+    a = sparse_symbols(grid)[family]
+    u2 = random_band_limited_field(grid, rng_for(79, n), grid.nyquist)
+    m, h = part.J_max, part.h
+    many = para_split(a, [u1, u2], part, m)
+    assert [s.u for s in many] == [u1, u2]
+    for got, want in zip(many, (para_split(a, u, part, m) for u in (u1, u2))):
+        assert list(got.series) == list(want.series)
+        for name, triples in got.series.items():
+            for k, (sym, w, term) in enumerate(triples):
+                w_sym, w_in, w_term = want.series[name][k]
+                assert np.array_equal(w.coeffs, w_in.coeffs)
+                assert np.array_equal(term.coeffs, w_term.coeffs)
+                assert (sym is None) == (w_sym is None)
+                if sym is not None:
+                    assert np.array_equal(sym.xi, w_sym.xi)
+                    assert np.array_equal(sym.rows, w_sym.rows)
+    for name in many[0].series:
+        for (s1, _, _), (s2, _, _) in zip(many[0].series[name],
+                                          many[1].series[name]):
+            assert s1 is s2
+    for k, (near, _, _) in enumerate(many[0].series["diagonal_a"]):
+        want = symbol_band(a, k, part, cumulative=True)
+        if k >= h:    # the oracle: the old union-of-supports difference
+            want = want - symbol_band(a, k - h, part, cumulative=True)
+        peak = np.max(np.abs(want.partial_ft()), initial=0.0)
+        assert np.max(np.abs(near.partial_ft() - want.partial_ft()),
+                      initial=0.0) <= 1e-15 * peak
+
+
+@pytest.mark.parametrize("n,N", GRIDS)
+def test_lattice_tables_built_once_and_read_only(n, N):
+    """Each input-independent lattice table is computed once per grid and
+    handed out read-only; the grids still compare and hash on (n, N), and
+    the ring windows, which key their tables, on their parameters."""
+    grid = TorusGrid(n, N)
+    ring = RingWindow(0.25, 0.5, 1.0, 2.0)
+    tables = {"axis_freqs": grid.axis_freqs, "freq_norms": grid.freq_norms,
+              "dyadic_js": lambda: spaces._dyadic_shells(grid)[0],
+              "dyadic_shells": lambda: spaces._dyadic_shells(grid)[1],
+              "window": lambda: pointwise._window(grid, ring, 4.0)}
+    for name, table in tables.items():
+        first = table()
+        assert table() is first, name
+        with pytest.raises(ValueError, match="read-only"):
+            first[(0,) * first.ndim] = 1
+    for psi in (ring, RingWindow(0.25, 0.5, 1.0, 1.5), make_modulation(1, 2)):
+        for R in (2.0, 4.0):
+            assert np.array_equal(pointwise._window(grid, psi, R),
+                                  psi(grid.freq_norms() / R))
+    twin = TorusGrid(n, N)
+    assert twin == grid and hash(twin) == hash(grid)
+    assert np.array_equal(twin.freq_norms(), grid.freq_norms())
+    same = RingWindow(0.25, 0.5, 1.0, 2.0)
+    assert same == ring and hash(same) == hash(ring)
+    assert RingWindow(0.25, 0.5, 1.0, 4.0) != ring
 
 
 @pytest.mark.parametrize("n,N", GRIDS)

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from paradiff_lab import (BadExponent, DepthUnsupported, DiscreteSymbol,
-                          MaxParams, SpectralField, SupportViolation,
-                          TorusGrid, apply, check_factorization, hl_max,
-                          make_modulation, make_partition, mihlin_bound,
-                          para_split, paraterm_pointwise_check, peetre_max,
-                          ring_window, symbol_factor, yamazaki_check,
-                          yamazaki_constant)
+                          MaxParams, RingWindow, SpectralField,
+                          SupportViolation, TorusGrid, apply,
+                          check_factorization, hl_max, make_modulation,
+                          make_partition, mihlin_bound, para_split,
+                          paraterm_pointwise_check, peetre_max,
+                          symbol_factor, yamazaki_check, yamazaki_constant)
 from paradiff_lab.corpus import (random_band_limited_field,
                                  random_sparse_symbol, rng_for, standard_ching)
 from paradiff_lab import pointwise
@@ -168,7 +168,7 @@ def test_symbol_factor_order_scan(d):
     # with a window vanishing near the origin, F_a = O(R^d): fitted slope
     # within 0.2 of the declared order once the window ramps are resolved
     grid = TorusGrid(1, 512)
-    ring = ring_window(0.25, 0.5, 1.0, 2.0)
+    ring = RingWindow(0.25, 0.5, 1.0, 2.0)
     a = DiscreteSymbol.multiplier(grid, lambda k: (1.0 + k**2) ** (d / 2.0),
                                   d=d)
     Rs = [16.0, 32.0, 64.0, 128.0]
@@ -303,7 +303,7 @@ def test_mihlin_depth_cap(grid):
 def test_mihlin_order_scaling():
     # the right-hand side inherits the O(R^d) scaling on annular windows
     grid = TorusGrid(1, 512)
-    ring = ring_window(0.25, 0.5, 1.0, 2.0)
+    ring = RingWindow(0.25, 0.5, 1.0, 2.0)
     d = 1.0
     a = DiscreteSymbol.multiplier(grid, lambda k: (1.0 + k**2) ** 0.5, d=d)
     Rs = [16.0, 32.0, 64.0, 128.0]
