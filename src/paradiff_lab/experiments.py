@@ -12,7 +12,7 @@ import csv
 import json
 import platform
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -551,6 +551,7 @@ def run_inequality_suite(cfg: ExperimentConfig) -> dict:
     psi = make_modulation(cfg.partition_r, cfg.partition_R)
     part = make_partition(psi, grid)
     checks = []
+    ching = standard_ching(grid, 0.0, 4)
 
     def add(name, claim, worst: _Worst, threshold, extra=None):
         checks.append({"name": name, "claim": claim,
@@ -561,7 +562,7 @@ def run_inequality_suite(cfg: ExperimentConfig) -> dict:
 
     symbols = [
         ("identity", DiscreteSymbol.identity(grid)),
-        ("ching", standard_ching(grid, 0.0, 4)),
+        ("ching", ching),
         ("bessel_multiplier",
          DiscreteSymbol.multiplier(grid, lambda *k: (1.0 + sum(x**2 for x in k)) ** 0.5,
                                    d=1.0)),
@@ -640,7 +641,6 @@ def run_inequality_suite(cfg: ExperimentConfig) -> dict:
     # twisted-diagonal enforced symbol: near-diagonal terms gain a corona
     eps = 0.25
     chi = LocalizationCutoff()
-    ching = standard_ching(grid, 0.0, 4)
     a_tdc = ching - localize(ching, chi, eps)
     B = 2.0 / eps
     rep = support_inclusions(para_split(a_tdc, fields[0][1], part, m), tdc_B=B)
@@ -690,7 +690,7 @@ def run_inequality_suite(cfg: ExperimentConfig) -> dict:
     # Marschall inequality (rows must carry no zero-frequency mass, which the
     # homogeneous norm quotients out)
     k_m = int(np.log2(grid.nyquist))
-    marschall_symbols = [("ching", standard_ching(grid, 0.0, 4))]
+    marschall_symbols = [("ching", ching)]
     for i in range(2):
         marschall_symbols.append(
             (f"random_{i}", random_sparse_symbol(
@@ -794,7 +794,7 @@ def write_outputs(record: ResultRecord, out_dir) -> dict:
     out = Path(out_dir)
     (out / "tables").mkdir(parents=True, exist_ok=True)
     results_path = out / "results.json"
-    results_path.write_text(json.dumps(_strict_json(asdict(record)),
+    results_path.write_text(json.dumps(_strict_json(vars(record)),
                                        sort_keys=True, indent=2,
                                        allow_nan=False))
     tables = _write_tables(record, out / "tables")

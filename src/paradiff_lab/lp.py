@@ -10,8 +10,9 @@ plateau and the support edge is the smooth glue
 
     S(t) = g(1-t) / (g(t) + g(1-t)),   g(t) = exp(-1/t) (t > 0),
 
-rescaled to [r, R]; it returns exactly 1.0 / 0.0 on the closed plateau /
-closed complement of the support, which several exactness tests rely on.
+rescaled to [r, R] and evaluated only on the open band r < |eta| < R; the
+closed plateau / closed complement of the support get exactly 1.0 / 0.0,
+which several exactness tests rely on.
 """
 
 from __future__ import annotations
@@ -25,15 +26,6 @@ from .errors import BadRadii, GridMismatch, GridTooCoarse, LevelOutOfRange
 from .torus import SpectralField, TorusGrid
 
 
-def _glue(t: np.ndarray) -> np.ndarray:
-    # exp(-1/t) continued by 0 for t <= 0; underflow is harmless here.
-    out = np.zeros_like(t)
-    m = t > 0
-    with np.errstate(over="ignore", divide="ignore"):
-        out[m] = np.exp(-1.0 / t[m])
-    return out
-
-
 @dataclass(frozen=True)
 class ModulationFunction:
     """Radial cutoff: 1 on |eta| <= r, 0 on |eta| >= R, non-increasing."""
@@ -42,14 +34,17 @@ class ModulationFunction:
     R: float
 
     def __call__(self, radii) -> np.ndarray:
-        s = np.abs(np.asarray(radii, dtype=float))
-        t = (s - self.r) / (self.R - self.r)
-        gt = _glue(t)
-        g1t = _glue(1.0 - t)
-        with np.errstate(invalid="ignore"):
-            ramp = np.where(t <= 0.0, 1.0,
-                            np.where(t >= 1.0, 0.0, g1t / (gt + g1t)))
-        return ramp
+        t = np.abs(np.asarray(radii, dtype=float))
+        t -= self.r
+        t /= self.R - self.r
+        out = np.where(t <= 0.0, 1.0, 0.0)
+        # the ramp only on the open band 0 < t < 1, where a NaN t falls too
+        band = ~((t <= 0.0) | (t >= 1.0))
+        tb = t[band]
+        with np.errstate(over="ignore"):
+            gt, g1t = np.exp(-1.0 / tb), np.exp(-1.0 / (1.0 - tb))
+        out[band] = g1t / (gt + g1t)
+        return out
 
     def scalar(self, radius: float) -> float:
         return float(self(np.array([radius]))[0])
@@ -108,10 +103,12 @@ class LPPartition:
         read-only level and cumulative stacks over 0..J_max, then the level
         stack itself."""
         norms = self.grid.freq_norms()
-        levels = np.stack([self.psi(norms)] + [self.phi(norms / 2**k)
-                                               for k in range(1, self.J_max + 1)])
         cumulative = np.stack([self.psi(norms / 2**k)
                                for k in range(self.J_max + 1)])
+        # phi(2^-k .) = psi(2^-k .) - psi(2^-(k-1) .) bit for bit, since
+        # (x / 2^k) * 2 == x / 2^(k-1) exactly: the stack's first differences
+        levels = cumulative.copy()
+        np.subtract(cumulative[1:], cumulative[:-1], out=levels[1:])
         for w in (levels, cumulative):
             w.flags.writeable = False
         return list(levels), list(cumulative), levels

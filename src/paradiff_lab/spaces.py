@@ -88,11 +88,14 @@ def space_norm(u, spec: NormSpec, part: LPPartition):
 
     At p = 2 every B norm, and F_{2,2} = B_{2,2}, comes from the coefficients
     by Parseval: ||u_j||_2^2 = sum_eta |phi_j(eta) c_eta|^2, summed over u's
-    nonzero modes.  Every other (p, q) takes all blocks from one inverse FFT
-    of the stacked level-weighted coefficients.
+    nonzero modes.  These level energies do not depend on the spec: each
+    field keeps those of the partition (object) it was last normed under,
+    and the fields without them get theirs from one gather at their
+    concatenated modes.  Every other (p, q) takes all blocks from one
+    inverse FFT of the stacked level-weighted coefficients.
 
     ``u`` may also be a sequence of fields, which gives the list of their
-    norms; at p = 2 from one gather at their concatenated modes.
+    norms.
     """
     fields = [u] if isinstance(u, SpectralField) else list(u)
     for f in fields:
@@ -100,17 +103,20 @@ def space_norm(u, spec: NormSpec, part: LPPartition):
     grid = part.grid
     weights = np.array([2.0 ** (spec.s * j) for j in range(part.J_max + 1)])
     if spec.p == 2 and (spec.scale == "B" or spec.q == 2):
-        modes = [np.flatnonzero(f.coeffs != 0) for f in fields]
+        cold = [f for f in fields
+                if f._energy is None or f._energy[0] is not part]
+        modes = [np.flatnonzero(f.coeffs != 0) for f in cold]
         at = np.concatenate([np.empty(0, np.intp)] + modes)
         c = np.concatenate([np.empty(0, complex)] + [
-            f.coeffs.ravel()[m] for f, m in zip(fields, modes)])
+            f.coeffs.ravel()[m] for f, m in zip(cold, modes)])
         power = part.level_stack().reshape(len(weights), -1)[:, at] ** 2 \
             * np.abs(c) ** 2
         # a field's level energies: the pairwise np.sum of its own columns,
         # so each norm is the one-field norm bit for bit
         ends = np.cumsum([0] + [len(m) for m in modes])
-        energy = np.array([np.sum(power[:, lo:hi], axis=1)
-                           for lo, hi in zip(ends, ends[1:])])
+        for f, lo, hi in zip(cold, ends, ends[1:]):
+            f._energy = (part, np.sum(power[:, lo:hi], axis=1))
+        energy = np.array([f._energy[1] for f in fields])
         norms = _lq(weights * np.sqrt(energy.reshape(-1, len(weights))),
                     spec.q, axis=1).tolist()
     else:

@@ -110,9 +110,11 @@ class SpectralField:
     values : complex ndarray over grid points, a view computed on first
         read as the inverse transform of ``coeffs`` and cached; a caller
         that already holds that transform may pass it to the constructor.
+    _energy : None, or (partition, per-level energies ||u_j||_2^2), kept by
+        ``spaces.space_norm`` at p = 2 for the partition object it last read.
     """
 
-    __slots__ = ("grid", "coeffs", "_values")
+    __slots__ = ("grid", "coeffs", "_values", "_energy")
 
     def __init__(self, grid, coeffs, values=None):
         if not np.isfinite(coeffs).all():
@@ -120,6 +122,7 @@ class SpectralField:
         self.grid = grid
         self.coeffs = coeffs
         self._values = values
+        self._energy = None
 
     @property
     def values(self) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -719,6 +720,27 @@ def test_outputs_layout(tmp_path):
     table = Path(paths["tables"][0]).read_text().splitlines()
     assert table[0].startswith("check,")
     assert len(table) > 5
+
+
+@pytest.mark.parametrize("scenario", sorted(CLAIM_REGISTRY))
+def test_results_json_matches_deep_copy(scenario, tmp_path):
+    """results.json, serialized from the record's own fields, has the bytes
+    of the dataclasses.asdict deep copy it was once written from."""
+    rec = run_scenario(small_cfg(scenario))
+    want = json.dumps(experiments._strict_json(dataclasses.asdict(rec)),
+                      sort_keys=True, indent=2, allow_nan=False)
+    assert Path(write_outputs(rec, tmp_path)["results"]).read_text() == want
+
+
+def test_suite_builds_one_ching_symbol(monkeypatch):
+    """The suite's symbol list, its TDC symbol and its Marschall list share
+    one standard Ching symbol."""
+    built = []
+    standard_ching = experiments.standard_ching
+    monkeypatch.setattr(experiments, "standard_ching",
+                        lambda *a: built.append(a) or standard_ching(*a))
+    run_scenario(small_cfg("inequality_suite"))
+    assert len(built) == 1
 
 
 def _strict_loads(text):

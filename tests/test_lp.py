@@ -30,6 +30,47 @@ def test_modulation_plateau_and_support():
     assert 0.0 < psi23.scalar(2.5) < 1.0
 
 
+def _glue(t):
+    out = np.zeros_like(t)
+    m = t > 0
+    with np.errstate(over="ignore", divide="ignore"):
+        out[m] = np.exp(-1.0 / t[m])
+    return out
+
+
+def glue_modulation(psi, radii):
+    """The cutoff as it was once computed: both glues over the whole array,
+    kept as the oracle of the band-only evaluation."""
+    s = np.abs(np.asarray(radii, dtype=float))
+    t = (s - psi.r) / (psi.R - psi.r)
+    gt = _glue(t)
+    g1t = _glue(1.0 - t)
+    with np.errstate(invalid="ignore"):
+        return np.where(t <= 0.0, 1.0,
+                        np.where(t >= 1.0, 0.0, g1t / (gt + g1t)))
+
+
+@pytest.mark.parametrize("r,R", [(1.0, 2.0), (0.5, 3.0), (2.0, 2.5),
+                                 (1e-300, 1.0)])
+def test_modulation_matches_glue_oracle(r, R):
+    """Band-only evaluation equals the full-array glue formula bit for bit,
+    with its shape and dtype, on t < 0, t = 0, the open band, t = 1, t > 1,
+    +-inf and NaN (which stays NaN)."""
+    psi = make_modulation(r, R)
+    edges = [0.0, r, R, np.nextafter(r, R), np.nextafter(R, r),
+             r + 5e-324, 2.0 * R, np.inf, -np.inf, np.nan]
+    radii = np.concatenate([edges, -np.array(edges),
+                            np.linspace(0.0, 1.5 * R, 301)])
+    for x in [radii, radii[:300].reshape(20, 15), radii.reshape(-1, 1),
+              np.empty(0), *radii[:len(edges)], float(R / 2 + r / 2)]:
+        got, want = psi(x), glue_modulation(psi, x)
+        assert got.shape == want.shape == np.shape(x)
+        assert got.dtype == want.dtype == np.float64
+        assert np.array_equal(got, want, equal_nan=True), x
+    assert np.isnan(psi(np.nan)) and np.isnan(psi.scalar(np.nan))
+    assert psi(np.array([r, R, np.inf])).tolist() == [1.0, 0.0, 0.0]
+
+
 def test_modulation_monotone_and_bounded():
     psi = make_modulation(1.0, 2.0)
     s = np.linspace(0, 4, 401)
@@ -166,7 +207,7 @@ def test_two_partitions_agree_on_band_limited(grid):
     assert np.max(np.abs(sums[0].values - sums[1].values)) <= 1e-10
 
 
-@pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
+@pytest.mark.parametrize("n,N", [(1, 64), (2, 16), (1, 2048)])
 def test_level_weights_stored_once_and_read_only(n, N):
     grid = TorusGrid(n, N)
     psi = make_modulation(1.0, 2.0)

@@ -94,6 +94,44 @@ def test_parseval_route_matches_block_oracle(n, N):
             assert space_norm(u, spec, pt) == pytest.approx(want, rel=1e-12)
 
 
+def test_space_norm_keeps_level_energies(grid, part, monkeypatch):
+    """A field keeps its p = 2 level energies per partition: a warm field's
+    norm equals a fresh copy's bit for bit, for B with q = 1, 2, inf and F
+    with q = 2, in lists with repeats and warm and cold fields mixed, and
+    a field normed under two partitions gets each partition's value."""
+    def fresh(u):
+        return SpectralField(u.grid, u.coeffs.copy())
+
+    specs = [NormSpec("B", 0.5, 2.0, q) for q in (1.0, 2.0, np.inf)] + \
+        [NormSpec("F", 0.5, 2.0, 2.0)]
+    fields = [random_band_limited_field(grid, rng_for(seed, 5), 16.0)
+              for seed in range(2)] + [lacunary_stack(grid, np.ones(4)),
+                                       SpectralField.zero(grid)]
+    other = make_partition(make_modulation(1.0, 3.0), grid)
+    scans = []
+    flatnonzero = np.flatnonzero
+    monkeypatch.setattr(np, "flatnonzero",
+                        lambda a: scans.append(1) or flatnonzero(a))
+    for spec in specs:
+        for pt in (part, other, part):
+            want = [space_norm(fresh(u), spec, pt) for u in fields]
+            assert [space_norm(u, spec, pt) for u in fields] == want
+            assert space_norm(fields + fields[:1], spec, pt) == \
+                want + want[:1]
+            assert space_norm([fresh(fields[0]), fields[1]], spec, pt) == \
+                want[:2]
+            assert space_norm([], spec, pt) == []
+        assert space_norm(fields[0], spec, part) != \
+            space_norm(fields[0], spec, other)
+    # a warm field's modes are scanned again only when the partition changes
+    space_norm(fields, specs[0], part)
+    del scans[:]
+    space_norm(fields, specs[0], other)
+    assert len(scans) == len(fields)
+    space_norm(fields, specs[-1], other)
+    assert len(scans) == len(fields)
+
+
 @pytest.mark.parametrize("spec,transforms", [
     *[(spec, 0) for spec in P2_SPECS],
     (NormSpec("F", 0.5, 2.0, 1.0), 1), (NormSpec("F", 0.5, 1.0, 2.0), 1),
