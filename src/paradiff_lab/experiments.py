@@ -21,7 +21,8 @@ from . import __version__
 from .corpus import (corpus_members, rng_for, random_band_limited_field,
                      random_sparse_symbol, lacunary_stack, standard_ching)
 from .errors import BadExponent, ConfigError
-from .lp import dyadic_block, make_modulation, make_partition
+from .lp import (STANDARD_CUTOFF, ModulationFunction, dyadic_block,
+                 make_partition)
 from .operators import (apply, compose_multiplier, discrete_adjoint_probe,
                         modulated_apply, modulation_limit, para_split,
                         spectral_support_bound, support_inclusions)
@@ -30,7 +31,8 @@ from .pointwise import (MaxParams, check_factorization, hl_max, max_ratio,
                         symbol_factor, yamazaki_check)
 from .spaces import (NormSpec, fefferman_stein_check, marschall_check,
                      space_norm)
-from .symbols import ChingProfile, DiscreteSymbol, LocalizationCutoff, localize
+from .symbols import (ChingProfile, DiscreteSymbol, LocalizationCutoff,
+                      ching_default_J, ching_fits, ching_symbol, localize)
 from .torus import TorusGrid
 
 #: Claims each scenario must cover with at least one executed metric.
@@ -79,9 +81,14 @@ FROZEN_THRESHOLDS = {
 }
 
 
-def _list_of(test, least: int = 1):
-    """The test of a list of at least ``least`` values that pass ``test``."""
-    return lambda v: isinstance(v, (list, tuple)) and len(v) >= least \
+#: The cutoffs whose vanishing-modulation limits modulation_study compares.
+MODULATIONS = (STANDARD_CUTOFF, ModulationFunction(1.5, 2.5),
+               ModulationFunction(0.75, 1.75))
+
+
+def _list_of(test):
+    """The test of a non-empty list of values that pass ``test``."""
+    return lambda v: isinstance(v, (list, tuple)) and len(v) > 0 \
         and all(map(test, v))
 
 
@@ -101,16 +108,13 @@ _DIM = (lambda v: type(v) is int and v in (1, 2), "1 or 2")
 _FAMILY = (lambda v: v in ("ching", "multiplier", "identity", "random",
                            "custom"),
            "one of ching, multiplier, identity, random and custom")
-_CUTOFFS = (_list_of(lambda m: _NUMBERS[0](m) and len(m) == 2
-                     and 0 < m[0] < m[1], 3),
-            "a list of three or more (r, R) number pairs with 0 < r < R")
 _OBJECT = (lambda v: isinstance(v, dict), "a JSON object")
 
 #: The fields every scenario reads, with their kinds (None: checked where
 #: they are read).
 _COMMON = {"scenario": None, "grid_n": _DIM, "grid_sizes": _SIZES,
-           "partition_r": _NUMBER, "partition_R": _NUMBER, "seed": _INDEX,
-           "corpus_size": _INDEX, "out_dir": None, "symbol_params": _OBJECT}
+           "seed": _INDEX, "corpus_size": _INDEX, "out_dir": None,
+           "symbol_params": _OBJECT}
 
 #: Per scenario, the fields it reads beyond _COMMON with their kinds, and
 #: the symbol_params keys it (or its symbol_family) reads with their kinds
@@ -127,9 +131,8 @@ PARAMETERS = {
          "zero_orders": (_INDICES, (0, 1, 2)),
          "s_values": (_NUMBERS, (-2, -1.5, -1, -0.5, 0, 0.5, 1))}),
     "modulation_study": (
-        {"symbol_family": _FAMILY, "modulations": _CUTOFFS},
-        # per symbol_family; J None: one below the widest J that fits the
-        # grid (5 * 2^(J-2) < N/2)
+        {"symbol_family": _FAMILY},
+        # per symbol_family; J None: ching_default_J of the grid size
         {"ching": {"d": (_NUMBER, 0.0), "J": (_INDEX, None),
                    "zero_order": (_INDEX, 0), "one_sided": (_FLAG, True)},
          "multiplier": {"d": (_NUMBER, 0.0)}, "random": {"d": (_NUMBER, 0.0)},
@@ -146,12 +149,9 @@ class ExperimentConfig:
     scenario: str
     grid_n: int = 1
     grid_sizes: tuple = (256,)
-    partition_r: float = 1.0
-    partition_R: float = 2.0
     symbol_family: str = "ching"
     symbol_params: dict = field(default_factory=dict)
     norm_specs: tuple = ()
-    modulations: tuple = ((1.0, 2.0), (1.5, 2.5), (0.75, 1.75))
     seed: int = 0
     corpus_size: int = 3
     out_dir: str | None = None
@@ -174,13 +174,12 @@ class ExperimentConfig:
     def normalized(self) -> "ExperimentConfig":
         try:
             self.grid_sizes = tuple(self.grid_sizes)
-            self.modulations = tuple(tuple(m) for m in self.modulations)
             self.norm_specs = tuple((str(c), float(s), float(p), float(q))
                                     for c, s, p, q in self.norm_specs)
         except (TypeError, ValueError) as exc:
-            raise ConfigError("grid_sizes, modulations and norm_specs must be "
-                              "lists of sizes, (r, R) pairs and (scale, s, p, "
-                              f"q) tuples: {exc}") from None
+            raise ConfigError("grid_sizes and norm_specs must be lists of "
+                              f"sizes and (scale, s, p, q) tuples: {exc}"
+                              ) from None
         self.validate()
         return self
 
@@ -215,11 +214,7 @@ class ExperimentConfig:
             if kind and not kind[0](value):
                 raise ConfigError(f"{name} must be {kind[1]}")
         N = max(self.grid_sizes)
-        if not 0 < self.partition_r < self.partition_R:
-            raise ConfigError("partition radii must satisfy 0 < r < R")
-        if self.partition_R >= min(self.grid_sizes) / 2:
-            raise ConfigError("partition support exceeds the smallest nyquist")
-        if self.scenario == "inequality_suite" and N < 64:
+        if self.scenario == "inequality_suite" and not ching_fits(4, N):
             raise ConfigError("inequality_suite builds Ching J=4, which needs "
                               "a grid size >= 64")
         if self.symbol_family == "custom" and "table" not in self.symbol_params:
@@ -231,7 +226,7 @@ class ExperimentConfig:
             except BadExponent as exc:
                 raise ConfigError(f"norm spec {list(spec)}: {exc}") from None
         if "J_values" in self._params_read() and len(
-                {J for J in self.param("J_values") if _ching_fits(J, N)}) < 2:
+                {J for J in self.param("J_values") if ching_fits(J, N)}) < 2:
             raise ConfigError(f"fewer than two J_values fit the grid N = {N} "
                               "(5 * 2^(J-2) < N/2); a gain curve needs two")
 
@@ -303,20 +298,15 @@ def _grid_gain(a: DiscreteSymbol, members, cases, part) -> list:
     return [gain(*case) for case in cases]
 
 
-def _ching_fits(J: int, N: int) -> bool:
-    """Whether Ching J fits the grid size N: 5 * 2^(J-2) < N/2.  A J >= the
-    bit length of N never fits, and is rejected before the power is formed."""
-    return J < N.bit_length() and 5 * 2 ** (J - 2) < N // 2
-
-
-def _ching_ladder(grid: TorusGrid, d: float, J_values, zero_order: int) -> list:
-    """(J, standard_ching(grid, d, J, zero_order)) for each J in ``J_values``
+def _ching_ladder(grid: TorusGrid, d: float, J_values,
+                  profile: ChingProfile) -> list:
+    """(J, ching_symbol(grid, d, profile, J)) for each J in ``J_values``
     that fits the grid: the symbol at the largest such J, cut to its first
     J + 1 rows (row j, at xi = -2^j e_1, does not depend on J)."""
-    fits = [J for J in J_values if _ching_fits(J, grid.N)]
+    fits = [J for J in J_values if ching_fits(J, grid.N)]
     if not fits:
         return []
-    top = standard_ching(grid, d, max(fits), zero_order)
+    top = ching_symbol(grid, d, profile, max(fits))
     return [(J, DiscreteSymbol(grid, d, top.xi[:J + 1], top.rows[:J + 1]))
             for J in fits]
 
@@ -326,10 +316,10 @@ def _gain_table(cfg: ExperimentConfig, grid: TorusGrid, part, zero_order: int,
     """[(J, [{gain, argmax} per case])] of the Ching symbol of ``zero_order``
     for each J in ``J_values`` that fits the grid, over its corpus, whose
     off-ray stack is adapted to the zero order's profile."""
+    profile = ChingProfile(zero_order=zero_order)
     ladder = _ching_ladder(grid, float(cfg.param("d")), cfg.param("J_values"),
-                           zero_order)
-    corpus = corpus_members(grid, [J for J, _ in ladder], cfg.seed,
-                            ChingProfile(zero_order=zero_order),
+                           profile)
+    corpus = corpus_members(grid, [J for J, _ in ladder], cfg.seed, profile,
                             n_random=cfg.corpus_size)
     return [(J, _grid_gain(a, members, cases, part))
             for (J, a), (_, members) in zip(ladder, corpus)]
@@ -366,8 +356,7 @@ def run_boundedness_sweep(cfg: ExperimentConfig) -> dict:
     curves = {spec: {} for spec in specs}   # spec -> N -> {J: gain}
     for N in cfg.grid_sizes:
         grid = TorusGrid(cfg.grid_n, N)
-        part = make_partition(make_modulation(cfg.partition_r,
-                                              cfg.partition_R), grid)
+        part = make_partition(STANDARD_CUTOFF, grid)
         ref = lacunary_stack(grid, np.ones(J_min + 1))
         for scale, s, p, q in specs:
             norm_rows.append({"scale": scale, "s": _f(s), "p": _f(p),
@@ -420,8 +409,7 @@ def run_ching_study(cfg: ExperimentConfig) -> dict:
     s_values = tuple(float(s) for s in cfg.param("s_values"))
     [N] = cfg.grid_sizes
     grid = TorusGrid(cfg.grid_n, N)
-    part = make_partition(make_modulation(cfg.partition_r, cfg.partition_R),
-                          grid)
+    part = make_partition(STANDARD_CUTOFF, grid)
     cases = [(NormSpec("F", s + d, 2.0, 2.0), NormSpec("F", s, 2.0, 2.0))
              for s in s_values]
     curves, thresholds = {}, {}
@@ -445,7 +433,7 @@ def run_ching_study(cfg: ExperimentConfig) -> dict:
     # the adjoint symbol on the study grid: its seminorms grow with the
     # truncation when the profile does not vanish on the ray
     probe = {}
-    for J, a in _ching_ladder(grid, d, (2, 4), 0):
+    for J, a in _ching_ladder(grid, d, (2, 4), ChingProfile()):
         rep = discrete_adjoint_probe(a)
         probe[f"J{J}"] = {k: v["adjoint"]
                           for k, v in rep["seminorms"].items()}
@@ -485,7 +473,7 @@ def build_symbol(cfg: ExperimentConfig, grid: TorusGrid) -> DiscreteSymbol:
     if family == "ching":
         J = cfg.param("J")
         if J is None:
-            J = int(np.floor(np.log2(grid.nyquist / 1.25))) - 1
+            J = ching_default_J(grid.N)
         return standard_ching(grid, d, J, cfg.param("zero_order"),
                               one_sided=cfg.param("one_sided"))
     if family == "multiplier":
@@ -503,12 +491,11 @@ def run_modulation_study(cfg: ExperimentConfig) -> dict:
     default one-sided lacunary symbol applied to its adversarial stack shows
     a non-decaying difference profile that persists under grid refinement
     (the divergence indicator; never reported as a proof)."""
-    psis = [make_modulation(r, R) for r, R in cfg.modulations]
     tail_by_N = {}
     conv_rows = []
     for N in cfg.grid_sizes:
         grid = TorusGrid(cfg.grid_n, N)
-        J = int(np.floor(np.log2(grid.nyquist / 1.25))) - 1
+        J = ching_default_J(N)
         a = build_symbol(cfg, grid)
         # the nice corpus of random band-limited inputs, then the
         # adversarial stack riding the lacunary ray
@@ -517,7 +504,7 @@ def run_modulation_study(cfg: ExperimentConfig) -> dict:
             for i in range(cfg.corpus_size)]
         inputs.append(("lacunary_stack", lacunary_stack(grid, np.ones(J + 1))))
         for name, u in inputs:
-            rep = modulation_limit(a, u, psis)
+            rep = modulation_limit(a, u, MODULATIONS)
             conv_rows.append({"N": N, "input": name,
                               "converged": rep.converged,
                               "verdict": "converged" if rep.converged
@@ -548,7 +535,7 @@ def run_inequality_suite(cfg: ExperimentConfig) -> dict:
     the witness of its worst case."""
     [N] = cfg.grid_sizes
     grid = TorusGrid(cfg.grid_n, N)
-    psi = make_modulation(cfg.partition_r, cfg.partition_R)
+    psi = STANDARD_CUTOFF
     part = make_partition(psi, grid)
     checks = []
     ching = standard_ching(grid, 0.0, 4)
@@ -762,11 +749,9 @@ def run_scenario(cfg: ExperimentConfig) -> ResultRecord:
     cfg.validate()
     t0 = time.monotonic()
     metrics = RUNNERS[cfg.scenario](cfg)
-    partition_header = {"r": cfg.partition_r, "R": cfg.partition_R}
+    partition_header = {"r": STANDARD_CUTOFF.r, "R": STANDARD_CUTOFF.R}
     for N in cfg.grid_sizes:
-        part = make_partition(make_modulation(cfg.partition_r,
-                                              cfg.partition_R),
-                              TorusGrid(cfg.grid_n, N))
+        part = make_partition(STANDARD_CUTOFF, TorusGrid(cfg.grid_n, N))
         partition_header[f"N{N}"] = {"h": part.h, "J_max": part.J_max}
     record = ResultRecord(
         scenario=cfg.scenario,
@@ -774,7 +759,7 @@ def run_scenario(cfg: ExperimentConfig) -> ResultRecord:
                 "partition": partition_header,
                 "symbol_family": cfg.symbol_family,
                 "symbol_params": cfg.symbol_params,
-                "modulations": [list(m) for m in cfg.modulations],
+                "modulations": [[m.r, m.R] for m in MODULATIONS],
                 "seed": cfg.seed, "corpus_size": cfg.corpus_size},
         metrics=metrics,
         wall_time_s=time.monotonic() - t0,

@@ -50,6 +50,11 @@ class ModulationFunction:
         return float(self(np.array([radius]))[0])
 
 
+#: The cutoff with (r, R) = (1, 2) behind every scenario's partition and the
+#: standard dyadic shells.
+STANDARD_CUTOFF = ModulationFunction(1.0, 2.0)
+
+
 def make_modulation(r: float, R: float) -> ModulationFunction:
     """Build the standard smooth radial cutoff with plateau r and support R."""
     if not (0.0 < r < R):
@@ -140,7 +145,7 @@ def make_partition(psi: ModulationFunction, grid: TorusGrid) -> LPPartition:
     if psi.R >= grid.nyquist:
         raise GridTooCoarse(
             f"support radius {psi.R} >= nyquist {grid.nyquist}")
-    J_max = int(np.floor(np.log2(grid.nyquist / psi.R) + 1e-12))
+    J_max = 0
     while psi.R * 2 ** (J_max + 1) <= grid.nyquist:
         J_max += 1
     return LPPartition(psi, grid, minimal_gap(psi), J_max)

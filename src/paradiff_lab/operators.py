@@ -297,13 +297,11 @@ def support_inclusions(split: ParaSplit, tdc_B: float | None = None) -> SupportR
     part = split.partition
     r, R, h = part.r, part.R, part.h
     R_h = r / 2.0 - R * 2.0 ** (-h)
-    norms = part.grid.freq_norms()
     violations = []
     corona_bounds, ball_bounds = {}, {}
 
     def check(series, k, fld, inner, outer):
-        bad = fld.support() & ~((inner - 1e-12 <= norms)
-                                & (norms <= outer + 1e-12))
+        bad = fld.support() & ~part.grid.annulus(inner, outer)
         if bad.any():
             violations.append((series, k, part.grid.points(bad)))
 

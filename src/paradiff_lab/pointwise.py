@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import (BadExponent, DepthUnsupported, LevelOutOfRange,
                      SupportViolation)
-from .lp import ModulationFunction, make_modulation
+from .lp import STANDARD_CUTOFF, ModulationFunction
 from .operators import ParaSplit, apply
 from .symbols import DiscreteSymbol, _eta_square_sums
 from .torus import SpectralField, TorusGrid
@@ -205,10 +205,10 @@ def check_factorization(a: DiscreteSymbol, u: SpectralField,
     in the ball of radius R and the cutoff chi = psi(./R) equals 1 on it,
     psi the standard cutoff with (r, R) = (1, 2).
     """
-    psi = make_modulation(1.0, 2.0)
+    psi = STANDARD_CUTOFF
     grid = u.grid
     sup = u.support()
-    far = sup & (grid.freq_norms() > p.R + 1e-12)
+    far = sup & ~grid.annulus(0.0, p.R)
     if far.any():
         raise SupportViolation("spectrum escapes B(0, R)", grid.points(far))
     cut = sup & (_window(grid, psi, p.R) != 1.0)

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (AliasingRisk, BadExponent, GridTooCoarse, NotResolvable,
+from .errors import (AliasingRisk, BadExponent, GridTooCoarse,
                      SupportViolation)
-from .lp import LPPartition, check_grid, make_modulation
-from .operators import apply
+from .lp import STANDARD_CUTOFF, LPPartition, check_grid
+from .operators import apply, saturation_level
 from .pointwise import MaxParams, hl_max, max_ratio, peetre_max
 from .symbols import DiscreteSymbol
 from .torus import SUPPORT_REL_THRESHOLD, SpectralField, TorusGrid
@@ -169,22 +169,17 @@ def homog_besov_norm(b: SpectralField, smoothness: float, p: float = 1.0,
 
 def _dyadic_shells(grid: TorusGrid) -> tuple:
     """(js, shells): the homogeneous dyadic shells phi(2^-j .) that meet the
-    lattice, stacked along the first axis, phi = psi - psi(2 .) for the
-    standard cutoff psi with (r, R) = (1, 2); a table of the grid."""
+    lattice, stacked along the first axis, phi = psi - psi(2 .) for
+    psi = ``lp.STANDARD_CUTOFF``; a table of the grid."""
     def build():
-        profile = make_modulation(1.0, 2.0)
-        norms = grid.freq_norms()
-        j_min = int(np.ceil(-np.log2(profile.R)))
-        j_max = int(np.ceil(np.log2(grid.max_freq_norm() / profile.r))) + 1
-        js, shells = [], []
-        for j in range(j_min, j_max + 1):
-            w = profile(norms / 2.0**j) - profile(norms * 2.0 / 2.0**j)
-            if (w != 0).any():
-                js.append(j)
-                shells.append(w)
-        if not shells:
-            raise NotResolvable("no dyadic shell meets the lattice")
-        return np.array(js), np.stack(shells)
+        # psi(2^-j .) for j = -1 .. saturation, past which it is 1 on the
+        # lattice; shell j >= 0 is the difference of neighbours bit for bit,
+        # as (x / 2^j) * 2 == x / 2^(j-1) exactly (shell -1 is 0 there)
+        psi, norms = STANDARD_CUTOFF, grid.freq_norms()
+        shells = np.diff([psi(norms / 2.0**j) for j in range(
+            -1, saturation_level(psi, grid) + 1)], axis=0)
+        live = shells.reshape(len(shells), -1).any(axis=1)
+        return np.flatnonzero(live), shells[live]
     return grid.table("dyadic_shells", build)
 
 
@@ -205,12 +200,10 @@ def marschall_check(b: DiscreteSymbol, u: SpectralField, k: int,
     for cols, mod in b.moduli():
         mag[cols] = np.max(mod, axis=tuple(range(1, n + 1)))
     peak = float(np.max(mag))
-    bound = 2.0**k
-    radius = np.max(grid.freq_norms().ravel()[
-        mag > SUPPORT_REL_THRESHOLD * peak], initial=0.0)
-    if radius > bound + 1e-12:
+    ball = grid.annulus(0.0, 2.0**k)
+    if (mag.reshape(grid.shape)[~ball] > SUPPORT_REL_THRESHOLD * peak).any():
         raise SupportViolation("symbol rows escape B(0, 2^k)")
-    if u.band_limit() > bound + 1e-12:
+    if (u.support() & ~ball).any():
         raise SupportViolation("input spectrum escapes B(0, 2^k)")
     s_h = n / t
     lhs = np.abs(apply(b, u).values)
@@ -285,13 +278,11 @@ def corona_sum_check(terms, spec: CoronaSpec, part: LPPartition) -> dict:
     Returns {norm_of_sum, F_bound, ratio}.
     """
     grid = part.grid
-    norms = grid.freq_norms()
     offenders = []
     for j, term in enumerate(terms):
         outer = spec.A * 2.0**j
         inner = (2.0 ** (spec.theta * j) / spec.A) if j >= spec.J else 0.0
-        bad = term.support() & ((norms > outer + 1e-12)
-                                | (norms < inner - 1e-12))
+        bad = term.support() & ~grid.annulus(inner, outer)
         offenders += [(j, pt) for pt in grid.points(bad)]
     if offenders:
         raise SupportViolation("corona/ball condition violated", offenders)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (DepthUnsupported, EmptyShell, GridMismatch,
                      GridTooCoarse, TooLarge)
-from .lp import LPPartition, ModulationFunction, check_grid
+from .lp import STANDARD_CUTOFF, LPPartition, ModulationFunction, check_grid
 from .torus import SUPPORT_REL_THRESHOLD, TorusGrid
 
 #: Largest number of dense symbol entries we are willing to materialize.
@@ -377,16 +377,27 @@ class ChingProfile:
         return out
 
 
+def ching_fits(J: int, N: int) -> bool:
+    """Whether Ching J fits the grid size N: 5 * 2^(J-2) < N/2.  A J >= the
+    bit length of N never fits, and is rejected before the power is formed."""
+    return J < N.bit_length() and 5 * 2 ** (J - 2) < N // 2
+
+
+def ching_default_J(N: int) -> int:
+    """One below the widest J that fits the grid size N (a power of two)."""
+    return N.bit_length() - 4
+
+
 def ching_symbol(grid: TorusGrid, d: float, A, J: int) -> DiscreteSymbol:
     """Lacunary symbol  sum_{j=0..J} 2^{jd} e^{-i 2^j x_1} A(2^-j eta).
 
     ``A`` is an annular profile supported in {3/4 <= |eta| <= 5/4}, so the
-    terms occupy disjoint frequency annuli.  Requires (5/4) 2^J < nyquist.
+    terms occupy disjoint frequency annuli.  Requires ``ching_fits(J, N)``.
     Stored as J + 1 xi-rows: xi_j = -2^j e_1 with row 2^{jd} A(2^-j .).
     """
-    if 5 * 2 ** (J - 2) >= grid.nyquist:
-        raise GridTooCoarse(
-            f"5*2^(J-2) = {5 * 2**(J-2)} >= nyquist {grid.nyquist}")
+    if not ching_fits(J, grid.N):
+        raise GridTooCoarse(f"Ching J = {J} does not fit the grid N = "
+                            f"{grid.N} (5 * 2^(J-2) < N/2)")
 
     ks = _eta_meshes(grid)
     rows = [2.0 ** (j * d) * np.broadcast_to(A(*[k / 2**j for k in ks]),
@@ -411,7 +422,7 @@ class LocalizationCutoff:
     def __call__(self, xi_norm, eta_norm) -> np.ndarray:
         xi_norm = np.asarray(xi_norm, dtype=float)
         eta_norm = np.asarray(eta_norm, dtype=float)
-        sigma = 1.0 - ModulationFunction(1.0, 2.0)(eta_norm)
+        sigma = 1.0 - STANDARD_CUTOFF(eta_norm)
         ratio = xi_norm / np.maximum(eta_norm, 1.0)
         return self.rho(ratio) * sigma
 

@@ -85,6 +85,12 @@ class TorusGrid:
         return self.table("freq_norms", lambda: np.sqrt(sum(
             k**2 for k in np.ix_(*[self.axis_freqs().astype(float)] * self.n))))
 
+    def annulus(self, inner: float, outer: float) -> np.ndarray:
+        """Lattice mask of inner <= |eta| <= outer, each radius widened by
+        1e-12 so that a lattice point on it counts as inside."""
+        norms = self.freq_norms()
+        return (inner - 1e-12 <= norms) & (norms <= outer + 1e-12)
+
     def points(self, mask) -> list:
         """Sorted signed lattice points (integer tuples) of a lattice mask."""
         k = self.axis_freqs()

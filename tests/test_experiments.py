@@ -21,7 +21,8 @@ from paradiff_lab.experiments import (CLAIM_REGISTRY, ExperimentConfig,
 from paradiff_lab.lp import make_modulation, make_partition
 from paradiff_lab.operators import apply
 from paradiff_lab.spaces import NormSpec, space_norm
-from paradiff_lab.symbols import ChingProfile
+from paradiff_lab.symbols import (ChingProfile, ching_default_J, ching_fits,
+                                  ching_symbol)
 from paradiff_lab.torus import TorusGrid
 
 
@@ -136,9 +137,6 @@ def test_config_validation_errors():
         ExperimentConfig(scenario="ching_study", grid_sizes=(48,)).normalized()
     with pytest.raises(ConfigError):
         ExperimentConfig(scenario="ching_study",
-                         partition_r=3.0, partition_R=2.0).normalized()
-    with pytest.raises(ConfigError):
-        ExperimentConfig(scenario="ching_study",
                          symbol_family="weird").normalized()
     for n in (1, 2):  # Ching J=4 in the suite needs nyquist > 20
         with pytest.raises(ConfigError):
@@ -164,8 +162,6 @@ def test_config_json_round_trip(tmp_path):
 @pytest.mark.parametrize("doc", [
     {"grid_sizes": []},
     {"grid_sizes": 64},
-    {"modulations": [[1.0, 2.0], [1.5]]},
-    {"modulations": [1.0, 2.0]},
     {"norm_specs": [["B", 1.0, 2.0]]},
     {"norm_specs": [["B", 1.0, 2.0, 2.0, 1.0]]},
     {"max_matrix_dim": 256},
@@ -178,16 +174,12 @@ def test_config_json_round_trip(tmp_path):
     {"scenario": "modulation_study", "symbol_params": {"d": "x"}},
     {"scenario": "modulation_study", "symbol_params": {"zero_order": "one"}},
     {"scenario": "modulation_study", "symbol_params": {"J": "four"}},
-    {"partition_r": "1"},
-    {"partition_r": True},
     {"grid_sizes": [64.9]},
-    {"modulations": [[1, "2"]]},
     {"scenario": "modulation_study", "symbol_params": {"one_sided": "no"}},
     {"scenario": "modulation_study", "symbol_params": {"one_sided": 1}},
     {"scenario": "boundedness_sweep",
      "symbol_params": {"J_value": [3, 4], "zero_ordr": 1}},
     {"symbol_params": {"J": 9, "d": 3.0}},
-    {"modulations": [[1.0, 2.0], [1.5, 2.5], [0.5, 1.5]]},
     {"grid_sizes": [64, 128]},
     {"scenario": "ching_study", "grid_sizes": [64, 128]},
     {"scenario": "boundedness_sweep",
@@ -197,27 +189,24 @@ def test_config_json_round_trip(tmp_path):
     {"scenario": "modulation_study", "grid_sizes": [64],
      "symbol_family": "identity",
      "symbol_params": {"J": 3, "one_sided": False, "d": 2.0}},
+    {"partition_r": 1.0},
+    {"partition_R": 2.0},
     {"scenario": "modulation_study",
-     "modulations": [[1, "2"], [1.5, 2.5], [0.75, 1.75]]},
-    {"scenario": "modulation_study", "modulations": [[1.0, 2.0], [1.5, 2.5]]},
-    {"scenario": "modulation_study",
-     "modulations": [[2.0, 1.0], [1.5, 2.5], [0.75, 1.75]]},
+     "modulations": [[1.0, 2.0], [1.5, 2.5], [0.75, 1.75]]},
     None,
     "{not json",
     "42",
-], ids=["empty_grids", "scalar_grid", "short_pair", "scalar_pair",
+], ids=["empty_grids", "scalar_grid",
         "short_spec", "long_spec", "stale_max_matrix_dim", "unread_family",
         "unread_specs", "negative_seed", "fractional_seed",
         "fractional_corpus_size", "bool_grid_n", "string_d",
-        "string_zero_order", "string_J", "string_partition_r",
-        "bool_partition_r", "fractional_grid_size", "string_modulation",
+        "string_zero_order", "string_J", "fractional_grid_size",
         "string_one_sided", "int_one_sided", "misspelled_sweep_params",
-        "unread_suite_params", "unread_suite_modulations", "two_suite_grids",
+        "unread_suite_params", "two_suite_grids",
         "two_study_grids", "params_of_other_scenarios",
         "unread_modulation_params", "params_of_other_family",
-        "string_study_modulation",
-        "two_study_cutoffs", "reversed_study_cutoff", "missing_file",
-        "not_json", "not_an_object"])
+        "removed_partition_r", "removed_partition_R", "removed_modulations",
+        "missing_file", "not_json", "not_an_object"])
 def test_malformed_config_exits_2(doc, tmp_path, capsys):
     """A config file that is absent, not a JSON object, holds a value that
     would crash the run, or a key its scenario does not read is a config
@@ -243,7 +232,6 @@ def test_unread_fields_at_their_defaults_validate():
     differs from its dataclass default."""
     ExperimentConfig(scenario="inequality_suite", grid_sizes=[64],
                      symbol_family="ching", norm_specs=[],
-                     modulations=[[1.0, 2.0], [1.5, 2.5], [0.75, 1.75]],
                      symbol_params={}).normalized()
 
 
@@ -575,9 +563,9 @@ def count_shared_work(monkeypatch):
     the fields they map and the scatters they run, during one run."""
     count = {"rows": 0, "random": 0, "apply": 0, "images": 0, "scatter": 0}
 
-    def counted_ching(grid, d, J, zero_order):
+    def counted_ching(grid, d, A, J):
         count["rows"] += J + 1
-        return standard_ching(grid, d, J, zero_order)
+        return ching_symbol(grid, d, A, J)
 
     def counted_random(*args, **kwargs):
         count["random"] += 1
@@ -594,7 +582,7 @@ def count_shared_work(monkeypatch):
         return scatter(*args, **kwargs)
 
     scatter = operators._scatter
-    monkeypatch.setattr(experiments, "standard_ching", counted_ching)
+    monkeypatch.setattr(experiments, "ching_symbol", counted_ching)
     monkeypatch.setattr(corpus, "random_band_limited_field", counted_random)
     monkeypatch.setattr(experiments, "apply", counted_apply)
     monkeypatch.setattr(operators, "_scatter", counted_scatter)
@@ -695,13 +683,18 @@ def test_parameter_defaults_written_out_change_nothing(scenario):
 
 def test_ching_fit_rule_matches_formula():
     """Ching J fits the grid size N when 5 * 2^(J-2) < N/2; a J at or above
-    the bit length of N is answered without forming the power."""
+    the bit length of N is answered without forming the power.  The default
+    J, one below the widest that fits, is the old float formula."""
     for N in [2**k + off for k in range(4, 21) for off in (-1, 0, 1)]:
         for J in range(41):
-            assert experiments._ching_fits(J, N) == \
-                (5 * 2 ** (J - 2) < N // 2), (J, N)
-    assert experiments._ching_fits(10**8, 256) is False
-    ladder = experiments._ching_ladder(TorusGrid(1, 64), 0.0, (3, 10**8, 4), 0)
+            assert ching_fits(J, N) == (5 * 2 ** (J - 2) < N // 2), (J, N)
+    assert ching_fits(10**8, 256) is False
+    for N in (2**k for k in range(4, 22)):
+        J = ching_default_J(N)
+        assert J == int(np.floor(np.log2(N // 2 / 1.25))) - 1, N
+        assert ching_fits(J + 1, N) and not ching_fits(J + 2, N), N
+    ladder = experiments._ching_ladder(TorusGrid(1, 64), 0.0, (3, 10**8, 4),
+                                       ChingProfile())
     assert [J for J, _ in ladder] == [3, 4]
     ExperimentConfig(scenario="boundedness_sweep", grid_sizes=(256,),
                      symbol_params={"J_values": [3, 4, 10**8]}).normalized()
@@ -804,6 +797,20 @@ def test_cli_dim_sets_grid_dimension(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli_main(["run", "modulation_study", "--dim", "3"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("J", [6, 20000, 10**8])
+def test_oversized_ching_J_exits_2(J, tmp_path, capsys):
+    """A Ching J too wide for the grid is a config error with one line,
+    however large: the fit is decided without forming 5 * 2^(J-2)."""
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"scenario": "modulation_study",
+                                "grid_sizes": [64], "symbol_params": {"J": J}}))
+    assert cli_main(["run", "modulation_study", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"J = {J} does not fit the grid N = 64" in err
 
 
 def test_cli_config_scenario_mismatch(tmp_path):

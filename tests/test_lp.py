@@ -101,6 +101,19 @@ def test_partition_parameters(grid, part):
     assert part.J_max == 4  # 2 * 2^4 = 32 = nyquist
 
 
+@pytest.mark.parametrize("N", [2**k for k in range(4, 13)])
+def test_partition_finest_level_at_the_edge(N):
+    """R 2^J_max <= nyquist < R 2^(J_max + 1) for R within 1e-12 relative
+    of nyquist / 2^k, on either side (R slightly above nyquist / 2 once
+    gave J_max one too large)."""
+    grid = TorusGrid(1, N)
+    for k in range(1, N.bit_length() - 1):
+        for rel in (-1e-12, -1e-13, 0.0, 1e-13, 1e-12):
+            R = grid.nyquist / 2**k * (1.0 + rel)
+            J = make_partition(make_modulation(R / 2, R), grid).J_max
+            assert R * 2**J <= grid.nyquist < R * 2 ** (J + 1), (k, rel)
+
+
 def test_partition_grid_too_coarse():
     grid = TorusGrid(1, 16)
     with pytest.raises(GridTooCoarse):

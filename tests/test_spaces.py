@@ -11,7 +11,7 @@ from paradiff_lab import (AliasingRisk, BadExponent, CoronaSpec,
 from paradiff_lab.corpus import (lacunary_stack, random_band_limited_field,
                                  rng_for)
 from paradiff_lab.lp import dyadic_block
-from paradiff_lab.spaces import _dyadic_norm, lp_norm
+from paradiff_lab.spaces import _dyadic_norm, _dyadic_shells, lp_norm
 
 
 @pytest.fixture
@@ -182,6 +182,23 @@ def test_partition_independence(grid):
 
 
 # -- homogeneous norm and dilation ------------------------------------------------
+
+
+@pytest.mark.parametrize("n,N", [(1, 16), (1, 64), (1, 512), (1, 4096),
+                                 (2, 16), (2, 64), (2, 128)])
+def test_dyadic_shells_match_two_evaluation_oracle(n, N):
+    """The shell table equals, bit for bit, the old table built with two
+    cutoff evaluations per shell over a float range of j."""
+    grid = TorusGrid(n, N)
+    psi, norms = make_modulation(1.0, 2.0), grid.freq_norms()
+    j_max = int(np.ceil(np.log2(grid.max_freq_norm() / psi.r))) + 1
+    want = [(j, psi(norms / 2.0**j) - psi(norms * 2.0 / 2.0**j))
+            for j in range(int(np.ceil(-np.log2(psi.R))), j_max + 1)]
+    want = [(j, w) for j, w in want if (w != 0).any()]
+    js, shells = _dyadic_shells(grid)
+    assert js.tobytes() == np.array([j for j, _ in want]).tobytes()
+    assert shells.dtype == np.float64 and shells.tobytes() == np.stack(
+        [w for _, w in want]).tobytes()
 
 
 def test_homog_norm_zero(grid):

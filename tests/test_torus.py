@@ -65,6 +65,20 @@ def test_points_and_band_limit_2d():
     assert SpectralField.zero(grid).band_limit() == 0.0
 
 
+@pytest.mark.parametrize("n,eta", [(1, (5,)), (2, (3, 4)), (2, (1, 1))])
+def test_annulus_edges(n, eta):
+    """A lattice point within 5e-13 beyond either radius counts as inside,
+    one 2e-12 beyond as outside."""
+    grid = TorusGrid(n, 16)
+    at = grid.index_of(eta)
+    norm = grid.freq_norms()[at]
+    for gap, inside in ((5e-13, True), (2e-12, False)):
+        assert grid.annulus(norm + gap, norm + 1.0)[at] == inside
+        assert grid.annulus(norm - 1.0, norm - gap)[at] == inside
+    assert grid.annulus(norm, norm)[at]
+    assert grid.annulus(0.0, 0.0).sum() == 1
+
+
 def test_round_trip(grid):
     rng = np.random.default_rng(0)
     vals = rng.standard_normal(64) + 1j * rng.standard_normal(64)
