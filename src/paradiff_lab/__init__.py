@@ -4,12 +4,13 @@ modulation limits, pointwise maximal-function inequalities, and Besov /
 Triebel-Lizorkin norm measurement."""
 
 from .errors import (AliasingRisk, BadExponent, BadRadii, ConfigError,
-                     DepthUnsupported, EmptyShell, GridMismatch, GridTooCoarse,
-                     LevelOutOfRange, NotAMultiplier, NotResolvable,
-                     ParadiffError, SupportViolation, TooLarge)
+                     DepthUnsupported, GridMismatch, GridTooCoarse,
+                     LevelOutOfRange, NotAMultiplier, ParadiffError,
+                     SupportViolation, TooLarge)
 from .torus import SpectralField, TorusGrid
 from .lp import (LPPartition, ModulationFunction, cumulative_block,
-                 dyadic_block, make_modulation, make_partition, minimal_gap)
+                 dyadic_block, make_modulation, make_partition, minimal_gap,
+                 saturation_level)
 from .symbols import (ChingProfile, DiscreteSymbol, LocalizationCutoff,
                       SymbolSeminorm, TDCSeminorm, ching_symbol,
                       estimate_seminorm, localize, symbol_band, tdc_seminorm,
@@ -17,8 +18,7 @@ from .symbols import (ChingProfile, DiscreteSymbol, LocalizationCutoff,
 from .operators import (LimitReport, ParaSplit, SupportReport, apply,
                         compose_multiplier, discrete_adjoint_probe,
                         modulated_apply, modulation_limit, para_split,
-                        saturation_level, spectral_support_bound,
-                        support_inclusions)
+                        spectral_support_bound, support_inclusions)
 from .pointwise import (MaxParams, RingWindow, check_factorization, hl_max,
                         mihlin_bound, paraterm_pointwise_check, peetre_max,
                         symbol_factor, yamazaki_check, yamazaki_constant)

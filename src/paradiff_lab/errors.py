@@ -26,10 +26,6 @@ class DepthUnsupported(ParadiffError):
     """Requested derivative depth exceeds the supported finite-difference order."""
 
 
-class EmptyShell(ParadiffError):
-    """A dyadic shell contains no lattice point."""
-
-
 class NotAMultiplier(ParadiffError):
     """Symbol is not x-independent, so it cannot act as a Fourier multiplier."""
 
@@ -52,10 +48,6 @@ class SupportViolation(ParadiffError):
 
 class BadExponent(ParadiffError):
     """Exponent parameters (s, p, q, t, ...) outside the admissible range."""
-
-
-class NotResolvable(ParadiffError):
-    """No dyadic shell of the homogeneous partition meets the lattice."""
 
 
 class ConfigError(ParadiffError):

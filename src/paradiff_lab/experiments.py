@@ -431,12 +431,11 @@ def run_ching_study(cfg: ExperimentConfig) -> dict:
         thresholds[f"rho{rho}"] = _f(min(stable_s)) if stable_s else np.inf
     ordered = [thresholds[f"rho{rho}"] for rho in zero_orders]
     # the adjoint symbol on the study grid: its seminorms grow with the
-    # truncation when the profile does not vanish on the ray
-    probe = {}
-    for J, a in _ching_ladder(grid, d, (2, 4), ChingProfile()):
-        rep = discrete_adjoint_probe(a)
-        probe[f"J{J}"] = {k: v["adjoint"]
-                          for k, v in rep["seminorms"].items()}
+    # truncation when the profile does not vanish on the ray (each adjoint
+    # is dropped before the next is built)
+    probe = {f"J{J}": {k: v["adjoint"] for k, v in
+                       discrete_adjoint_probe(a)["seminorms"].items()}
+             for J, a in _ching_ladder(grid, d, (2, 4), ChingProfile())}
     # the J=4 / J=2 ratio of the first eta-derivative; NaN (a fail) when
     # J=4 does not fit the grid
     growth = (probe["J4"]["alpha0_beta1"] / probe["J2"]["alpha0_beta1"]

@@ -18,7 +18,6 @@ which several exactness tests rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -102,41 +101,46 @@ class LPPartition:
         s = np.asarray(radii, dtype=float)
         return self.psi(s) - self.psi(2.0 * s)
 
-    @cached_property
-    def _weights(self) -> tuple:
-        """(level, cumulative, level stack): the per-level views of the
-        read-only level and cumulative stacks over 0..J_max, then the level
-        stack itself."""
-        norms = self.grid.freq_norms()
-        cumulative = np.stack([self.psi(norms / 2**k)
-                               for k in range(self.J_max + 1)])
-        # phi(2^-k .) = psi(2^-k .) - psi(2^-(k-1) .) bit for bit, since
-        # (x / 2^k) * 2 == x / 2^(k-1) exactly: the stack's first differences
-        levels = cumulative.copy()
-        np.subtract(cumulative[1:], cumulative[:-1], out=levels[1:])
-        for w in (levels, cumulative):
-            w.flags.writeable = False
-        return list(levels), list(cumulative), levels
-
-    def _level(self, table: int, k: int) -> np.ndarray:
+    def _level(self, k: int) -> int:
         if not 0 <= k <= self.J_max:
             raise LevelOutOfRange(f"level {k} outside 0..{self.J_max}")
-        return self._weights[table][k]
+        return k
 
     def level_weights(self, k: int) -> np.ndarray:
         """Multiplier of level k on the lattice: phi(2^-k eta), psi for k=0
-        (computed once per partition; read-only)."""
-        return self._level(0, k)
+        (a read-only view of :meth:`level_stack`)."""
+        return self.level_stack()[self._level(k)]
 
     def cumulative_weights(self, k: int) -> np.ndarray:
-        """psi(2^-k eta) on the lattice (computed once per partition;
-        read-only)."""
-        return self._level(1, k)
+        """psi(2^-k eta) on the lattice, a radial table of the grid."""
+        return self.grid.radial(self.psi, 2**self._level(k))
 
     def level_stack(self) -> np.ndarray:
-        """Level weights of k = 0..J_max stacked along a first axis, the
-        array that ``level_weights(k)`` views (read-only)."""
-        return self._weights[2]
+        """Level weights of k = 0..J_max stacked along a first axis, a table
+        of the grid (read-only)."""
+        return self.grid.table(("levels", self.psi, self.J_max), lambda: (
+            dyadic_ladder(self.psi, self.grid, 0, self.J_max)))
+
+
+def dyadic_ladder(psi: ModulationFunction, grid: TorusGrid, lo: int,
+                  hi: int) -> np.ndarray:
+    """psi(2^-lo .), then phi(2^-k .) for k = lo+1..hi, stacked over the
+    lattice (a new array): first differences of the grid's radial tables,
+    bit for bit since (x / 2^k) * 2 == x / 2^(k-1) exactly."""
+    out = np.empty((hi + 1 - lo,) + grid.shape)
+    out[0] = grid.radial(psi, 2.0**lo)
+    for k in range(lo + 1, hi + 1):
+        np.subtract(grid.radial(psi, 2.0**k), grid.radial(psi, 2.0 ** (k - 1)),
+                    out=out[k - lo])
+    return out
+
+
+def saturation_level(psi: ModulationFunction, grid: TorusGrid) -> int:
+    """Smallest m with psi(2^-m .) identically 1 on the whole lattice."""
+    m = 0
+    while psi.r * 2**m < grid.max_freq_norm():
+        m += 1
+    return m
 
 
 def make_partition(psi: ModulationFunction, grid: TorusGrid) -> LPPartition:

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import (AliasingRisk, GridMismatch, LevelOutOfRange,
                      NotAMultiplier)
 from .lp import (LPPartition, ModulationFunction, check_grid,
-                 cumulative_block, dyadic_block)
+                 cumulative_block, dyadic_block, saturation_level)
 from .symbols import (BLOCK_ENTRIES, DiscreteSymbol, estimate_seminorm,
                       symbol_band)  # symbol_band: re-exported
 from .torus import SUPPORT_REL_THRESHOLD, SpectralField, TorusGrid
@@ -73,19 +73,11 @@ def _scatter(grid: TorusGrid, xi, cols, idx, c, row_w=None) -> np.ndarray:
     return coeffs.reshape(shape)
 
 
-def saturation_level(psi: ModulationFunction, grid: TorusGrid) -> int:
-    """Smallest m with psi(2^-m .) identically 1 on the whole lattice."""
-    m = 0
-    while psi.r * 2**m < grid.max_freq_norm():
-        m += 1
-    return m
-
-
 def modulated_symbol(a: DiscreteSymbol, psi: ModulationFunction,
                      m: int) -> DiscreteSymbol:
     """psi(2^-m D_x) a(x, eta) psi(2^-m eta) as a symbol of fixed level m."""
     grid = a.grid
-    w = psi(grid.freq_norms() / 2**m)
+    w = grid.radial(psi, 2**m)
     pft = (a.partial_ft() * w.reshape(grid.shape + (1,) * grid.n)
            * w.reshape((1,) * grid.n + grid.shape))
     return DiscreteSymbol.from_partial_ft(grid, a.d, pft)
@@ -372,17 +364,14 @@ def adjoint_symbol(a: DiscreteSymbol) -> DiscreteSymbol:
 def discrete_adjoint_probe(a: DiscreteSymbol) -> dict:
     """Numerical probe of membership in the self-adjoint symbol subclass.
 
-    Returns the adjoint symbol and seminorm estimates for both the symbol
-    and its adjoint at the derivative depths (alpha, beta) in {0, 1}^2,
-    taken along the first axis when n = 2.
+    Returns the adjoint symbol and its seminorm estimates at the derivative
+    depths (alpha, beta) in {0, 1}^2, taken along the first axis when
+    n = 2.
     """
     adj = adjoint_symbol(a)
     rest = (0,) * (a.grid.n - 1)
     report = {}
     for alpha, beta in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        al, be = (alpha,) + rest, (beta,) + rest
-        report[f"alpha{alpha}_beta{beta}"] = {
-            "symbol": estimate_seminorm(a, al, be).value,
-            "adjoint": estimate_seminorm(adj, al, be).value,
-        }
+        report[f"alpha{alpha}_beta{beta}"] = {"adjoint": estimate_seminorm(
+            adj, (alpha,) + rest, (beta,) + rest).value}
     return {"adjoint_symbol": adj, "seminorms": report}

@@ -146,11 +146,6 @@ class RingWindow:
                 * ModulationFunction(self.plateau_hi, self.R)(radii))
 
 
-def _window(grid: TorusGrid, psi, R: float) -> np.ndarray:
-    """psi(|eta| / R) over the lattice, a table of the grid."""
-    return grid.table(("window", psi, R), lambda: psi(grid.freq_norms() / R))
-
-
 def symbol_factor(a: DiscreteSymbol, p: MaxParams, psi,
                   allow_clipped: bool = False) -> np.ndarray:
     """F_a(N, R; x) = integral (1 + R|y|)^N |F^-1_{eta->y}(a(x,.) chi)| dy
@@ -166,7 +161,7 @@ def symbol_factor(a: DiscreteSymbol, p: MaxParams, psi,
     if p.R * psi.R > grid.nyquist and not allow_clipped:
         raise LevelOutOfRange(
             f"R * supp(psi) = {p.R * psi.R} exceeds nyquist {grid.nyquist}")
-    windowed = a.rows * _window(grid, psi, p.R)
+    windowed = a.rows * grid.radial(psi, p.R)
     key = ("symbol_factor", grid, p.N, p.R, a.xi.tobytes(),
            *_content(windowed.reshape(len(a.xi), grid.N**grid.n)))
     if key in _memo:
@@ -211,7 +206,7 @@ def check_factorization(a: DiscreteSymbol, u: SpectralField,
     far = sup & ~grid.annulus(0.0, p.R)
     if far.any():
         raise SupportViolation("spectrum escapes B(0, R)", grid.points(far))
-    cut = sup & (_window(grid, psi, p.R) != 1.0)
+    cut = sup & (grid.radial(psi, p.R) != 1.0)
     if cut.any():
         raise SupportViolation("cutoff not identically 1 on supp(u^)",
                                grid.points(cut)[:1])
@@ -225,7 +220,7 @@ def _mihlin_rhs(a: DiscreteSymbol, p: MaxParams, psi) -> np.ndarray:
     K = int(np.floor(p.N + grid.n / 2.0)) + 1
     if K > 4:
         raise DepthUnsupported(f"derivative depth {K} exceeds 4")
-    region = _window(grid, psi, p.R) > 0
+    region = grid.radial(psi, p.R) > 0
     total = np.zeros(grid.shape)
     for alpha in (b for b in np.ndindex(*(K + 1,) * grid.n) if sum(b) <= K):
         sq, = _eta_square_sums(a, alpha, [region])

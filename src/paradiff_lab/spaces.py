@@ -14,8 +14,9 @@ import numpy as np
 
 from .errors import (AliasingRisk, BadExponent, GridTooCoarse,
                      SupportViolation)
-from .lp import STANDARD_CUTOFF, LPPartition, check_grid
-from .operators import apply, saturation_level
+from .lp import (STANDARD_CUTOFF, LPPartition, check_grid, dyadic_ladder,
+                 saturation_level)
+from .operators import apply
 from .pointwise import MaxParams, hl_max, max_ratio, peetre_max
 from .symbols import DiscreteSymbol
 from .torus import SUPPORT_REL_THRESHOLD, SpectralField, TorusGrid
@@ -33,6 +34,8 @@ class NormSpec:
     def __post_init__(self):
         if self.scale not in ("B", "F"):
             raise BadExponent("scale must be 'B' or 'F'")
+        if not np.isfinite(self.s):
+            raise BadExponent("s must be finite")
         if not (self.p > 0 and self.q > 0):  # NaN fails too
             raise BadExponent("p and q must be positive")
         if self.scale == "F" and np.isinf(self.p):
@@ -160,27 +163,21 @@ def homog_besov_norm(b: SpectralField, smoothness: float, p: float = 1.0,
     truncated to the lattice-resolvable shells.  The zero mode is quotiented
     out, so inputs should vanish at frequency zero to the needed order."""
     grid = b.grid
-    js, shells = _dyadic_shells(grid)
+    shells = _dyadic_shells(grid)
     blocks = np.fft.ifftn(b.coeffs * shells, axes=tuple(range(1, grid.n + 1)))
     # ||N^n ifft(c)||_p = N^n ||ifft(c)||_p: scale the norms, not the blocks
     return _dyadic_norm("B", blocks, [2.0 ** (j * smoothness) * grid.N**grid.n
-                                      for j in js], p, q)
+                                      for j in range(len(shells))], p, q)
 
 
-def _dyadic_shells(grid: TorusGrid) -> tuple:
-    """(js, shells): the homogeneous dyadic shells phi(2^-j .) that meet the
-    lattice, stacked along the first axis, phi = psi - psi(2 .) for
-    psi = ``lp.STANDARD_CUTOFF``; a table of the grid."""
-    def build():
-        # psi(2^-j .) for j = -1 .. saturation, past which it is 1 on the
-        # lattice; shell j >= 0 is the difference of neighbours bit for bit,
-        # as (x / 2^j) * 2 == x / 2^(j-1) exactly (shell -1 is 0 there)
-        psi, norms = STANDARD_CUTOFF, grid.freq_norms()
-        shells = np.diff([psi(norms / 2.0**j) for j in range(
-            -1, saturation_level(psi, grid) + 1)], axis=0)
-        live = shells.reshape(len(shells), -1).any(axis=1)
-        return np.flatnonzero(live), shells[live]
-    return grid.table("dyadic_shells", build)
+def _dyadic_shells(grid: TorusGrid) -> np.ndarray:
+    """The homogeneous dyadic shells phi(2^-j .) that meet the lattice,
+    j = 0 .. saturation, stacked along the first axis, phi = psi - psi(2 .)
+    for psi = ``lp.STANDARD_CUTOFF``; a table of the grid.  Shell j holds
+    2^j e_1 below saturation, and the top shell the far lattice points."""
+    psi = STANDARD_CUTOFF
+    return grid.table("dyadic_shells", lambda: dyadic_ladder(
+        psi, grid, -1, saturation_level(psi, grid))[1:])
 
 
 def marschall_check(b: DiscreteSymbol, u: SpectralField, k: int,
@@ -212,7 +209,7 @@ def marschall_check(b: DiscreteSymbol, u: SpectralField, k: int,
     eta_axes = tuple(range(1, n + 1))
     coeffs = np.fft.fftn(b.rows, axes=eta_axes)
     terms = []
-    for j, w in zip(*_dyadic_shells(grid)):
+    for j, w in enumerate(_dyadic_shells(grid)):
         l1 = np.zeros(grid.shape)
         for _, mod in b.moduli(np.fft.ifftn(coeffs * w, axes=eta_axes)):
             l1 += np.sum(mod, axis=0)
@@ -245,7 +242,6 @@ class CoronaSpec:
     s_prime: float
 
     def __post_init__(self):
-        n = 1  # validation is dimension-generic through n/p - n at n = 1, 2
         if self.A <= 1.0:
             raise BadExponent("A must exceed 1")
         if not (0.0 < self.theta <= 1.0):

@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DepthUnsupported, EmptyShell, GridMismatch,
-                     GridTooCoarse, TooLarge)
+from .errors import DepthUnsupported, GridMismatch, GridTooCoarse, TooLarge
 from .lp import STANDARD_CUTOFF, LPPartition, ModulationFunction, check_grid
 from .torus import SUPPORT_REL_THRESHOLD, TorusGrid
 
@@ -75,6 +74,8 @@ class DiscreteSymbol:
     def __init__(self, grid, d, xi, rows):
         self.grid = grid
         self.d = float(d)
+        if not np.isfinite(self.d):
+            raise ValueError("symbol order d must be finite")
         self._values = self._pft = None
         xi = np.asarray(xi)
         # integral floats pass (the builders' zeros); a cast would truncate
@@ -485,12 +486,8 @@ def _shell_seminorm(a_loc: DiscreteSymbol, alpha: tuple) -> float:
     """sup over dyadic shells R=2^j and x of
     R^{-d} ( sum_{R<=|eta|<=2R} |R^{|a|} D^a_eta a|^2 / R^n )^{1/2}."""
     grid = a_loc.grid
-    norms = grid.freq_norms()
     radii = [2.0**j for j in range(int(np.log2(grid.nyquist)))]  # R <= nyq/2
-    shells = [(norms >= R) & (norms <= 2 * R) for R in radii]
-    for R, shell in zip(radii, shells):
-        if not shell.any():
-            raise EmptyShell(f"no lattice point in shell [{R}, {2*R}]")
+    shells = [grid.annulus(R, 2 * R) for R in radii]
     best = 0.0
     for R, total in zip(radii, _eta_square_sums(a_loc, alpha, shells)):
         per_x = np.sqrt(total * R ** (2 * sum(alpha) - grid.n))

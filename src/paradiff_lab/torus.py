@@ -67,12 +67,10 @@ class TorusGrid:
         return np.arange(self.N) * self.spacing
 
     def table(self, key, build):
-        """``build()`` (an array or a tuple of arrays), computed once per
-        grid and ``key`` and kept read-only: for tables of no input."""
+        """The array ``build()``, computed once per grid and key; read-only."""
         if key not in self._tables:
-            out = self._tables[key] = build()
-            for arr in out if isinstance(out, tuple) else (out,):
-                arr.flags.writeable = False
+            self._tables[key] = build()
+            self._tables[key].flags.writeable = False
         return self._tables[key]
 
     def axis_freqs(self) -> np.ndarray:
@@ -84,6 +82,11 @@ class TorusGrid:
         """Euclidean |eta| over the lattice, FFT order, shape == grid.shape."""
         return self.table("freq_norms", lambda: np.sqrt(sum(
             k**2 for k in np.ix_(*[self.axis_freqs().astype(float)] * self.n))))
+
+    def radial(self, f, R: float) -> np.ndarray:
+        """f(|eta| / R) over the lattice for a hashable radial profile f, a
+        table of the grid (R = 16 and 16.0 are one key and one division)."""
+        return self.table(("radial", f, R), lambda: f(self.freq_norms() / R))
 
     def annulus(self, inner: float, outer: float) -> np.ndarray:
         """Lattice mask of inner <= |eta| <= outer, each radius widened by

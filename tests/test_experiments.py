@@ -243,11 +243,27 @@ def test_negative_seed_flag_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("spec", [["X", 0.0, 2.0, 2.0],
                                   ["F", 0.0, "Infinity", 2.0],
-                                  ["B", 0.0, 2.0, "NaN"]],
-                         ids=["bad_scale", "f_at_p_inf", "nan_q"])
+                                  ["B", 0.0, 2.0, "NaN"],
+                                  ["F", "nan", 2.0, 2.0],
+                                  ["B", float("inf"), 2.0, 2.0],
+                                  ["B", float("-inf"), 2.0, 2.0]],
+                         ids=["bad_scale", "f_at_p_inf", "nan_q", "nan_s",
+                              "inf_s", "minus_inf_s"])
 def test_sweep_bad_norm_spec_rejected_at_load(spec):
     with pytest.raises(ConfigError, match="norm spec"):
         small_cfg("boundedness_sweep", norm_specs=[spec])
+
+
+def test_non_finite_smoothness_exits_2(tmp_path, capsys):
+    # a NaN s once reached lacunary_stack through NaN stack weights and
+    # ended in a traceback and exit 1, the status of a failed check
+    path = tmp_path / "cfg.json"
+    path.write_text('{"scenario": "boundedness_sweep", "grid_sizes": [64], '
+                    '"norm_specs": [["F", NaN, 2.0, 2.0]]}')
+    assert cli_main(["run", "boundedness_sweep", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: norm spec") and err.count("\n") == 1
 
 
 def test_removed_flag_exits_2(tmp_path):
@@ -425,6 +441,19 @@ def test_ching_study_cli_default_finds_rho1_growth():
                            **DEFAULT_CONFIGS["ching_study"]).normalized()
     curves = run_scenario(cfg).metrics["gain_curves"]["curves"]
     assert curves["rho1"]["-1.0"]["verdict"] == "growth"
+
+
+def test_ching_study_probe_computes_adjoint_seminorms_only(monkeypatch):
+    # the adjoint probe of J = 2 and J = 4 estimates the adjoint's four
+    # seminorms each, the only values the study reads
+    calls = []
+    estimate = operators.estimate_seminorm
+    monkeypatch.setattr(operators, "estimate_seminorm",
+                        lambda *args: calls.append(args) or estimate(*args))
+    cfg = ExperimentConfig(scenario="ching_study",
+                           **DEFAULT_CONFIGS["ching_study"]).normalized()
+    probe = run_scenario(cfg).metrics["adjoint_probe"]["seminorms_by_J"]
+    assert len(calls) == 8 and sorted(probe) == ["J2", "J4"]
 
 
 def test_sweep_gains_match_per_spec_loop():
@@ -857,9 +886,11 @@ ROW = [1.0, 0.0] * 64   # one row over the 1-D N=64 lattice, re/im interleaved
                                       "rows": [ROW, ROW]})),
     ({"table": "t.json"}, json.dumps({"d": 0.0, "xi": [[1.5]],
                                       "rows": [ROW]})),
+    ({"table": "t.json"}, json.dumps({"d": np.nan, "xi": [[0]],
+                                      "rows": [ROW]})),
 ], ids=["no_table", "missing_file", "not_json", "old_values_layout",
         "missing_rows", "row_shape", "non_finite", "coinciding_xi",
-        "fractional_xi"])
+        "fractional_xi", "non_finite_order"])
 def test_bad_custom_table_exits_2(params, text, tmp_path, capsys):
     """Every bad custom table is a config error naming the table layout."""
     params = {key: str(tmp_path / name) for key, name in params.items()}

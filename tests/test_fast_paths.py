@@ -44,6 +44,7 @@ from paradiff_lab import (CoronaSpec, DiscreteSymbol, GridMismatch,
 from paradiff_lab.corpus import (lacunary_stack, random_band_limited_field,
                                  random_sparse_symbol, rng_for,
                                  standard_ching)
+from paradiff_lab.lp import STANDARD_CUTOFF, ModulationFunction
 from paradiff_lab.operators import adjoint_symbol, modulated_symbol
 from paradiff_lab import operators, pointwise, spaces
 from paradiff_lab.pointwise import _mihlin_rhs, torus_offsets
@@ -438,29 +439,62 @@ def test_split_of_many_matches_one_at_a_time(n, N, family):
 @pytest.mark.parametrize("n,N", GRIDS)
 def test_lattice_tables_built_once_and_read_only(n, N):
     """Each input-independent lattice table is computed once per grid and
-    handed out read-only; the grids still compare and hash on (n, N), and
-    the ring windows, which key their tables, on their parameters."""
+    handed out read-only; a radial table is f(|eta| / R) bit for bit, and
+    each dyadic shell the difference of two of the standard cutoff's; the
+    grids still compare and hash on (n, N), and the ring windows, which
+    key their tables, on their parameters."""
     grid = TorusGrid(n, N)
     ring = RingWindow(0.25, 0.5, 1.0, 2.0)
     tables = {"axis_freqs": grid.axis_freqs, "freq_norms": grid.freq_norms,
-              "dyadic_js": lambda: spaces._dyadic_shells(grid)[0],
-              "dyadic_shells": lambda: spaces._dyadic_shells(grid)[1],
-              "window": lambda: pointwise._window(grid, ring, 4.0)}
+              "dyadic_shells": lambda: spaces._dyadic_shells(grid),
+              "radial": lambda: grid.radial(ring, 4.0)}
     for name, table in tables.items():
         first = table()
         assert table() is first, name
         with pytest.raises(ValueError, match="read-only"):
             first[(0,) * first.ndim] = 1
-    for psi in (ring, RingWindow(0.25, 0.5, 1.0, 1.5), make_modulation(1, 2)):
+    for f in (ring, RingWindow(0.25, 0.5, 1.0, 1.5), make_modulation(1, 2)):
         for R in (2.0, 4.0):
-            assert np.array_equal(pointwise._window(grid, psi, R),
-                                  psi(grid.freq_norms() / R))
+            assert np.array_equal(grid.radial(f, R),
+                                  f(grid.freq_norms() / R))
+    psi = STANDARD_CUTOFF
+    for j, shell in enumerate(spaces._dyadic_shells(grid)):
+        assert np.array_equal(shell, grid.radial(psi, 2.0**j)
+                              - grid.radial(psi, 2.0 ** (j - 1)))
     twin = TorusGrid(n, N)
     assert twin == grid and hash(twin) == hash(grid)
     assert np.array_equal(twin.freq_norms(), grid.freq_norms())
     same = RingWindow(0.25, 0.5, 1.0, 2.0)
     assert same == ring and hash(same) == hash(ring)
     assert RingWindow(0.25, 0.5, 1.0, 4.0) != ring
+
+
+@pytest.mark.parametrize("n,N", GRIDS)
+def test_each_radial_table_evaluated_once(n, N, monkeypatch):
+    """The partition's stacks, the homogeneous shells and the windows of
+    the symbol factor and its Mihlin majorant at R = 2^k read one radial
+    table per (cutoff, R): built twice over, no cutoff is evaluated twice
+    on the same radii."""
+    grid = TorusGrid(n, N)
+    psi, ident = STANDARD_CUTOFF, DiscreteSymbol.identity(grid)
+    calls, call = [], ModulationFunction.__call__
+
+    def counted(self, radii):
+        calls.append((self, np.asarray(radii).tobytes()))
+        return call(self, radii)
+
+    monkeypatch.setattr(ModulationFunction, "__call__", counted)
+    for _ in range(2):
+        part = make_partition(psi, grid)
+        part.level_stack()
+        for k in range(part.J_max + 1):
+            part.cumulative_weights(k)
+        spaces._dyadic_shells(grid)
+        for k in range(part.J_max + 1):
+            p = MaxParams(1.0, 2.0**k)
+            symbol_factor(ident, p, psi)
+            _mihlin_rhs(ident, p, psi)
+    assert calls and len(set(calls)) == len(calls)
 
 
 @pytest.mark.parametrize("n,N", GRIDS)

@@ -222,16 +222,23 @@ def test_two_partitions_agree_on_band_limited(grid):
 
 @pytest.mark.parametrize("n,N", [(1, 64), (2, 16), (1, 2048)])
 def test_level_weights_stored_once_and_read_only(n, N):
+    """The cumulative weights are the grid's radial tables, and the level
+    stack is one grid table of their first differences, built once and
+    handed out read-only."""
     grid = TorusGrid(n, N)
     psi = make_modulation(1.0, 2.0)
     part = make_partition(psi, grid)
     norms = grid.freq_norms()
+    stack = part.level_stack()
+    assert make_partition(psi, grid).level_stack() is stack
+    assert not stack.flags.writeable
     for k in range(part.J_max + 1):
         level = psi(norms) if k == 0 else \
             psi(norms / 2**k) - psi(2.0 * (norms / 2**k))
         assert np.array_equal(part.level_weights(k), level)
         assert np.array_equal(part.cumulative_weights(k), psi(norms / 2**k))
-        assert part.level_weights(k) is part.level_weights(k)
+        assert part.cumulative_weights(k) is grid.radial(psi, 2**k)
+        assert part.level_weights(k).base is stack
         for w in (part.level_weights(k), part.cumulative_weights(k)):
             with pytest.raises(ValueError):
                 w[(0,) * n] = 2.0

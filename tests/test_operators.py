@@ -5,7 +5,8 @@ from paradiff_lab import (AliasingRisk, ChingProfile, DiscreteSymbol,
                           GridMismatch, NotAMultiplier, SpectralField,
                           TooLarge, TorusGrid,
                           apply, ching_symbol, compose_multiplier,
-                          discrete_adjoint_probe, make_modulation,
+                          discrete_adjoint_probe, estimate_seminorm,
+                          make_modulation,
                           make_partition, modulated_apply, modulation_limit,
                           para_split, saturation_level,
                           spectral_support_bound, support_inclusions)
@@ -485,8 +486,13 @@ def test_adjoint_probe_real_multiplier(grid):
     probe = discrete_adjoint_probe(b)
     adj = probe["adjoint_symbol"]
     assert np.max(np.abs(adj.values - np.conj(b.values))) < 1e-12
-    for rep in probe["seminorms"].values():
-        assert rep["adjoint"] == pytest.approx(rep["symbol"], rel=1e-8)
+    # a real even multiplier is its own adjoint: the probe's seminorms of
+    # the adjoint, the only ones it computes, are the symbol's
+    assert len(probe["seminorms"]) == 4
+    for alpha, beta in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        want = estimate_seminorm(b, (alpha,), (beta,)).value
+        assert probe["seminorms"][f"alpha{alpha}_beta{beta}"] == {
+            "adjoint": pytest.approx(want, rel=1e-8)}
 
 
 def test_adjoint_probe_identity(grid):

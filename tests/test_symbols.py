@@ -27,6 +27,10 @@ def test_non_finite_symbol_rejected(grid):
         DiscreteSymbol.from_function(grid, lambda xs, ks: vals, 0.0)
     with pytest.raises(ValueError):
         DiscreteSymbol(grid, 0.0, [[0]], vals[3:4])
+    # a NaN order would read as seminorm 0.0, since max(0.0, nan) is 0.0
+    for d in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="order"):
+            DiscreteSymbol.multiplier(grid, np.ones(grid.shape), d=d)
 
 
 def test_duplicate_xi_rejected(grid):
