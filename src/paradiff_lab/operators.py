@@ -35,10 +35,23 @@ def apply(a: DiscreteSymbol, u):
     scatter over the union of their modes (where a field's zeros add exact
     zeros) per block of max(1, ``BLOCK_ENTRIES`` // N^n) fields, so no
     stack outgrows one field or ``BLOCK_ENTRIES`` entries."""
-    fields = [u] if isinstance(u, SpectralField) else list(u)
+    out = _apply(a, [u] if isinstance(u, SpectralField) else list(u))
+    return out[0] if isinstance(u, SpectralField) else out
+
+
+def _apply(a: DiscreteSymbol, fields: list, row_w=None) -> list:
+    """The images of ``fields`` under ``a`` as :func:`apply` takes them, or,
+    with K row weights ``row_w``, under ``a`` with row k weighted by
+    row_w[k]: bit for bit the images under ``a.with_rows(a.rows * row_w)``
+    without building it (its zero-weight rows add exact zeros, so they are
+    skipped)."""
     grid = a.grid
     if any(grid != f.grid for f in fields):
         raise GridMismatch("symbol and field live on different grids")
+    xi, live = a.xi, slice(None)
+    if row_w is not None:
+        live = np.flatnonzero(row_w)
+        xi, row_w = xi[live], row_w[None, live]
     per_block = max(1, BLOCK_ENTRIES // grid.N**grid.n)
     out = []
     for lo in range(0, len(fields), per_block):
@@ -47,17 +60,21 @@ def apply(a: DiscreteSymbol, u):
         for f in block[1:]:
             modes |= f.coeffs != 0
         idx = np.nonzero(modes)
+        # the live rows' entries at the modes, gathered without a row copy
+        cols = a.rows[(live,) + idx] if row_w is None else a.rows[
+            (live[:, None],) + tuple(i[None] for i in idx)]
         out += [SpectralField.from_coeffs(grid, v) for v in _scatter(
-            grid, a.xi, a.rows[(slice(None),) + idx], idx,
-            np.array([f.coeffs[idx] for f in block]))]
-    return out[0] if isinstance(u, SpectralField) else out
+            grid, xi, cols, idx, np.array([f.coeffs[idx] for f in block]),
+            row_w)]
+    return out
 
 
 def _scatter(grid: TorusGrid, xi, cols, idx, c, row_w=None) -> np.ndarray:
     """The coefficient stack whose level l sums (cols[k, j] row_w[l, k])
     c[l, j] at zeta over the pairs with xi_k + eta_j = zeta (mod N), eta_j
-    the mode at ``idx`` (no row weight if ``row_w`` is None): a scatter-add
-    on flat indices, a block of rows at a time, in (k, j) order per level."""
+    the mode at ``idx`` (no row weight if ``row_w`` is None; one row of
+    weights serves every level): a scatter-add on flat indices, a block of
+    rows at a time, in (k, j) order per level."""
     shape = (len(c),) + grid.shape
     coeffs = np.zeros(np.prod(shape), dtype=np.complex128)
     step = max(1, BLOCK_ENTRIES // max(1, c.size))
@@ -200,24 +217,34 @@ def compose_multiplier(a: DiscreteSymbol, b) -> DiscreteSymbol:
 
 @dataclass
 class ParaSplit:
-    """The three paradifferential series at a fixed modulation level m.
+    """The three paradifferential series of ``a`` at a fixed modulation
+    level m.
 
-    ``series[name][k]`` is the (symbol, input, term) triple of level k,
-    term = symbol(x, D) input:
+    ``series[name][k]`` is the (weights, input, term) triple of level k:
+    the K row weights of its level symbol, ``a`` with row k weighted by
+    weights[k] (:meth:`level_symbol`), and term = level symbol(x, D) input:
 
     * ``low_high``: (a^{k-h}, u_k);
     * ``diagonal_a``: (a^k - a^{k-h}, u_k), a^k itself for k < h;
     * ``diagonal_b``: (a_k, u^{k-1} - u^{k-h});
     * ``high_low``: (a_k, u^{k-h}).
 
-    A low-high or high-low term absent at k < h has symbol None and the
+    A low-high or high-low term absent at k < h has weights None and the
     zero field as its term.  ``u`` is the input the split decomposes.
     """
 
+    a: DiscreteSymbol
     series: dict
     partition: LPPartition
     m: int
     u: SpectralField
+
+    def level_symbol(self, weights) -> DiscreteSymbol | None:
+        """``a`` with row k weighted by weights[k]; None for no weights."""
+        if weights is None:
+            return None
+        a = self.a
+        return a.with_rows(a.rows * weights.reshape((-1,) + (1,) * a.grid.n))
 
     def total(self) -> SpectralField:
         """The sum of every series term: the level-m modulated operator
@@ -231,39 +258,35 @@ def para_split(a: DiscreteSymbol, u, part: LPPartition, m: int):
     low-high, near-diagonal, and high-low series.
 
     ``u`` may also be a list of fields, which gives their splits.  They
-    share one ladder: a_k, a^k and a^k - a^{k-h} are ``a`` with row k
-    weighted by phi_k, psi_k and psi_k - psi_{k-h} at xi_k, and a level
-    symbol's terms over all the fields come from one :func:`apply`."""
+    share one ladder of row weights: a_k, a^k and a^k - a^{k-h} are ``a``
+    with row k weighted by phi_k, psi_k and psi_k - psi_{k-h} at xi_k, and
+    a level symbol's terms over all the fields come from one row-weighted
+    scatter, so no level symbol is built."""
     check_grid(part, a.grid)
     fields = [u] if isinstance(u, SpectralField) else list(u)
     h, nil = part.h, [SpectralField.zero(a.grid)] * len(fields)
-    at, lead = a.xi_index(), (-1,) + (1,) * a.grid.n
+    at = a.xi_index()
     psi = [part.cumulative_weights(k)[at] for k in range(m + 1)]
-
-    def ladder(w):
-        return a.with_rows(a.rows * w.reshape(lead))
-
-    cumulative = [ladder(w) for w in psi]
     u_cum = {k: [cumulative_block(f, k, part) for f in fields]
              for k in range(m + 1)}
     series = [{"low_high": [], "diagonal_a": [], "diagonal_b": [],
                "high_low": []} for _ in fields]
     for k in range(m + 1):
         u_k = [dyadic_block(f, k, part) for f in fields]
-        band, lag = ladder(part.level_weights(k)[at]), u_cum.get(k - h, nil)
+        band, lag = part.level_weights(k)[at], u_cum.get(k - h, nil)
         mid = [x - y for x, y in zip(u_cum.get(k - 1, nil), lag)]
-        low, high = (cumulative[k - h], band) if k >= h else (None, None)
-        near = cumulative[k] if low is None else ladder(psi[k] - psi[k - h])
-        terms = apply(band, mid + (lag if k >= h else []))
+        low, high = (psi[k - h], band) if k >= h else (None, None)
+        near = psi[k] if low is None else psi[k] - psi[k - h]
+        terms = _apply(a, mid + (lag if k >= h else []), band)
         level = {"low_high": (low, u_k,
-                              nil if low is None else apply(low, u_k)),
-                 "diagonal_a": (near, u_k, apply(near, u_k)),
+                              nil if low is None else _apply(a, u_k, low)),
+                 "diagonal_a": (near, u_k, _apply(a, u_k, near)),
                  "diagonal_b": (band, mid, terms[:len(mid)]),
                  "high_low": (high, lag, terms[len(mid):] or nil)}
         for i, out in enumerate(series):
-            for name, (sym, inputs, outs) in level.items():
-                out[name].append((sym, inputs[i], outs[i]))
-    splits = [ParaSplit(s, part, m, f) for s, f in zip(series, fields)]
+            for name, (wts, inputs, outs) in level.items():
+                out[name].append((wts, inputs[i], outs[i]))
+    splits = [ParaSplit(a, s, part, m, f) for s, f in zip(series, fields)]
     return splits[0] if isinstance(u, SpectralField) else splits
 
 

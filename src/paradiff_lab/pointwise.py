@@ -166,13 +166,14 @@ def symbol_factor(a: DiscreteSymbol, p: MaxParams, psi,
            *_content(windowed.reshape(len(a.xi), grid.N**grid.n)))
     if key in _memo:
         return _memo[key]
-    # F^-1_{eta->y} of each row, with d eta the counting measure and the
-    # 2*pi^-n factor; it commutes with the expansion over x
-    G = (np.fft.ifftn(windowed, axes=tuple(range(1, grid.n + 1)))
-         * grid.N**grid.n / (2.0 * np.pi)**grid.n)
+    # F^-1_{eta->y} of each row, in place, with d eta the counting measure
+    # and the 2*pi^-n factor; it commutes with the expansion over x
+    np.fft.ifftn(windowed, axes=tuple(range(1, grid.n + 1)), out=windowed)
+    windowed *= grid.N**grid.n
+    windowed /= (2.0 * np.pi)**grid.n
     w = ((1.0 + p.R * torus_offsets(grid)) ** p.N).ravel()
     total = np.zeros(grid.shape)
-    for cols, mod in a.moduli(G):
+    for cols, mod in a.moduli(windowed):
         total += np.einsum("c,c...->...", w[cols], mod)   # no BLAS threads
     return _remember(key, total * grid.spacing**grid.n)
 
@@ -289,7 +290,8 @@ def paraterm_pointwise_check(split: ParaSplit, p: MaxParams) -> ParatermReport:
     the lattice -- while the dyadic scaling content of the estimates is
     isolated in the per-level constants  max_x F(x) / scaling_law(level).
 
-    Every (symbol, input, term) triple comes from ``split.series``.
+    Every (weights, input, term) triple comes from ``split.series``; each
+    level symbol is built from its weights where it is read.
     """
     part, m = split.partition, split.m
     R, h = part.R, part.h
@@ -321,15 +323,16 @@ def paraterm_pointwise_check(split: ParaSplit, p: MaxParams) -> ParatermReport:
     fact, scale, trends, finite = {}, {}, {}, []
     for name, triples in split.series.items():
         ratios, consts, levels = [], [], []
-        for k, (sym, w, term) in enumerate(triples):
+        for k, (wts, w, term) in enumerate(triples):
             num = np.abs(term.values)
-            if sym is None or w.norm_inf() <= tiny or float(np.max(num)) <= tiny:
+            if wts is None or w.norm_inf() <= tiny or float(np.max(num)) <= tiny:
                 ratios.append(0.0)
                 consts.append(0.0)
                 continue
-            radius, window, law = level_law(name, k, sym.d)
+            radius, window, law = level_law(name, k, split.a.d)
             pp = MaxParams(p.N, radius)
-            F = symbol_factor(sym, pp, window, allow_clipped=True)
+            F = symbol_factor(split.level_symbol(wts), pp, window,
+                              allow_clipped=True)
             ratio, x = max_ratio(num, F * peetre_max(w, pp),
                                  1e-13 * max(float(np.max(num)), 1.0))
             ratios.append(ratio)

@@ -208,10 +208,13 @@ def marschall_check(b: DiscreteSymbol, u: SpectralField, k: int,
     scale = 2.0 ** (k * (s_h - n))
     eta_axes = tuple(range(1, n + 1))
     coeffs = np.fft.fftn(b.rows, axes=eta_axes)
+    shell = np.empty_like(coeffs)   # every shell's rows, filtered in place
     terms = []
     for j, w in enumerate(_dyadic_shells(grid)):
+        np.multiply(coeffs, w, out=shell)
+        np.fft.ifftn(shell, axes=eta_axes, out=shell)
         l1 = np.zeros(grid.shape)
-        for _, mod in b.moduli(np.fft.ifftn(coeffs * w, axes=eta_axes)):
+        for _, mod in b.moduli(shell):
             l1 += np.sum(mod, axis=0)
         terms.append(2.0 ** (j * s_h) * l1 / grid.N**n)
     norms = _lq(np.array(terms), t)
@@ -271,9 +274,16 @@ def corona_sum_check(terms, spec: CoronaSpec, part: LPPartition) -> dict:
 
     Every term j must satisfy supp F u_j inside the ball B(0, A 2^j); terms
     with j >= J must also stay inside the corona A^-1 2^{theta j} <= |xi|.
+    A series of several terms none of which has j >= J rests on the ball
+    lemma alone, which needs s > n max(0, 1/p - 1): below it, BadExponent.
     Returns {norm_of_sum, F_bound, ratio}.
     """
     grid = part.grid
+    gap = grid.n * max(0.0, 1.0 / spec.p - 1.0)
+    if 1 < len(terms) <= spec.J and spec.s <= gap:
+        raise BadExponent(f"no term reaches the corona (J={spec.J}, "
+                          f"{len(terms)} terms): the ball lemma needs "
+                          f"s > {gap}, got s={spec.s}")
     offenders = []
     for j, term in enumerate(terms):
         outer = spec.A * 2.0**j

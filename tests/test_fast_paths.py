@@ -1,7 +1,8 @@
 """Fast paths against the per-level, per-row and dense code they replace.
 
-The (symbol, input, term) series of ``para_split`` must reproduce
+The (weights, input, term) series of ``para_split`` must reproduce
 ``symbol_band`` / ``dyadic_block`` / ``cumulative_block`` level by level,
+its row-weighted terms ``apply`` of the level symbols they stand for,
 and its splits of a list of inputs each input's own split,
 ``space_norm`` and the mixed norms of ``fefferman_stein_check`` and
 ``corona_sum_check`` must reproduce their one-field-per-level list forms,
@@ -369,8 +370,9 @@ def test_sparse_symbol_matches_dense_twin(n, N):
 
 @pytest.mark.parametrize("n,N", GRIDS)
 def test_split_ladder_matches_per_level_blocks(n, N):
-    """Every (symbol, input, term) triple of the split is built from the
-    per-level symbol bands and input blocks."""
+    """Every (weights, input, term) triple of the split is built from the
+    per-level symbol bands and input blocks: its level symbol, read through
+    the split, is the band, and its term that band applied to the input."""
     grid, part, a, u = setup(n, N)
     h = part.h
     split = para_split(a, u, part, part.J_max)
@@ -389,7 +391,8 @@ def test_split_ladder_matches_per_level_blocks(n, N):
                 "diagonal_b": (band(k), u_cum(k - 1) - u_cum(k - h)),
                 "high_low": (band(k) if k >= h else None, u_cum(k - h))}
         for name, (sym, w) in want.items():
-            got_sym, got_w, term = split.series[name][k]
+            weights, got_w, term = split.series[name][k]
+            got_sym = split.level_symbol(weights)
             assert np.array_equal(got_w.coeffs, w.coeffs)
             if sym is None:
                 assert got_sym is None and term.norm_inf() == 0.0
@@ -404,8 +407,9 @@ def test_split_ladder_matches_per_level_blocks(n, N):
 @pytest.mark.parametrize("family", ["ching", "random", "multiplier"])
 def test_split_of_many_matches_one_at_a_time(n, N, family):
     """A split over a list of inputs equals each input's own split term by
-    term and shares its level symbols across the inputs; the near-diagonal
-    rows match the difference a^k - a^{k-h} of two cumulative bands."""
+    term and shares its symbol and row weights across the inputs; the
+    near-diagonal rows match the difference a^k - a^{k-h} of two
+    cumulative bands."""
     grid, part, _, u1 = setup(n, N)
     a = sparse_symbols(grid)[family]
     u2 = random_band_limited_field(grid, rng_for(79, n), grid.nyquist)
@@ -415,19 +419,23 @@ def test_split_of_many_matches_one_at_a_time(n, N, family):
     for got, want in zip(many, (para_split(a, u, part, m) for u in (u1, u2))):
         assert list(got.series) == list(want.series)
         for name, triples in got.series.items():
-            for k, (sym, w, term) in enumerate(triples):
-                w_sym, w_in, w_term = want.series[name][k]
+            for k, (weights, w, term) in enumerate(triples):
+                w_weights, w_in, w_term = want.series[name][k]
+                sym = got.level_symbol(weights)
+                w_sym = want.level_symbol(w_weights)
                 assert np.array_equal(w.coeffs, w_in.coeffs)
                 assert np.array_equal(term.coeffs, w_term.coeffs)
                 assert (sym is None) == (w_sym is None)
                 if sym is not None:
                     assert np.array_equal(sym.xi, w_sym.xi)
                     assert np.array_equal(sym.rows, w_sym.rows)
+    assert many[0].a is many[1].a is a
     for name in many[0].series:
         for (s1, _, _), (s2, _, _) in zip(many[0].series[name],
                                           many[1].series[name]):
             assert s1 is s2
-    for k, (near, _, _) in enumerate(many[0].series["diagonal_a"]):
+    for k, (weights, _, _) in enumerate(many[0].series["diagonal_a"]):
+        near = many[0].level_symbol(weights)
         want = symbol_band(a, k, part, cumulative=True)
         if k >= h:    # the oracle: the old union-of-supports difference
             want = want - symbol_band(a, k - h, part, cumulative=True)
@@ -505,8 +513,31 @@ def test_difference_drops_cancelled_rows(n, N):
     assert len((a - a).xi) == 0 and (a - a).rows.shape == (0,) + grid.shape
     split = para_split(a, u, part, part.J_max)
     eta_axes = tuple(range(1, n + 1))
-    for sym, _, _ in split.series["diagonal_a"]:
+    for weights, _, _ in split.series["diagonal_a"]:
+        sym = split.level_symbol(weights)
         assert np.all(np.any(sym.rows != 0, axis=eta_axes))
+
+
+def test_splits_hold_row_weights_not_level_symbols():
+    """Two splits of one symbol hold their inputs and terms, and per level
+    term K row weights: no weighted copy of the K x N rows.  At 1-D
+    N = 2048 each level symbol would hold 39 rows of 32 KB, about 1.2 MB,
+    and the ten levels' a_k, a^k and a^k - a^{k-h} about 11 MB."""
+    grid = TorusGrid(1, 2048)
+    part = make_partition(make_modulation(1.0, 2.0), grid)
+    a = random_sparse_symbol(grid, rng_for(0, 91))
+    us = [random_band_limited_field(grid, rng_for(s, 92), grid.nyquist / 2,
+                                    modes=40) for s in (0, 1)]
+    para_split(a, us, part, part.J_max)    # the grid's tables, built once
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        splits = para_split(a, us, part, part.J_max)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(a.xi) == 39 and part.J_max == 9 and len(splits) == 2
+    assert held < 6 * 2**20
 
 
 @pytest.mark.parametrize("n,N", GRIDS)

@@ -324,6 +324,21 @@ def test_corona_strict_theta_one(grid, part):
     assert res["ratio"] <= 4.0
 
 
+def test_corona_ball_only_needs_positive_smoothness(grid, part):
+    # negative control: J past every term leaves the ball lemma alone,
+    # which holds only for s > n max(0, 1/p - 1) = 0 at p = 2
+    terms = [mode(grid, 2**j, amp=2.0 ** (-j)) for j in range(5)]
+    for s in (0.0, -1.0):
+        spec = CoronaSpec(A=4.0, theta=1.0, J=len(terms) + 3, s=s, p=2.0,
+                          q=2.0, s_prime=s)
+        with pytest.raises(BadExponent, match="no term reaches the corona"):
+            corona_sum_check(terms, spec, part)
+    spec = CoronaSpec(A=4.0, theta=1.0, J=len(terms) + 3, s=0.5, p=2.0,
+                      q=2.0, s_prime=0.5)
+    res = corona_sum_check(terms, spec, part)
+    assert np.isfinite(res["ratio"]) and res["ratio"] > 0
+
+
 def test_corona_support_violation(grid, part):
     spec = CoronaSpec(A=2.0, theta=1.0, J=1, s=0.0, p=2.0, q=2.0, s_prime=0.0)
     bad = mode(grid, 16)  # |xi| = 16 > A 2^1 at j = 1
